@@ -180,9 +180,9 @@ def cmd_bound(args) -> int:
 # verification suites
 
 
-def _suite_q(rep: VerificationReport, max_n: int, budget_s: float) -> None:
+def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> None:
     for n in range(2, max_n + 1):
-        data = qp.gamma_central_data(n)
+        data = qp.gamma_central_data(n, cap=cap)
         for prop in qp.verify_q_properties(data):
             rep.add(f"q-{prop.name}-n{n}", prop.law, "pass",
                     "pass" if prop.passed else f"fail at {prop.counterexample}",
@@ -209,7 +209,7 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float) -> None:
                 "cyclic-pullback index equals the searched minimal abelian index",
                 idx, pull.index, "enumeration", pull.index == idx)
     if max_n >= 6:
-        data = qp.gamma_central_data(6)
+        data = qp.gamma_central_data(6, cap=cap)
         ordB = gc.all_element_orders(data.gammaB)
         a = int(np.flatnonzero(ordB == 2)[0])
         b = int(np.flatnonzero(ordB == 3)[0])
@@ -219,7 +219,7 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float) -> None:
                 data.g.identity, val, "enumeration", val == data.g.identity)
 
 
-def _suite_esfera(rep: VerificationReport) -> None:
+def _suite_esfera(rep: VerificationReport, cap: int) -> None:
     kinds = [
         sg.cyclic_kind(2), sg.cyclic_kind(3), sg.cyclic_kind(5), sg.cyclic_kind(6),
         sg.dihedral_kind(3), sg.dihedral_kind(4), sg.dihedral_kind(5), sg.dihedral_kind(6),
@@ -229,7 +229,7 @@ def _suite_esfera(rep: VerificationReport) -> None:
                        "tetra": lambda n: 12, "octa": lambda n: 24,
                        "icosa": lambda n: 60}
     for kind in kinds:
-        g = sg.rotation_group(kind)
+        g = sg.rotation_group(kind, cap=cap)
         want = expected_orders[kind.tag](kind.n)
         rep.add(f"order-{kind}", "group order of the rotation family member",
                 want, g.order, "closed-form", g.order == want)
@@ -257,7 +257,7 @@ def _suite_esfera(rep: VerificationReport) -> None:
                         True, ok, "enumeration", ok)
 
 
-def _suite_tor(rep: VerificationReport, max_n: int) -> None:
+def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
     for bound in range(2, 11):
         orders = sg.torus_point_orders(bound)
         rep.add(f"point-orders-bound{bound}",
@@ -265,7 +265,7 @@ def _suite_tor(rep: VerificationReport, max_n: int) -> None:
                 [1, 2, 3, 4, 6], sorted(orders), "enumeration",
                 orders == {1, 2, 3, 4, 6})
     for n in range(2, max_n + 1):
-        data = hb.b_n_components(n)
+        data = hb.b_n_components(n, cap=cap)
         t = data.table
         rep.add(f"bn-order-n{n}", "the torus extension has order 6 n^2",
                 6 * n * n, t.order, "closed-form", t.order == 6 * n * n)
@@ -287,17 +287,19 @@ def _suite_tor(rep: VerificationReport, max_n: int) -> None:
                     "fixed points of the twist power match the documented set",
                     expected, computed, "documented", computed == expected)
     for n in range(3, max_n + 1):
-        res = sg.tor_index_bound_check(sg.b_n_affine(n))
+        res = sg.tor_index_bound_check(sg.b_n_affine(n, cap=cap))
         rep.add(f"tor-index-bn-n{n}",
                 "translation subgroup of the full extension has index 6",
                 6, res.index, "enumeration", res.index == 6)
     ident = ((1, 0), (0, 1))
-    trans = sg.affine_torus_group(5, [(ident, (1, 0)), (ident, (0, 1))])
+    trans = sg.affine_torus_group(5, [(ident, (1, 0)), (ident, (0, 1))], cap=cap)
     res = sg.tor_index_bound_check(trans)
     rep.add("tor-index-translations", "pure translations have index 1",
             1, res.index, "enumeration", res.index == 1)
     neg = ((-1, 0), (0, -1))
-    half = sg.affine_torus_group(5, [(ident, (1, 0)), (ident, (0, 1)), (neg, (0, 0))])
+    half = sg.affine_torus_group(
+        5, [(ident, (1, 0)), (ident, (0, 1)), (neg, (0, 0))], cap=cap
+    )
     res = sg.tor_index_bound_check(half)
     rep.add("tor-index-halfturn", "translations plus the half turn have index 2",
             2, res.index, "enumeration", res.index == 2)
@@ -342,8 +344,7 @@ def _suite_sl2(rep: VerificationReport, seed: int) -> None:
     rep.add("lift-homomorphism",
             "every determinant-one lift respects the group law",
             0, hom_bad, "enumeration", hom_bad == 0)
-    twist_f = hb.SL2Matrix(0, -1, 1, 1)
-    lift = hb.sl2_lift(twist_f)
+    lift = hb.sl2_lift(hb.SL2Matrix(*hb.CHI_MATRIX[0], *hb.CHI_MATRIX[1]))
     mismatch = 0
     for _ in range(1000):
         x, y = (int(v) for v in rng.integers(-50, 51, 2))
@@ -383,11 +384,11 @@ def cmd_verify(args) -> int:
          "cap": args.cap, "budget_s": args.budget_s},
     )
     if args.suite in ("q", "all"):
-        _suite_q(rep, args.max_n, args.budget_s)
+        _suite_q(rep, args.max_n, args.budget_s, args.cap)
     if args.suite in ("esfera", "all"):
-        _suite_esfera(rep)
+        _suite_esfera(rep, args.cap)
     if args.suite in ("tor", "all"):
-        _suite_tor(rep, args.max_n)
+        _suite_tor(rep, args.max_n, args.cap)
     if args.suite in ("sl2", "all"):
         _suite_sl2(rep, args.seed)
     if args.suite in ("doubling", "all"):

@@ -5,6 +5,10 @@ class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(EngineError, ValueError):
+    """An argument lies outside the domain of the requested construction."""
+
+
 class CapExceeded(EngineError):
     """A construction or search grew past its configured cap."""
 

@@ -233,20 +233,12 @@ class Homomorphism:
 # construction
 
 
-def build_from_generators(
-    identity,
-    gens: Iterable,
-    product: Callable,
-    cap: int = DEFAULT_ORDER_CAP,
-    labeler: Optional[Callable] = None,
-    name: str = "",
-) -> tuple[GroupTable, dict]:
-    """Close a generating set under an associative product and tabulate it.
+def close_under(identity, gens: Iterable, product: Callable, cap: int) -> tuple[list, dict]:
+    """Breadth-first closure of a generating set under an associative product.
 
-    ``identity`` and the generators must be hashable values of a common
-    domain; ``product`` is the domain's associative operation.  Returns the
-    table (identity at index 0) together with the element-to-index map.
-    Raises CapExceeded when the closure grows past ``cap``.
+    Returns the elements in discovery order (identity first) and the
+    element-to-index map.  Raises CapExceeded when the closure grows past
+    ``cap``.
     """
     gens = list(gens)
     if not gens:
@@ -268,6 +260,25 @@ def build_from_generators(
                     elements.append(b)
                     next_frontier.append(b)
         frontier = next_frontier
+    return elements, index
+
+
+def build_from_generators(
+    identity,
+    gens: Iterable,
+    product: Callable,
+    cap: int = DEFAULT_ORDER_CAP,
+    labeler: Optional[Callable] = None,
+    name: str = "",
+) -> tuple[GroupTable, dict]:
+    """Close a generating set under an associative product and tabulate it.
+
+    ``identity`` and the generators must be hashable values of a common
+    domain; ``product`` is the domain's associative operation.  Returns the
+    table (identity at index 0) together with the element-to-index map.
+    Raises CapExceeded when the closure grows past ``cap``.
+    """
+    elements, index = close_under(identity, gens, product, cap)
     n = len(elements)
     mul = np.zeros((n, n), dtype=_index_dtype(n))
     for i, a in enumerate(elements):
@@ -289,6 +300,8 @@ def table_to_json(g: GroupTable) -> dict:
 def table_from_json(doc: dict) -> GroupTable:
     mul = np.asarray(doc["mul"], dtype=np.int64)
     g = GroupTable(mul, labels=doc.get("labels"))
+    if doc["order"] != g.order:
+        raise ValueError(f"declared order {doc['order']}, table order {g.order}")
     if g.identity != 0:
         raise ValueError("interchange format requires the identity at index 0")
     return g
@@ -682,16 +695,11 @@ def _element_fingerprints(g: GroupTable) -> np.ndarray:
     return orders * (g.order + 1) + cent_sizes
 
 
-def minimal_generating_set(g: GroupTable) -> list[int]:
+def greedy_generating_set(g: GroupTable) -> list[int]:
+    """Generators picked greedily, highest element order first; not always minimal."""
     n = g.order
     orders = all_element_orders(g)
-    if orders.max() == n:
-        return [int(np.argmax(orders == n))]
     pool = sorted((i for i in range(n) if i != g.identity), key=lambda i: (-orders[i], i))
-    for size in (2, 3, 4):
-        found = _gen_search(g, pool, [], size)
-        if found is not None:
-            return found
     gens: list[int] = []
     cur = closure(g, [g.identity])
     for x in pool:
@@ -701,21 +709,6 @@ def minimal_generating_set(g: GroupTable) -> list[int]:
             if cur.size == n:
                 break
     return gens
-
-
-def _gen_search(g: GroupTable, pool: list[int], chosen: list[int], size: int):
-    if len(chosen) == size:
-        return list(chosen) if closure(g, chosen).size == g.order else None
-    partial = closure(g, chosen) if chosen else None
-    start = pool.index(chosen[-1]) + 1 if chosen else 0
-    for k in range(start, len(pool)):
-        x = pool[k]
-        if partial is not None and partial.contains(x):
-            continue
-        res = _gen_search(g, pool, chosen + [x], size)
-        if res is not None:
-            return res
-    return None
 
 
 def automorphisms(
@@ -736,7 +729,7 @@ def automorphisms(
         if closure(g, gens).size != g.order:
             raise ValueError("gen_hint does not generate the group")
     else:
-        gens = minimal_generating_set(g)
+        gens = greedy_generating_set(g)
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
     # discovery order: every element as a word in the generators
@@ -793,6 +786,20 @@ def sigma_orbit(
 
 # ---------------------------------------------------------------------------
 # Sylow subgroups
+
+
+def prime_power_base(k: int) -> int:
+    """p when k = p^j for a prime p and j >= 1, else 0; so k >= 2 is prime iff this is k."""
+    if k < 2:
+        return 0
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            while k % p == 0:
+                k //= p
+            return p if k == 1 else 0
+        p += 1
+    return k  # k itself prime
 
 
 def _is_p_power(k: int, p: int) -> bool:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     DetNotOne,
+    InvalidInput,
     ModulusMismatch,
     NonIntegralInput,
     OddModulus,
@@ -27,8 +28,10 @@ from .group_core import (
     Homomorphism,
     SubgroupMask,
     build_from_generators,
+    close_under,
     cyclic_table,
     is_normal,
+    prime_power_base,
 )
 
 CHI_MATRIX = ((0, -1), (1, 1))  # order-6 torus symmetry (x,y) -> (-y, x+y)
@@ -78,17 +81,24 @@ def heis_elem(n: int, x: int, y: int, z) -> HeisElem:
     return HeisElem(n, x % n, y % n, int(zf * 2) % (2 * n))
 
 
+def _heis_law(n: int, a: tuple, b: tuple) -> tuple:
+    """Product of coordinate triples (x, y, z2); entries are ints or int arrays."""
+    x, y, z2 = a
+    x2, y2, z22 = b
+    return (x + x2) % n, (y + y2) % n, (z2 + z22 + 2 * x * y2) % (2 * n)
+
+
+def _twist(n: int, g: tuple) -> tuple:
+    """The twist on a coordinate triple (x, y, z2); entries are ints or int arrays."""
+    x, y, z2 = g
+    return (-y) % n, (x + y) % n, (z2 - 2 * x * y - y * y) % (2 * n)
+
+
 def heis_mul(a: HeisElem, b: HeisElem) -> HeisElem:
     """(x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y')."""
     if a.n != b.n:
         raise ModulusMismatch(f"moduli differ: {a.n} vs {b.n}")
-    n = a.n
-    return HeisElem(
-        n,
-        (a.x + b.x) % n,
-        (a.y + b.y) % n,
-        (a.z2 + b.z2 + 2 * a.x * b.y) % (2 * n),
-    )
+    return HeisElem(a.n, *_heis_law(a.n, (a.x, a.y, a.z2), (b.x, b.y, b.z2)))
 
 
 def heis_inv(a: HeisElem) -> HeisElem:
@@ -100,13 +110,7 @@ def h_auto(e: HeisElem) -> HeisElem:
     """The order-6 twist (x,y,z) -> (-y, x+y, z - xy - y^2/2); needs 2 | n."""
     if e.n % 2 != 0:
         raise OddModulus("the twist is only defined for even moduli")
-    n = e.n
-    return HeisElem(
-        n,
-        (-e.y) % n,
-        (e.x + e.y) % n,
-        (e.z2 - 2 * e.x * e.y - e.y * e.y) % (2 * n),
-    )
+    return HeisElem(e.n, *_twist(e.n, (e.x, e.y, e.z2)))
 
 
 @dataclass(frozen=True)
@@ -180,20 +184,18 @@ def gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 @lru_cache(maxsize=None)
 def _gamma_n_cached(n: int, cap: int) -> GroupTable:
     if n < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InvalidInput("modulus must be at least 2")
     if n**3 > cap:
         raise CapExceeded(f"order {n**3} exceeds cap {cap}")
     m = n**3
     codes = np.arange(m)
     xy, z = np.divmod(codes, n)
     x, y = np.divmod(xy, n)
+    z2 = 2 * z
     mul = np.zeros((m, m), dtype=np.int16 if m <= 32767 else np.int32)
     for i in range(m):
-        xi, yi, zi = int(x[i]), int(y[i]), int(z[i])
-        rx = (xi + x) % n
-        ry = (yi + y) % n
-        rz = (zi + z + xi * y) % n
-        mul[i] = (rx * n + ry) * n + rz
+        rx, ry, rz2 = _heis_law(n, (int(x[i]), int(y[i]), int(z2[i])), (x, y, z2))
+        mul[i] = (rx * n + ry) * n + rz2 // 2
     labels = [f"A({int(a)},{int(b)},{int(c)})" for a, b, c in zip(x, y, z)]
     return GroupTable(mul, labels=labels, name=f"Gamma_{n}")
 
@@ -287,10 +289,6 @@ class HatGroup:
         return self.theta.is_surjective()
 
 
-def _h_coords(n: int, x, y, z2):
-    return (-y) % n, (x + y) % n, (z2 - 2 * x * y - y * y) % (2 * n)
-
-
 def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     """Closure of {(gamma, 0)} and (identity, 1) in the twisted pair group.
 
@@ -311,63 +309,32 @@ def _hat_gamma_cached(n: int, cap: int) -> HatGroup:
     if ambient > cap:
         raise CapExceeded(f"ambient order {ambient} exceeds cap {cap}")
 
-    def hk(g: tuple, k: int) -> tuple:
-        x, y, z2 = g
-        for _ in range(k):
-            x, y, z2 = _h_coords(n, x, y, z2)
-        return x, y, z2
-
     def prod(a: tuple, b: tuple) -> tuple:
-        x, y, z2, k = a
-        x2, y2, z22, k2 = b
-        hx, hy, hz2 = hk((x2, y2, z22), k)
-        return (
-            (x + hx) % n,
-            (y + hy) % n,
-            (z2 + hz2 + 2 * x * hy) % (2 * n),
-            (k + k2) % 6,
-        )
+        g = b[:3]
+        for _ in range(a[3]):
+            g = _twist(n, g)
+        return (*_heis_law(n, a[:3], g), (a[3] + b[3]) % 6)
 
-    ident = (0, 0, 0, 0)
     gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in gens:
-                b = prod(a, s)
-                if b not in index:
-                    index[b] = len(elements)
-                    elements.append(b)
-                    nxt.append(b)
-        frontier = nxt
+    elements, _ = close_under((0, 0, 0, 0), gens, prod, cap)
     m = len(elements)
 
     arr = np.array(elements, dtype=np.int64)
-    X, Y, Z2, K = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    X, Y, Z2, K = np.ascontiguousarray(arr.T)
     code_of = ((X * n + Y) * (2 * n) + Z2) * 6 + K
     lookup = np.full(12 * n**3, -1, dtype=np.int64)
     lookup[code_of] = np.arange(m)
 
     # h^k applied to every element, vectorized once per power
-    HX, HY, HZ2 = [X.copy()], [Y.copy()], [Z2.copy()]
+    powers = [(X, Y, Z2)]
     for _ in range(5):
-        hx, hy, hz2 = _h_coords(n, HX[-1], HY[-1], HZ2[-1])
-        HX.append(hx)
-        HY.append(hy)
-        HZ2.append(hz2)
+        powers.append(_twist(n, powers[-1]))
 
     mul = np.zeros((m, m), dtype=np.int16 if m <= 32767 else np.int32)
     for i in range(m):
-        xi, yi, z2i, ki = int(X[i]), int(Y[i]), int(Z2[i]), int(K[i])
-        hx, hy, hz2 = HX[ki], HY[ki], HZ2[ki]
-        rx = (xi + hx) % n
-        ry = (yi + hy) % n
-        rz2 = (z2i + hz2 + 2 * xi * hy) % (2 * n)
-        rk = (ki + K) % 6
-        row = lookup[((rx * n + ry) * (2 * n) + rz2) * 6 + rk]
+        ki = int(K[i])
+        rx, ry, rz2 = _heis_law(n, (int(X[i]), int(Y[i]), int(Z2[i])), powers[ki])
+        row = lookup[((rx * n + ry) * (2 * n) + rz2) * 6 + (ki + K) % 6]
         if row.min() < 0:
             raise RuntimeError("closure is not closed; construction bug")
         mul[i] = row
@@ -399,10 +366,15 @@ class BnData:
 
 
 def _chi_pow(n: int, k: int) -> tuple:
+    (p, q), (r, s) = CHI_MATRIX
     a, b, c, d = 1, 0, 0, 1
     for _ in range(k % 6):
-        # left-multiply by [[0,-1],[1,1]]
-        a, b, c, d = (-c) % n, (-d) % n, (a + c) % n, (b + d) % n
+        a, b, c, d = (
+            (p * a + q * c) % n,
+            (p * b + q * d) % n,
+            (r * a + s * c) % n,
+            (r * b + s * d) % n,
+        )
     return a, b, c, d
 
 
@@ -424,10 +396,12 @@ def _b_n_cached(n: int, cap: int) -> BnData:
     if 6 * n * n > cap:
         raise CapExceeded(f"order {6 * n * n} exceeds cap {cap}")
 
+    chi_pows = [_chi_pow(n, k) for k in range(6)]
+
     def prod(p: tuple, q: tuple) -> tuple:
         u, v, k = p
         u2, v2, k2 = q
-        a, b, c, d = _chi_pow(n, k)
+        a, b, c, d = chi_pows[k]
         return ((u + a * u2 + b * v2) % n, (v + c * u2 + d * v2) % n, (k + k2) % 6)
 
     ident = (0, 0, 0)
@@ -476,20 +450,9 @@ def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:
 # doubling and SL(2,Z) lifts
 
 
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def doubling_embed(p: int, cap: int = DEFAULT_ORDER_CAP) -> Homomorphism:
     """A(x,y,z) -> A(2x,2y,4z) from the mod-p group into the mod-2p group."""
-    if p < 3 or not _is_prime(p):
+    if p < 3 or prime_power_base(p) != p:
         raise ValueError("doubling needs an odd prime")
     src = gamma_n(p, cap=cap)
     tgt = gamma_n(2 * p, cap=cap)

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import LambdaTooSmall, PrimeTooSmall, ZeroArea
-from .group_core import DEFAULT_ORDER_CAP, min_abelian_index
-from .heisenberg import _is_prime, hat_gamma_n
+from .errors import InvalidInput, LambdaTooSmall, PrimeTooSmall, ZeroArea
+from .group_core import DEFAULT_ORDER_CAP, min_abelian_index, prime_power_base
+from .heisenberg import hat_gamma_n
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,10 @@ class SymplecticShape:
 
 def parse_rational(text: str) -> Fraction:
     """Accept "p/q" or a plain integer string."""
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"not a rational number: {text!r}") from None
 
 
 def shape(alpha, beta) -> SymplecticShape:
@@ -71,8 +74,8 @@ def nonabelian_p_admissible(s: SymplecticShape, p: int) -> PAdmissibility:
     Heisenberg group, whose Sylow-p subgroup has the extraspecial
     exponent-p presentation.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if p < 2 or prime_power_base(p) != p:
+        raise InvalidInput(f"{p} is not prime")
     if p <= 3:
         raise PrimeTooSmall("the criterion concerns primes above 3")
     lam = lambda_of(s)

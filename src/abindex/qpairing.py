@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, NotCentral, QuotientNotAbelian
 from .group_core import (
+    DEFAULT_ORDER_CAP,
     GroupTable,
     Homomorphism,
     SubgroupMask,
@@ -24,6 +25,7 @@ from .group_core import (
     closure,
     commutator_subgroup,
     is_cyclic,
+    prime_power_base,
     quotient_by_normal,
     subgroup_table,
 )
@@ -50,9 +52,9 @@ def central_data_from(g: GroupTable, gamma0: SubgroupMask) -> CentralData:
     return CentralData(g, gamma0, eta, gammaB)
 
 
-def gamma_central_data(n: int) -> CentralData:
+def gamma_central_data(n: int, cap: int = DEFAULT_ORDER_CAP) -> CentralData:
     """The mod-n Heisenberg group over its center; quotient is (Z_n)^2."""
-    g = gamma_n(n)
+    g = gamma_n(n, cap=cap)
     return central_data_from(g, gamma_center_mask(g, n))
 
 
@@ -132,20 +134,6 @@ class QProperty:
         return out
 
 
-def _prime_power_base(k: int) -> int:
-    """p when k = p^j for a prime p and j >= 1, else 0."""
-    if k < 2:
-        return 0
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            return p if k == 1 else 0
-        p += 1
-    return k  # k itself prime
-
-
 def verify_q_properties(data: CentralData) -> list[QProperty]:
     """Exhaustive check of the four pairing laws over all element tuples."""
     g, gb = data.g, data.gammaB
@@ -197,7 +185,7 @@ def verify_q_properties(data: CentralData) -> list[QProperty]:
         )
     )
 
-    base = np.array([_prime_power_base(int(o)) for o in ordB])
+    base = np.array([prime_power_base(int(o)) for o in ordB])
     pa, pb = base[:, None], base[None, :]
     cross = (pa > 0) & (pb > 0) & (pa != pb)
     cross_ok = np.all(Q[cross] == e) if cross.any() else True

@@ -7,7 +7,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolation, IndexExceedsSix
+from .errors import CapExceeded, HypothesisViolation, IndexExceedsSix
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupTable,
@@ -21,6 +21,7 @@ from .group_core import (
     sigma_orbit,
     subgroup_table,
 )
+from .heisenberg import CHI_MATRIX
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,8 @@ def rotation_group(kind: RotationGroupKind, cap: int = DEFAULT_ORDER_CAP) -> Gro
     points) so no irrational rotation coordinates are needed.
     """
     if kind.tag == "cyclic":
+        if kind.n > cap:
+            raise CapExceeded(f"order {kind.n} exceeds cap {cap}")
         return cyclic_table(kind.n, name=f"C{kind.n}")
     if kind.tag == "dihedral":
         n = kind.n
@@ -286,11 +289,10 @@ def affine_torus_group(
 
 def b_n_affine(n: int, cap: int = DEFAULT_ORDER_CAP) -> AffineTorusAction:
     """Affine model of the order-6 torus extension; faithful for n >= 3."""
-    chi = ((0, -1), (1, 1))
     ident = ((1, 0), (0, 1))
     return affine_torus_group(
         n,
-        [(chi, (0, 0)), (ident, (1, 0)), (ident, (0, 1))],
+        [(CHI_MATRIX, (0, 0)), (ident, (1, 0)), (ident, (0, 1))],
         name=f"B_{n}(affine)",
         cap=cap,
     )

@@ -77,6 +77,18 @@ def test_bound_rejects_zero_area():
     assert proc.returncode == 2
 
 
+def test_bad_input_is_a_usage_error():
+    for args in (
+        ("gamma", "--n", "1"),
+        ("bound", "--alpha", "abc", "--beta", "1"),
+        ("bound", "--alpha", "5", "--beta", "1", "--p", "4"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert set(json.loads(proc.stdout)) == {"command", "error"}
+        assert "Traceback" not in proc.stderr
+
+
 def test_report_round_trip():
     doc = json.loads(run_cli("bound", "--alpha", "4", "--beta", "1").stdout)
     rebuilt = report_from_json(doc).as_dict()
@@ -144,6 +156,13 @@ def test_cap_exit_code():
     proc = run_cli("gamma", "--n", "30", "--cap", "1000")
     assert proc.returncode == 3
     assert "error" in json.loads(proc.stdout)
+
+
+def test_verify_obeys_cap_in_every_suite():
+    for args in (("--suite", "esfera"), ("--suite", "q", "--max-n", "3")):
+        proc = run_cli("verify", *args, "--cap", "10")
+        assert proc.returncode == 3, args
+        assert "error" in json.loads(proc.stdout)
 
 
 def test_budget_exit_code():

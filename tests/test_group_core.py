@@ -200,6 +200,13 @@ def test_json_rejects_identity_off_zero():
         gc.table_from_json({"order": 3, "mul": shuffled.tolist()})
 
 
+def test_json_rejects_wrong_order():
+    doc = gc.table_to_json(gc.cyclic_table(3))
+    doc["order"] = 4
+    with pytest.raises(ValueError):
+        gc.table_from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # subgroup machinery
 

@@ -99,6 +99,18 @@ def test_gamma_2_is_dihedral_of_order_8():
     assert profile == {1: 1, 2: 5, 4: 2}  # dihedral, not quaternion
 
 
+def test_gamma_table_multiplies_like_heis_mul():
+    # the table stores integral z; heis_mul works on z2 = 2z
+    n = 3
+    g = hb.gamma_n(n)
+    elems = [hb.HeisElem(n, x, y, 2 * z) for x in range(n) for y in range(n) for z in range(n)]
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            p = hb.heis_mul(a, b)
+            assert p.is_integral()
+            assert hb.gamma_elem_index(n, p.x, p.y, p.z2 // 2) == g.mul_idx(i, j)
+
+
 def test_gamma_3_is_extraspecial_exponent_3():
     g = hb.gamma_n(3)
     assert g.order == 27
@@ -271,11 +283,10 @@ def test_hat_structure(n):
 def test_hat_elements_multiply_like_the_table():
     n = 2
     hat = hb.hat_gamma_n(n)
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        i, j = (int(v) for v in rng.integers(0, hat.order, 2))
-        a, b = hat.element_at(i), hat.element_at(j)
-        assert hat.index_of(hb.hat_mul(a, b)) == hat.table.mul_idx(i, j)
+    for i in range(hat.order):
+        for j in range(hat.order):
+            a, b = hat.element_at(i), hat.element_at(j)
+            assert hat.index_of(hb.hat_mul(a, b)) == hat.table.mul_idx(i, j)
     with pytest.raises(ModulusMismatch):
         hb.hat_mul(
             hb.HatElem(hb.heis_identity(2), 1), hb.HatElem(hb.heis_identity(4), 1)
