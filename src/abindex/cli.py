@@ -453,7 +453,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (CapExceeded, SearchTimeout) as exc:
-        json.dump({"command": args.command, "error": str(exc)}, sys.stdout)
+        doc = {"command": args.command, "error": str(exc)}
+        if isinstance(exc, SearchTimeout):
+            # the incumbent: an abelian subgroup of this order exists
+            doc["best_order_found"] = exc.best_order_found
+        json.dump(doc, sys.stdout)
         sys.stdout.write("\n")
         print(f"aborted: {exc}", file=sys.stderr)
         return 3

@@ -112,11 +112,7 @@ class GroupTable:
         return self.labels[a] if self.labels is not None else str(a)
 
     def is_abelian(self) -> bool:
-        cached = getattr(self, "_is_abelian", None)
-        if cached is None:
-            cached = bool(_center_bits(self.mul).all())
-            self._is_abelian = cached
-        return cached
+        return bool(_center_bits(self).all())
 
     def __len__(self) -> int:
         return self.order
@@ -233,34 +229,59 @@ class Homomorphism:
 # construction
 
 
-def close_under(identity, gens: Iterable, product: Callable, cap: int) -> tuple[list, dict]:
+def close_under(
+    identity, gens: Iterable, product: Callable, cap: int
+) -> tuple[list, dict, np.ndarray, np.ndarray]:
     """Breadth-first closure of a generating set under an associative product.
 
-    Returns the elements in discovery order (identity first) and the
-    element-to-index map.  Raises CapExceeded when the closure grows past
-    ``cap``.
+    Returns the elements in discovery order (identity first), the
+    element-to-index map and the discovery tree: element ``i > 0`` was found
+    as ``product(elements[parent[i]], gens[via[i]])`` with ``parent[i] < i``;
+    ``parent[0]`` and ``via[0]`` are -1.  Raises CapExceeded when the closure
+    grows past ``cap``.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
+    parent, via = [-1], [-1]
+    frontier = [0]
     while frontier:
         next_frontier = []
-        for a in frontier:
-            for s in gens:
+        for i in frontier:
+            a = elements[i]
+            for j, s in enumerate(gens):
                 b = product(a, s)
                 if b not in index:
                     if len(elements) >= cap:
                         raise CapExceeded(
                             f"closure exceeded cap {cap}; generator set may be wrong"
                         )
+                    next_frontier.append(len(elements))
                     index[b] = len(elements)
                     elements.append(b)
-                    next_frontier.append(b)
+                    parent.append(i)
+                    via.append(j)
         frontier = next_frontier
-    return elements, index
+    return elements, index, np.array(parent, dtype=np.intp), np.array(via, dtype=np.intp)
+
+
+def compose_rows(
+    mul: np.ndarray, gen_rows: Sequence[np.ndarray], parent: np.ndarray, via: np.ndarray,
+    rows: Sequence[int],
+) -> None:
+    """Fill a Cayley table from its generator rows along a closure tree.
+
+    Closure element t is e_t = e_parent[t] s_via[t], and by associativity
+    e_t b = e_parent[t] (s_via[t] b): row ``rows[t]`` is row
+    ``rows[parent[t]]`` read at the entries of ``gen_rows[via[t]]``, the row
+    of generator ``via[t]``.  The identity's row ``rows[0]`` must be filled.
+    """
+    rows = list(rows)
+    parent, via = parent.tolist(), via.tolist()
+    for t in range(1, len(rows)):
+        mul[rows[t]] = mul[rows[parent[t]]][gen_rows[via[t]]]
 
 
 def build_from_generators(
@@ -278,7 +299,7 @@ def build_from_generators(
     table (identity at index 0) together with the element-to-index map.
     Raises CapExceeded when the closure grows past ``cap``.
     """
-    elements, index = close_under(identity, gens, product, cap)
+    elements, index, _, _ = close_under(identity, gens, product, cap)
     n = len(elements)
     mul = np.zeros((n, n), dtype=_index_dtype(n))
     for i, a in enumerate(elements):
@@ -338,18 +359,24 @@ def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
     return SubgroupMask(g, bits, _validated=True)
 
 
-def _center_bits(mul: np.ndarray) -> np.ndarray:
-    n = mul.shape[0]
-    out = np.empty(n, dtype=bool)
+def _center_bits(g: GroupTable) -> np.ndarray:
+    """Read-only mask of the center, computed once per table."""
+    cached = getattr(g, "_center_cache", None)
+    if cached is not None:
+        return cached
+    mul = g.mul
+    out = np.empty(g.order, dtype=bool)
     mt = mul.T
-    for lo, hi in _blocks(n):
+    for lo, hi in _blocks(g.order):
         out[lo:hi] = (mul[lo:hi] == mt[lo:hi]).all(axis=1)
+    out.flags.writeable = False
+    g._center_cache = out
     return out
 
 
 def center(g: GroupTable) -> SubgroupMask:
     """Elements commuting with the whole group; always normal."""
-    return SubgroupMask(g, _center_bits(g.mul), _validated=True)
+    return SubgroupMask(g, _center_bits(g), _validated=True)
 
 
 def centralizer(g: GroupTable, s) -> SubgroupMask:
@@ -511,7 +538,6 @@ class _AbelianSearch:
         self.deadline = deadline
         self.orders = all_element_orders(g)
         self.cent_cache: dict[int, np.ndarray] = {}
-        self.global_center: Optional[np.ndarray] = None
         self.best_size = 1
         self.best_mask: Optional[np.ndarray] = None
         self.nodes = 0
@@ -523,11 +549,6 @@ class _AbelianSearch:
             if len(self.cent_cache) < 4096:
                 self.cent_cache[x] = hit
         return hit
-
-    def center_bits(self) -> np.ndarray:
-        if self.global_center is None:
-            self.global_center = _center_bits(self.mul)
-        return self.global_center
 
     def record(self, bits: np.ndarray, size: int) -> None:
         if size > self.best_size:
@@ -575,15 +596,16 @@ class _AbelianSearch:
         return max(meet, 1)
 
     def greedy_seed(self) -> None:
-        h_bits = self.center_bits().copy()
+        h_bits = _center_bits(self.g).copy()
         h_bits[self.g.identity] = True
         h_size = int(np.count_nonzero(h_bits))
         c_bits = np.ones(self.n, dtype=bool)
         for z in np.flatnonzero(h_bits):
             c_bits &= self.centralizer_bits(int(z))
         while True:
-            self.check_time()
+            # record first, so a timeout reports at least the center
             self.record(h_bits, h_size)
+            self.check_time()
             cand = np.flatnonzero(c_bits & ~h_bits)
             if len(cand) == 0:
                 return
@@ -617,7 +639,7 @@ class _AbelianSearch:
             if c_size <= self.best_size:
                 return
             if c_size == self.n:
-                forced = self.center_bits() & ~h_bits
+                forced = _center_bits(self.g) & ~h_bits
             else:
                 forced = self.local_central_bits(np.flatnonzero(c_bits)) & ~h_bits
             if not forced.any():
@@ -696,7 +718,11 @@ def _element_fingerprints(g: GroupTable) -> np.ndarray:
 
 
 def greedy_generating_set(g: GroupTable) -> list[int]:
-    """Generators picked greedily, highest element order first; not always minimal."""
+    """Generators picked greedily, highest element order first, then pruned.
+
+    A generator is dropped when the others still generate the group, so no
+    member of the result is redundant; the result is not always of minimal size.
+    """
     n = g.order
     orders = all_element_orders(g)
     pool = sorted((i for i in range(n) if i != g.identity), key=lambda i: (-orders[i], i))
@@ -708,6 +734,10 @@ def greedy_generating_set(g: GroupTable) -> list[int]:
             cur = closure(g, gens)
             if cur.size == n:
                 break
+    for x in list(gens):
+        rest = [y for y in gens if y != x]
+        if rest and closure(g, rest).size == n:
+            gens = rest
     return gens
 
 
@@ -732,23 +762,12 @@ def automorphisms(
         gens = greedy_generating_set(g)
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
-    # discovery order: every element as a word in the generators
-    parent = np.full(g.order, -1, dtype=np.int64)
-    via = np.full(g.order, -1, dtype=np.int64)
-    discovery = [g.identity]
-    seen = np.zeros(g.order, dtype=bool)
-    seen[g.identity] = True
-    qi = 0
-    while qi < len(discovery):
-        a = discovery[qi]
-        qi += 1
-        for j, s in enumerate(gens):
-            b = int(g.mul[a, s])
-            if not seen[b]:
-                seen[b] = True
-                parent[b] = a
-                via[b] = j
-                discovery.append(b)
+    # every element as a word in the generators: b = p * gens[v], p found before b
+    # (the trivial group has no generators; its identity closes to itself)
+    discovery, _, parent, via = close_under(
+        g.identity, gens or [g.identity], lambda a, s: int(g.mul[a, s]), g.order
+    )
+    steps = list(zip(discovery[1:], [discovery[p] for p in parent[1:]], via[1:].tolist()))
     out: list[AutMap] = []
     img = np.full(g.order, -1, dtype=np.int64)
     img_of_gen = [0] * len(gens)
@@ -756,8 +775,8 @@ def automorphisms(
     def assign(depth: int) -> None:
         if depth == len(gens):
             img[g.identity] = g.identity
-            for b in discovery[1:]:
-                img[b] = g.mul[img[parent[b]], img_of_gen[via[b]]]
+            for b, p, v in steps:
+                img[b] = g.mul[img[p], img_of_gen[v]]
             if len(np.unique(img)) != g.order:
                 return
             cand = AutMap(img.copy())

@@ -29,6 +29,7 @@ from .group_core import (
     SubgroupMask,
     build_from_generators,
     close_under,
+    compose_rows,
     cyclic_table,
     is_normal,
     prime_power_base,
@@ -191,11 +192,22 @@ def _gamma_n_cached(n: int, cap: int) -> GroupTable:
     codes = np.arange(m)
     xy, z = np.divmod(codes, n)
     x, y = np.divmod(xy, n)
-    z2 = 2 * z
+
+    def code(g: tuple):
+        gx, gy, gz2 = g
+        return (gx * n + gy) * n + gz2 // 2
+
+    # the law fills the generator rows, composition along the closure tree the rest
+    gens = [(1, 0, 0), (0, 1, 0)]
+    elements, _, parent, via = close_under(
+        (0, 0, 0), gens, lambda a, b: _heis_law(n, a, b), cap
+    )
+    if len(elements) != m:
+        raise RuntimeError("closure is not the whole group; construction bug")
+    gen_rows = [code(_heis_law(n, s, (x, y, 2 * z))) for s in gens]
     mul = np.zeros((m, m), dtype=np.int16 if m <= 32767 else np.int32)
-    for i in range(m):
-        rx, ry, rz2 = _heis_law(n, (int(x[i]), int(y[i]), int(z2[i])), (x, y, z2))
-        mul[i] = (rx * n + ry) * n + rz2 // 2
+    mul[0] = codes
+    compose_rows(mul, gen_rows, parent, via, [code(e) for e in elements])
     labels = [f"A({int(a)},{int(b)},{int(c)})" for a, b, c in zip(x, y, z)]
     return GroupTable(mul, labels=labels, name=f"Gamma_{n}")
 
@@ -316,7 +328,7 @@ def _hat_gamma_cached(n: int, cap: int) -> HatGroup:
         return (*_heis_law(n, a[:3], g), (a[3] + b[3]) % 6)
 
     gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
-    elements, _ = close_under((0, 0, 0, 0), gens, prod, cap)
+    elements, _, parent, via = close_under((0, 0, 0, 0), gens, prod, cap)
     m = len(elements)
 
     arr = np.array(elements, dtype=np.int64)
@@ -325,19 +337,18 @@ def _hat_gamma_cached(n: int, cap: int) -> HatGroup:
     lookup = np.full(12 * n**3, -1, dtype=np.int64)
     lookup[code_of] = np.arange(m)
 
-    # h^k applied to every element, vectorized once per power
-    powers = [(X, Y, Z2)]
-    for _ in range(5):
-        powers.append(_twist(n, powers[-1]))
-
-    mul = np.zeros((m, m), dtype=np.int16 if m <= 32767 else np.int32)
-    for i in range(m):
-        ki = int(K[i])
-        rx, ry, rz2 = _heis_law(n, (int(X[i]), int(Y[i]), int(Z2[i])), powers[ki])
-        row = lookup[((rx * n + ry) * (2 * n) + rz2) * 6 + (ki + K) % 6]
+    # the law (prod on coordinate arrays) fills the generator rows,
+    # composition along the closure tree the rest
+    gen_rows = []
+    for s in gens:
+        rx, ry, rz2, rk = prod(s, (X, Y, Z2, K))
+        row = lookup[((rx * n + ry) * (2 * n) + rz2) * 6 + rk]
         if row.min() < 0:
             raise RuntimeError("closure is not closed; construction bug")
-        mul[i] = row
+        gen_rows.append(row)
+    mul = np.zeros((m, m), dtype=np.int16 if m <= 32767 else np.int32)
+    mul[0] = np.arange(m)
+    compose_rows(mul, gen_rows, parent, via, range(m))
 
     labels = [
         f"A({int(a)},{int(b)},{_format_half(int(c))})h^{int(k)}"
@@ -430,20 +441,22 @@ def b_n_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 
 
 def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:
-    """Fixed points of the k-th power of (u,v) -> (u+v, -u) on (Z_n)^2."""
+    """Fixed points of the k-th power of chi on (Z_n)^2.
+
+    chi^k and chi^-k fix the same points, so these are also the fixed points
+    of the k-th power of the inverse map (u,v) -> (u+v, -u).
+    """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     if n < 1:
         raise ValueError("n must be positive")
-    out = set()
-    for u in range(n):
-        for v in range(n):
-            a, b = u, v
-            for _ in range(k):
-                a, b = (a + b) % n, (-a) % n
-            if (a, b) == (u, v):
-                out.add((u, v))
-    return out
+    a, b, c, d = _chi_pow(n, k)
+    return {
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if ((a * u + b * v) % n, (c * u + d * v) % n) == (u, v)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,11 @@ def test_verify_obeys_cap_in_every_suite():
 def test_budget_exit_code():
     proc = run_cli("hat-gamma", "--n", "8", "--budget-s", "0.000001")
     assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert "error" in doc
+    # the incumbent is the order of an abelian subgroup found before the stop
+    best = doc["best_order_found"]
+    assert isinstance(best, int) and best >= 1 and 6144 % best == 0
 
 
 def test_dump_group_round_trip(tmp_path):

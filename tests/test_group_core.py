@@ -233,6 +233,16 @@ def test_center_s3_trivial():
     assert gc.center(g).size == 1
 
 
+def test_center_is_computed_once_and_read_only():
+    g = dihedral(6)
+    first = gc.center(g)
+    assert not g.is_abelian()
+    assert gc.center(g).bits is first.bits
+    with pytest.raises(ValueError):
+        first.bits[0] = False
+    assert first.size == 2
+
+
 def test_commutator_abelian_trivial():
     assert gc.commutator_subgroup(gc.cyclic_table(9)).size == 1
 

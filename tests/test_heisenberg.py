@@ -111,6 +111,18 @@ def test_gamma_table_multiplies_like_heis_mul():
             assert hb.gamma_elem_index(n, p.x, p.y, p.z2 // 2) == g.mul_idx(i, j)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gamma_table_equals_the_law_on_all_pairs(n):
+    # the table is composed along the closure tree; the law is evaluated here
+    # on every row, so an error in the composition cannot hide
+    g = hb.gamma_n(n)
+    xy, z = np.divmod(np.arange(n**3), n)
+    x, y = np.divmod(xy, n)
+    for i in range(n**3):
+        rx, ry, rz2 = hb._heis_law(n, (x[i], y[i], 2 * z[i]), (x, y, 2 * z))
+        assert np.array_equal(g.mul[i], (rx * n + ry) * n + rz2 // 2), i
+
+
 def test_gamma_3_is_extraspecial_exponent_3():
     g = hb.gamma_n(3)
     assert g.order == 27
@@ -293,6 +305,54 @@ def test_hat_elements_multiply_like_the_table():
         )
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_hat_table_equals_the_law_on_all_pairs(n):
+    hat = hb.hat_gamma_n(n)
+    X, Y, Z2, K = hat.coords.T
+    powers = [(X, Y, Z2)]
+    for _ in range(5):
+        powers.append(hb._twist(n, powers[-1]))
+    for i in range(hat.order):
+        k = K[i]
+        rx, ry, rz2 = hb._heis_law(n, (X[i], Y[i], Z2[i]), powers[k])
+        row = hat.code_lookup[((rx * n + ry) * (2 * n) + rz2) * 6 + (k + K) % 6]
+        assert np.array_equal(hat.table.mul[i], row), i
+
+
+def test_closures_return_their_discovery_tree(monkeypatch):
+    closures = []
+    real = gc.close_under
+
+    def recording(identity, gens, product, cap):
+        gens = list(gens)
+        out = real(identity, gens, product, cap)
+        closures.append((gens, product, out))
+        return out
+
+    monkeypatch.setattr(gc, "close_under", recording)
+    monkeypatch.setattr(hb, "close_under", recording)
+    # bypass the constructors' caches so that each one closes afresh
+    hb._gamma_n_cached.__wrapped__(4, gc.DEFAULT_ORDER_CAP)
+    hb._hat_gamma_cached.__wrapped__(4, gc.DEFAULT_ORDER_CAP)
+    hb._b_n_cached.__wrapped__(3, gc.DEFAULT_ORDER_CAP)
+    gc.automorphisms(gc.cyclic_table(6))
+    assert len(closures) == 4
+    for gens, product, (elements, index, parent, via) in closures:
+        assert parent[0] == -1 and via[0] == -1
+        assert len(parent) == len(via) == len(elements) == len(index)
+        for i in range(1, len(elements)):
+            assert parent[i] < i
+            assert elements[i] == product(elements[parent[i]], gens[via[i]])
+            assert index[elements[i]] == i
+
+
+def test_greedy_generating_set_drops_redundant_generators():
+    for g in (hb.gamma_n(3), hb.gamma_n(4), hb.hat_gamma_n(2).table):
+        gens = gc.greedy_generating_set(g)
+        assert len(gens) == 2, g
+        assert gc.closure(g, gens).size == g.order
+
+
 def test_hat_conjugation_by_twist_realizes_it():
     n = 4
     hat = hb.hat_gamma_n(n)
@@ -372,6 +432,15 @@ def test_fixed_points_third_turn():
     assert hb.fixed_points_chi_power(9, 2) == {(0, 0), (3, 3), (6, 6)}
     assert hb.fixed_points_chi_power(6, 2) == {(0, 0), (2, 2), (4, 4)}
     assert hb.fixed_points_chi_power(8, 2) == {(0, 0)}
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_fixed_points_match_the_closed_forms(n):
+    # chi - I has determinant 1, chi^2 - I gives u = v, 3u = 0, chi^3 = -I
+    half = (0, n // 2) if n % 2 == 0 else (0,)
+    assert hb.fixed_points_chi_power(n, 1) == {(0, 0)}
+    assert hb.fixed_points_chi_power(n, 2) == {(t, t) for t in range(n) if 3 * t % n == 0}
+    assert hb.fixed_points_chi_power(n, 3) == {(u, v) for u in half for v in half}
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,22 @@ def test_rotation_group_orders():
     assert not d3.is_abelian()
 
 
+def test_automorphisms_of_the_esfera_groups():
+    # |Aut| is phi(n) for C_n, n phi(n) for D_n (n >= 3), 24 for A4 and S4, 120 for A5
+    expected = {
+        sg.cyclic_kind(2): 1, sg.cyclic_kind(3): 2, sg.cyclic_kind(5): 4,
+        sg.cyclic_kind(6): 2, sg.dihedral_kind(3): 6, sg.dihedral_kind(4): 8,
+        sg.dihedral_kind(5): 20, sg.dihedral_kind(6): 12,
+        sg.TETRA: 24, sg.OCTA: 24, sg.ICOSA: 120,
+    }
+    for kind, count in expected.items():
+        g = sg.rotation_group(kind)
+        auts = gc.automorphisms(g)
+        assert len(auts) == count, kind
+        assert len({a.perm.tobytes() for a in auts}) == count
+        assert all(a.verify(g) for a in auts)
+
+
 def test_tetra_icosa_are_even_permutations():
     for kind in (sg.TETRA, sg.ICOSA):
         g = sg.rotation_group(kind)
