@@ -154,9 +154,6 @@ class SubgroupMask:
     def contains(self, a: int) -> bool:
         return bool(self.bits[a])
 
-    def index_in_parent(self) -> int:
-        return self.owner.order // self.size
-
     def is_abelian(self) -> bool:
         idx = self.indices()
         sub = self.owner.mul[np.ix_(idx, idx)]
@@ -231,14 +228,15 @@ class Homomorphism:
 
 def close_under(
     identity, gens: Iterable, product: Callable, cap: int
-) -> tuple[list, dict, np.ndarray, np.ndarray]:
-    """Breadth-first closure of a generating set under an associative product.
+) -> tuple[list, dict, np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first closure of a generating set under left multiplication.
 
     Returns the elements in discovery order (identity first), the
-    element-to-index map and the discovery tree: element ``i > 0`` was found
-    as ``product(elements[parent[i]], gens[via[i]])`` with ``parent[i] < i``;
-    ``parent[0]`` and ``via[0]`` are -1.  Raises CapExceeded when the closure
-    grows past ``cap``.
+    element-to-index map, the discovery tree and the generator rows: element
+    ``i > 0`` was found as ``product(gens[via[i]], elements[parent[i]])``
+    with ``parent[i] < i`` (``parent[0]`` and ``via[0]`` are -1), and
+    ``rows[j][i]`` is the index of ``product(gens[j], elements[i])``, in the
+    table dtype.  Raises CapExceeded when the closure grows past ``cap``.
     """
     gens = list(gens)
     if not gens:
@@ -246,42 +244,47 @@ def close_under(
     elements = [identity]
     index = {identity: 0}
     parent, via = [-1], [-1]
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for i in frontier:
-            a = elements[i]
-            for j, s in enumerate(gens):
-                b = product(a, s)
-                if b not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap {cap}; generator set may be wrong"
-                        )
-                    next_frontier.append(len(elements))
-                    index[b] = len(elements)
-                    elements.append(b)
-                    parent.append(i)
-                    via.append(j)
-        frontier = next_frontier
-    return elements, index, np.array(parent, dtype=np.intp), np.array(via, dtype=np.intp)
+    rows = [[] for _ in gens]
+    for i, a in enumerate(elements):  # a queue: the list grows while it is read
+        for j, s in enumerate(gens):
+            b = product(s, a)
+            k = index.get(b)
+            if k is None:
+                if len(elements) >= cap:
+                    raise CapExceeded(
+                        f"closure exceeded cap {cap}; generator set may be wrong"
+                    )
+                k = index[b] = len(elements)
+                elements.append(b)
+                parent.append(i)
+                via.append(j)
+            rows[j].append(k)
+    return (
+        elements,
+        index,
+        np.array(parent, dtype=np.intp),
+        np.array(via, dtype=np.intp),
+        np.array(rows, dtype=_index_dtype(len(elements))),
+    )
 
 
 def compose_rows(
-    mul: np.ndarray, gen_rows: Sequence[np.ndarray], parent: np.ndarray, via: np.ndarray,
-    rows: Sequence[int],
-) -> None:
-    """Fill a Cayley table from its generator rows along a closure tree.
+    gen_rows: Sequence[np.ndarray], parent: np.ndarray, via: np.ndarray
+) -> np.ndarray:
+    """The Cayley table of a group from its generator rows and a closure tree.
 
-    Closure element t is e_t = e_parent[t] s_via[t], and by associativity
-    e_t b = e_parent[t] (s_via[t] b): row ``rows[t]`` is row
-    ``rows[parent[t]]`` read at the entries of ``gen_rows[via[t]]``, the row
-    of generator ``via[t]``.  The identity's row ``rows[0]`` must be filled.
+    Element t > 0 is e_t = s_via[t] e_parent[t], and by associativity
+    e_t b = s_via[t] (e_parent[t] b): row t is the row of ``parent[t]``
+    mapped through ``gen_rows[via[t]]``, the row of left multiplication by
+    that generator.  Element 0 is the identity.
     """
-    rows = list(rows)
-    parent, via = parent.tolist(), via.tolist()
-    for t in range(1, len(rows)):
-        mul[rows[t]] = mul[rows[parent[t]]][gen_rows[via[t]]]
+    m = len(parent)
+    gen_rows = np.asarray(gen_rows, dtype=_index_dtype(m))
+    mul = np.empty((m, m), dtype=gen_rows.dtype)
+    mul[0] = np.arange(m)
+    for t, p, v in zip(range(1, m), parent[1:].tolist(), via[1:].tolist()):
+        mul[t] = gen_rows[v].take(mul[p])
+    return mul
 
 
 def build_from_generators(
@@ -296,18 +299,13 @@ def build_from_generators(
 
     ``identity`` and the generators must be hashable values of a common
     domain; ``product`` is the domain's associative operation.  Returns the
-    table (identity at index 0) together with the element-to-index map.
-    Raises CapExceeded when the closure grows past ``cap``.
+    table (identity at index 0, elements in discovery order) together with
+    the element-to-index map.  Raises CapExceeded when the closure grows past
+    ``cap``.
     """
-    elements, index, _, _ = close_under(identity, gens, product, cap)
-    n = len(elements)
-    mul = np.zeros((n, n), dtype=_index_dtype(n))
-    for i, a in enumerate(elements):
-        row = mul[i]
-        for j, b in enumerate(elements):
-            row[j] = index[product(a, b)]
+    elements, index, parent, via, rows = close_under(identity, gens, product, cap)
     labels = [labeler(x) for x in elements] if labeler is not None else None
-    return GroupTable(mul, labels=labels, name=name), index
+    return GroupTable(compose_rows(rows, parent, via), labels=labels, name=name), index
 
 
 def table_to_json(g: GroupTable) -> dict:
@@ -451,10 +449,7 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
     if not is_normal(g, s):
         raise NotNormal("subgroup is not normal, cannot form the quotient")
     idx = s.indices()
-    n = g.order
-    coset_min = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        coset_min[x] = g.mul[x, idx].min()
+    coset_min = g.mul[:, idx].min(axis=1)
     reps = np.unique(coset_min)
     e_rep = coset_min[g.identity]
     reps = np.concatenate([[e_rep], reps[reps != e_rep]])
@@ -762,10 +757,10 @@ def automorphisms(
         gens = greedy_generating_set(g)
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
-    # every element as a word in the generators: b = p * gens[v], p found before b
+    # every element as a word in the generators: b = gens[v] * p, p found before b
     # (the trivial group has no generators; its identity closes to itself)
-    discovery, _, parent, via = close_under(
-        g.identity, gens or [g.identity], lambda a, s: int(g.mul[a, s]), g.order
+    discovery, _, parent, via, _ = close_under(
+        g.identity, gens or [g.identity], lambda s, a: int(g.mul[s, a]), g.order
     )
     steps = list(zip(discovery[1:], [discovery[p] for p in parent[1:]], via[1:].tolist()))
     out: list[AutMap] = []
@@ -776,7 +771,7 @@ def automorphisms(
         if depth == len(gens):
             img[g.identity] = g.identity
             for b, p, v in steps:
-                img[b] = g.mul[img[p], img_of_gen[v]]
+                img[b] = g.mul[img_of_gen[v], img[p]]
             if len(np.unique(img)) != g.order:
                 return
             cand = AutMap(img.copy())

@@ -28,7 +28,6 @@ from .group_core import (
     Homomorphism,
     SubgroupMask,
     build_from_generators,
-    close_under,
     compose_rows,
     cyclic_table,
     is_normal,
@@ -192,24 +191,16 @@ def _gamma_n_cached(n: int, cap: int) -> GroupTable:
     codes = np.arange(m)
     xy, z = np.divmod(codes, n)
     x, y = np.divmod(xy, n)
-
-    def code(g: tuple):
-        gx, gy, gz2 = g
-        return (gx * n + gy) * n + gz2 // 2
-
-    # the law fills the generator rows, composition along the closure tree the rest
-    gens = [(1, 0, 0), (0, 1, 0)]
-    elements, _, parent, via = close_under(
-        (0, 0, 0), gens, lambda a, b: _heis_law(n, a, b), cap
-    )
-    if len(elements) != m:
-        raise RuntimeError("closure is not the whole group; construction bug")
-    gen_rows = [code(_heis_law(n, s, (x, y, 2 * z))) for s in gens]
-    mul = np.zeros((m, m), dtype=np.int16 if m <= 32767 else np.int32)
-    mul[0] = codes
-    compose_rows(mul, gen_rows, parent, via, [code(e) for e in elements])
+    # code order is a tree: A(x,y,z) is c A(x,y,z-1), A(x,y,0) is b A(x,y-1,0)
+    # and A(x,0,0) is a A(x-1,0,0); the law fills the rows of a, b and c
+    via = np.where(z > 0, 2, np.where(y > 0, 1, 0))
+    parent = codes - np.array([n * n, n, 1])[via]
+    gen_rows = []
+    for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)):
+        rx, ry, rz2 = _heis_law(n, s, (x, y, 2 * z))
+        gen_rows.append((rx * n + ry) * n + rz2 // 2)
     labels = [f"A({int(a)},{int(b)},{int(c)})" for a, b, c in zip(x, y, z)]
-    return GroupTable(mul, labels=labels, name=f"Gamma_{n}")
+    return GroupTable(compose_rows(gen_rows, parent, via), labels=labels, name=f"Gamma_{n}")
 
 
 def gamma_elem_index(n: int, x: int, y: int, z: int) -> int:
@@ -327,34 +318,18 @@ def _hat_gamma_cached(n: int, cap: int) -> HatGroup:
             g = _twist(n, g)
         return (*_heis_law(n, a[:3], g), (a[3] + b[3]) % 6)
 
-    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
-    elements, _, parent, via = close_under((0, 0, 0, 0), gens, prod, cap)
-    m = len(elements)
-
-    arr = np.array(elements, dtype=np.int64)
+    table, index = build_from_generators(
+        (0, 0, 0, 0),
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)],
+        prod,
+        cap=cap,
+        labeler=lambda e: f"A({e[0]},{e[1]},{_format_half(e[2])})h^{e[3]}",
+        name=f"HatGamma_{n}",
+    )
+    arr = np.array(list(index), dtype=np.int64)
     X, Y, Z2, K = np.ascontiguousarray(arr.T)
-    code_of = ((X * n + Y) * (2 * n) + Z2) * 6 + K
     lookup = np.full(12 * n**3, -1, dtype=np.int64)
-    lookup[code_of] = np.arange(m)
-
-    # the law (prod on coordinate arrays) fills the generator rows,
-    # composition along the closure tree the rest
-    gen_rows = []
-    for s in gens:
-        rx, ry, rz2, rk = prod(s, (X, Y, Z2, K))
-        row = lookup[((rx * n + ry) * (2 * n) + rz2) * 6 + rk]
-        if row.min() < 0:
-            raise RuntimeError("closure is not closed; construction bug")
-        gen_rows.append(row)
-    mul = np.zeros((m, m), dtype=np.int16 if m <= 32767 else np.int32)
-    mul[0] = np.arange(m)
-    compose_rows(mul, gen_rows, parent, via, range(m))
-
-    labels = [
-        f"A({int(a)},{int(b)},{_format_half(int(c))})h^{int(k)}"
-        for a, b, c, k in elements
-    ]
-    table = GroupTable(mul, labels=labels, name=f"HatGamma_{n}")
+    lookup[((X * n + Y) * (2 * n) + Z2) * 6 + K] = np.arange(table.order)
     theta = Homomorphism(table, cyclic_table(6, name="C6"), K.copy())
     gamma_image = SubgroupMask(table, (K == 0) & (Z2 % 2 == 0))
     theta_kernel = SubgroupMask(table, K == 0)

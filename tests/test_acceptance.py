@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from abindex import cli
 from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex import jordan_bounds as jb
@@ -213,8 +214,9 @@ def test_criterion_7_torus_point_groups():
     # fixed-point sets of the twist powers chi^k, chi(u,v) = (u+v, -u).
     # chi^2 - I = [[-1,1],[-1,-2]] (determinant 3, Smith form diag(1,3)): the
     # fixed points solve u = v, 3u = 0 mod n, gcd(n,3) of them.  The quoted
-    # list {(0,0), (n/3,n/3)} is not a subgroup, so it cannot be that set;
-    # it is checked as a proper subset that misses exactly (2n/3,2n/3).
+    # list {(0,0), (n/3,n/3)} (read from the tor suite, which reports it) is
+    # not a subgroup, so it cannot be that set; it is checked as a proper
+    # subset that misses exactly (2n/3,2n/3).
     gaps = []
     for n in (6, 8, 9, 12):
         k2_fixed = {(t, t) for t in range(n) if 3 * t % n == 0}
@@ -231,7 +233,7 @@ def test_criterion_7_torus_point_groups():
                     f"{sorted(expected)}"
                 )
         if n % 3 == 0:
-            quoted = {(0, 0), (n // 3, n // 3)}
+            quoted = cli._documented_fixed_points(n, 2)
             computed = hb.fixed_points_chi_power(n, 2)
             missing = computed - quoted
             if not quoted < computed or missing != {(2 * n // 3, 2 * n // 3)}:

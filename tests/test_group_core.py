@@ -157,6 +157,23 @@ def test_build_cyclic_closure():
         assert g.order == n
 
 
+def test_build_evaluates_only_the_generator_rows():
+    # the closure evaluates each generator row once; every other row is
+    # composed, so the product runs |S| |G| times, not |G|^2
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return perm_mul(a, b)
+
+    g, idx = gc.build_from_generators((0, 1, 2), [(1, 0, 2), (1, 2, 0)], counted)
+    assert g.order == 6
+    assert len(calls) == 2 * 6
+    for a, i in idx.items():
+        for b, j in idx.items():
+            assert g.mul_idx(i, j) == idx[perm_mul(a, b)]
+
+
 def test_build_cap_exceeded():
     with pytest.raises(CapExceeded):
         gc.build_from_generators((0, 1, 2), [(1, 2, 0), (1, 0, 2)], perm_mul, cap=3)
