@@ -3,7 +3,9 @@
 The upper-unitriangular element A(x, y, z) is stored with doubled third
 coordinate ``z2 = 2z`` so that half-integral z stays exact: the twist h sends
 integral elements to half-integral ones whenever y is odd, and the extended
-group below is closed only in the half-integral ambient.
+group below is closed only in the half-integral ambient.  One law
+(``_heis_law``) and one twist (``_twist``) serve the group over Z (modulus
+None) and its reductions mod (n, n, 2n).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -43,14 +46,16 @@ CHI_MATRIX = ((0, -1), (1, 1))  # order-6 torus symmetry (x,y) -> (-y, x+y)
 
 @dataclass(frozen=True)
 class HeisElem:
-    """Triple A(x, y, z) mod n with z2 = 2z tracked mod 2n."""
+    """Triple A(x, y, z) with z2 = 2z: reduced mod (n, n, 2n), or over Z when n is None."""
 
-    n: int
+    n: Optional[int]
     x: int
     y: int
     z2: int
 
     def __post_init__(self):
+        if self.n is None:
+            return
         if self.n < 1:
             raise ValueError("modulus must be positive")
         if not (0 <= self.x < self.n and 0 <= self.y < self.n):
@@ -69,29 +74,37 @@ class HeisElem:
         return f"A({self.x},{self.y},{_format_half(self.z2)})"
 
 
-def heis_identity(n: int) -> HeisElem:
+def heis_identity(n: Optional[int]) -> HeisElem:
     return HeisElem(n, 0, 0, 0)
 
 
-def heis_elem(n: int, x: int, y: int, z) -> HeisElem:
-    """Build an element from integral or half-integral z."""
+def heis_elem(n: Optional[int], x: int, y: int, z) -> HeisElem:
+    """Build an element from integral or half-integral z; n None means over Z."""
     zf = Fraction(z)
     if zf.denominator not in (1, 2):
         raise ValueError("z must be integral or half-integral")
-    return HeisElem(n, x % n, y % n, int(zf * 2) % (2 * n))
+    return HeisElem(n, *_reduce(n, (x, y, int(zf * 2))))
 
 
-def _heis_law(n: int, a: tuple, b: tuple) -> tuple:
+def _reduce(n: Optional[int], g: tuple) -> tuple:
+    """Reduce a coordinate triple (x, y, z2) mod (n, n, 2n); n None leaves it in Z."""
+    if n is None:
+        return g
+    x, y, z2 = g
+    return x % n, y % n, z2 % (2 * n)
+
+
+def _heis_law(n: Optional[int], a: tuple, b: tuple) -> tuple:
     """Product of coordinate triples (x, y, z2); entries are ints or int arrays."""
     x, y, z2 = a
     x2, y2, z22 = b
-    return (x + x2) % n, (y + y2) % n, (z2 + z22 + 2 * x * y2) % (2 * n)
+    return _reduce(n, (x + x2, y + y2, z2 + z22 + 2 * x * y2))
 
 
-def _twist(n: int, g: tuple) -> tuple:
+def _twist(n: Optional[int], g: tuple) -> tuple:
     """The twist on a coordinate triple (x, y, z2); entries are ints or int arrays."""
     x, y, z2 = g
-    return (-y) % n, (x + y) % n, (z2 - 2 * x * y - y * y) % (2 * n)
+    return _reduce(n, (-y, x + y, z2 - 2 * x * y - y * y))
 
 
 def heis_mul(a: HeisElem, b: HeisElem) -> HeisElem:
@@ -102,50 +115,28 @@ def heis_mul(a: HeisElem, b: HeisElem) -> HeisElem:
 
 
 def heis_inv(a: HeisElem) -> HeisElem:
-    n = a.n
-    return HeisElem(n, (-a.x) % n, (-a.y) % n, (-a.z2 + 2 * a.x * a.y) % (2 * n))
+    return HeisElem(a.n, *_reduce(a.n, (-a.x, -a.y, -a.z2 + 2 * a.x * a.y)))
 
 
 def h_auto(e: HeisElem) -> HeisElem:
-    """The order-6 twist (x,y,z) -> (-y, x+y, z - xy - y^2/2); needs 2 | n."""
-    if e.n % 2 != 0:
+    """The order-6 twist (x,y,z) -> (-y, x+y, z - xy - y^2/2); a modulus must be even."""
+    if e.n is not None and e.n % 2 != 0:
         raise OddModulus("the twist is only defined for even moduli")
     return HeisElem(e.n, *_twist(e.n, (e.x, e.y, e.z2)))
 
 
-@dataclass(frozen=True)
-class IntHeisElem:
-    """Integer triple with exact rational z of denominator 1 or 2."""
-
-    x: int
-    y: int
-    z: Fraction
-
-    def __post_init__(self):
-        z = Fraction(self.z)
-        if z.denominator not in (1, 2):
-            raise ValueError("z must have denominator 1 or 2")
-        object.__setattr__(self, "z", z)
-
-    def __str__(self) -> str:
-        return f"A({self.x},{self.y},{self.z})"
+def _require_integral_group(e: HeisElem, what: str) -> None:
+    if e.n is not None:
+        raise InvalidInput(f"{what} is defined over Z only (modulus None)")
 
 
-def int_heis_mul(a: IntHeisElem, b: IntHeisElem) -> IntHeisElem:
-    return IntHeisElem(a.x + b.x, a.y + b.y, a.z + b.z + a.x * b.y)
-
-
-def h_auto_int(e: IntHeisElem) -> IntHeisElem:
-    return IntHeisElem(-e.y, e.x + e.y, e.z - e.x * e.y - Fraction(e.y * e.y, 2))
-
-
-def h_prime_auto(e: IntHeisElem) -> IntHeisElem:
+def h_prime_auto(e: HeisElem) -> HeisElem:
     """Integral variant of the twist: z - xy - (y^2 - y)/2; preserves T(Z,Z)."""
-    if e.z.denominator != 1:
+    _require_integral_group(e, "the integral twist")
+    if not e.is_integral():
         raise NonIntegralInput("the integral twist needs an integral element")
-    out = IntHeisElem(-e.y, e.x + e.y, e.z - e.x * e.y - Fraction(e.y * e.y - e.y, 2))
-    assert out.z.denominator == 1
-    return out
+    x, y, z2 = _twist(None, (e.x, e.y, e.z2))
+    return HeisElem(None, x, y, z2 + e.y)
 
 
 def _format_half(z2: int) -> str:
@@ -261,8 +252,7 @@ class HatGroup:
     def index_of(self, e: HatElem) -> int:
         if e.g.n != self.n:
             raise ModulusMismatch(f"element modulus {e.g.n}, group modulus {self.n}")
-        code = ((e.g.x * self.n + e.g.y) * (2 * self.n) + e.g.z2) * 6 + e.k
-        idx = int(self.code_lookup[code])
+        idx = int(self.code_lookup[_hat_code(self.n, e.g.x, e.g.y, e.g.z2, e.k)])
         if idx < 0:
             raise ValueError(f"{e} is not in the closure")
         return idx
@@ -290,6 +280,11 @@ class HatGroup:
     @property
     def theta_surjective(self) -> bool:
         return self.theta.is_surjective()
+
+
+def _hat_code(n: int, x, y, z2, k):
+    """Packed code of (x, y, z2, k) in [0, 12 n^3); entries are ints or int arrays."""
+    return ((x * n + y) * (2 * n) + z2) * 6 + k
 
 
 def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
@@ -329,7 +324,7 @@ def _hat_gamma_cached(n: int, cap: int) -> HatGroup:
     arr = np.array(list(index), dtype=np.int64)
     X, Y, Z2, K = np.ascontiguousarray(arr.T)
     lookup = np.full(12 * n**3, -1, dtype=np.int64)
-    lookup[((X * n + Y) * (2 * n) + Z2) * 6 + K] = np.arange(table.order)
+    lookup[_hat_code(n, X, Y, Z2, K)] = np.arange(table.order)
     theta = Homomorphism(table, cyclic_table(6, name="C6"), K.copy())
     gamma_image = SubgroupMask(table, (K == 0) & (Z2 % 2 == 0))
     theta_kernel = SubgroupMask(table, K == 0)
@@ -480,72 +475,65 @@ class SL2Matrix:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
-def q_form_coeffs(F: SL2Matrix) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (x^2, xy, y^2) of the quadratic correction attached to F."""
-    return (
-        Fraction(F.a * F.c, 2),
-        Fraction(F.a * F.d + F.b * F.c - 1, 2),
-        Fraction(F.b * F.d, 2),
-    )
+def q_form_coeffs(F: SL2Matrix) -> tuple[int, int, int]:
+    """Coefficients (x^2, xy, y^2) of the doubled quadratic correction 2 q_F."""
+    return F.a * F.c, F.a * F.d + F.b * F.c - 1, F.b * F.d
 
 
 @dataclass(frozen=True)
 class SL2Lift:
-    """Automorphism of the rational-z Heisenberg group over a matrix F.
+    """Automorphism of the integral Heisenberg group (modulus None) over a matrix F.
 
-    Sends A(x,y,z) to A(F(x,y), z + q_F(x,y) + lin . (x,y)); it fixes the
+    Sends A(x,y,z) to A(F(x,y), z + q_F(x,y) + lin . (x,y)), kept doubled:
+    z2 gains 2 q_F(x,y) + lin2 . (x,y) with lin2 = 2 lin.  It fixes the
     center, and is a group morphism exactly because det F = 1.
     """
 
     F: SL2Matrix
-    lin: tuple[Fraction, Fraction]
+    lin2: tuple[int, int]
 
-    def __call__(self, e: IntHeisElem) -> IntHeisElem:
+    def __call__(self, e: HeisElem) -> HeisElem:
+        _require_integral_group(e, "a lift over SL(2,Z)")
         qxx, qxy, qyy = q_form_coeffs(self.F)
-        nx, ny = self.F.apply(e.x, e.y)
-        nz = (
-            e.z
-            + qxx * e.x * e.x
-            + qxy * e.x * e.y
-            + qyy * e.y * e.y
-            + self.lin[0] * e.x
-            + self.lin[1] * e.y
-        )
-        return IntHeisElem(nx, ny, nz)
+        x, y = e.x, e.y
+        lx, ly = self.lin2
+        z2 = e.z2 + qxx * x * x + qxy * x * y + qyy * y * y + lx * x + ly * y
+        return HeisElem(None, *self.F.apply(x, y), z2)
 
 
 def sl2_lift(F: SL2Matrix, lin=(0, 0)) -> SL2Lift:
     lx, ly = Fraction(lin[0]), Fraction(lin[1])
     if lx.denominator not in (1, 2) or ly.denominator not in (1, 2):
         raise ValueError("linear corrections must have denominator 1 or 2")
-    return SL2Lift(F, (lx, ly))
+    return SL2Lift(F, (int(2 * lx), int(2 * ly)))
 
 
 @dataclass(frozen=True)
 class CocycleCheck:
     is_cocycle_mod_linear: bool
-    linear_defect: tuple[Fraction, Fraction]
-    quadratic_defect: tuple[Fraction, Fraction, Fraction]
+    linear_defect: tuple[int, int]
+    quadratic_defect: tuple[int, int, int]
 
 
 def q_form_cocycle_check(F: SL2Matrix, G: SL2Matrix) -> CocycleCheck:
-    """Expand q_FG - q_F(G(x,y)) - q_G symbolically and report its defect.
+    """Expand 2 (q_FG - q_F(G(x,y)) - q_G) symbolically and report its defect.
 
-    The difference is a quadratic form in x, y; its three coefficients are
-    returned together with the (identically vanishing) linear part, so a
-    nonzero quadratic defect would show the lift family failing to compose.
+    The difference is a quadratic form in x, y; its three doubled (integer)
+    coefficients are returned together with the (identically vanishing)
+    linear part, so a nonzero quadratic defect would show the lift family
+    failing to compose.
     """
     txx, txy, tyy = q_form_coeffs(F @ G)
     fxx, fxy, fyy = q_form_coeffs(F)
     gxx, gxy, gyy = q_form_coeffs(G)
-    # substitute (x,y) -> (a x + b y, c x + d y) into q_F
+    # substitute (x,y) -> (a x + b y, c x + d y) into 2 q_F
     a, b, c, d = G.a, G.b, G.c, G.d
     sxx = fxx * a * a + fxy * a * c + fyy * c * c
     sxy = 2 * fxx * a * b + fxy * (a * d + b * c) + 2 * fyy * c * d
     syy = fxx * b * b + fxy * b * d + fyy * d * d
     dxx, dxy, dyy = txx - sxx - gxx, txy - sxy - gxy, tyy - syy - gyy
     ok = dxx == 0 and dxy == 0 and dyy == 0
-    return CocycleCheck(ok, (Fraction(0), Fraction(0)), (dxx, dxy, dyy))
+    return CocycleCheck(ok, (0, 0), (dxx, dxy, dyy))
 
 
 def random_sl2(rng: np.random.Generator, entry_bound: int = 20) -> SL2Matrix:

@@ -95,7 +95,7 @@ def test_criterion_3_twists_exact():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         x, y = (int(v) for v in rng.integers(-40, 41, 2))
-        e = hb.IntHeisElem(x, y, Fraction(int(rng.integers(-80, 81))))
+        e = hb.heis_elem(None, x, y, Fraction(int(rng.integers(-80, 81))))
         out = hb.h_prime_auto(e)
         if out.z.denominator != 1:
             problems.append(f"integral twist broke integrality at {e}")
@@ -107,8 +107,8 @@ def test_criterion_3_twists_exact():
     lift = hb.sl2_lift(hb.SL2Matrix(0, -1, 1, 1))
     for _ in range(1000):
         x, y = (int(v) for v in rng.integers(-40, 41, 2))
-        e = hb.IntHeisElem(x, y, Fraction(int(rng.integers(-40, 41)), 2))
-        if lift(e) != hb.h_auto_int(e):
+        e = hb.heis_elem(None, x, y, Fraction(int(rng.integers(-40, 41)), 2))
+        if lift(e) != hb.h_auto(e):
             problems.append(f"lift disagrees with twist at {e}")
     _verdict(3, "order-6 twists, exact", not problems,
              "" if not problems else problems[0])

@@ -82,6 +82,8 @@ def test_bad_input_is_a_usage_error():
         ("gamma", "--n", "1"),
         ("bound", "--alpha", "abc", "--beta", "1"),
         ("bound", "--alpha", "5", "--beta", "1", "--p", "4"),
+        ("verify", "--suite", "sl2", "--seed", "-1"),
+        ("gamma", "--n", "2", "--dump-group", "/nonexistent/x.json"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args

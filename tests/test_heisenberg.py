@@ -1,6 +1,7 @@
 """Tests for the Heisenberg constructions and the order-6 twist."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from abindex.errors import (
 
 def rand_int_elem(rng, span=50):
     x, y = (int(v) for v in rng.integers(-span, span + 1, 2))
-    return hb.IntHeisElem(x, y, Fraction(int(rng.integers(-2 * span, 2 * span + 1))))
+    return hb.heis_elem(None, x, y, Fraction(int(rng.integers(-2 * span, 2 * span + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +234,11 @@ def test_int_twist_random_sweep():
         e = rand_int_elem(rng)
         cur = e
         for _ in range(6):
-            cur = hb.h_auto_int(cur)
+            cur = hb.h_auto(cur)
         assert cur == e
         b = rand_int_elem(rng)
-        assert hb.h_auto_int(hb.int_heis_mul(e, b)) == hb.int_heis_mul(
-            hb.h_auto_int(e), hb.h_auto_int(b)
+        assert hb.h_auto(hb.heis_mul(e, b)) == hb.heis_mul(
+            hb.h_auto(e), hb.h_auto(b)
         )
 
 
@@ -254,19 +255,19 @@ def test_integral_twist_random_sweep():
 
 
 def test_integral_twist_values_and_errors():
-    assert hb.h_prime_auto(hb.IntHeisElem(0, 1, Fraction(0))) == hb.IntHeisElem(
-        -1, 1, Fraction(0)
+    assert hb.h_prime_auto(hb.heis_elem(None, 0, 1, Fraction(0))) == hb.heis_elem(
+        None, -1, 1, Fraction(0)
     )
     with pytest.raises(NonIntegralInput):
-        hb.h_prime_auto(hb.IntHeisElem(0, 1, Fraction(1, 2)))
+        hb.h_prime_auto(hb.heis_elem(None, 0, 1, Fraction(1, 2)))
 
 
 def test_twists_differ_by_half_y():
     rng = np.random.default_rng(2)
     for _ in range(200):
         x, y = (int(v) for v in rng.integers(-20, 21, 2))
-        e = hb.IntHeisElem(x, y, Fraction(3))
-        a, b = hb.h_auto_int(e), hb.h_prime_auto(e)
+        e = hb.heis_elem(None, x, y, Fraction(3))
+        a, b = hb.h_auto(e), hb.h_prime_auto(e)
         assert (a.x, a.y) == (b.x, b.y)
         assert b.z - a.z == Fraction(y, 2)
 
@@ -485,7 +486,7 @@ def test_sl2_det_check():
 
 def test_identity_lift_is_identity():
     lift = hb.sl2_lift(hb.SL2Matrix(1, 0, 0, 1))
-    e = hb.IntHeisElem(3, -2, Fraction(5, 2))
+    e = hb.heis_elem(None, 3, -2, Fraction(5, 2))
     assert lift(e) == e
 
 
@@ -496,7 +497,7 @@ def test_lift_reproduces_both_twists():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         e = rand_int_elem(rng)
-        assert lift(e) == hb.h_auto_int(e)
+        assert lift(e) == hb.h_auto(e)
         if e.z.denominator == 1:
             assert lift_prime(e) == hb.h_prime_auto(e)
 
@@ -510,10 +511,10 @@ def test_lift_is_homomorphism_random_matrices():
         coords = rng.integers(-50, 51, (1000, 4))
         zs = rng.integers(-99, 100, (1000, 2))
         for (x1, y1, x2, y2), (z1, z2) in zip(coords, zs):
-            a = hb.IntHeisElem(int(x1), int(y1), Fraction(int(z1)))
-            b = hb.IntHeisElem(int(x2), int(y2), Fraction(int(z2)))
-            assert lift(hb.int_heis_mul(a, b)) == hb.int_heis_mul(lift(a), lift(b))
-        assert lift(hb.IntHeisElem(0, 0, Fraction(7))).z == Fraction(7)  # fixes center
+            a = hb.heis_elem(None, int(x1), int(y1), Fraction(int(z1)))
+            b = hb.heis_elem(None, int(x2), int(y2), Fraction(int(z2)))
+            assert lift(hb.heis_mul(a, b)) == hb.heis_mul(lift(a), lift(b))
+        assert lift(hb.heis_elem(None, 0, 0, Fraction(7))).z == Fraction(7)  # fixes center
 
 
 def test_cocycle_identity_cases():
@@ -539,3 +540,30 @@ def test_cocycle_random_pairs():
         F, G = hb.random_sl2(rng, 20), hb.random_sl2(rng, 20)
         assert F.entry_bound() <= 20 and G.entry_bound() <= 20
         assert hb.q_form_cocycle_check(F, G).is_cocycle_mod_linear
+
+
+def test_lift_identities_hold_symbolically():
+    # the package's own lift, law and twist, evaluated on symbols
+    sympy = pytest.importorskip("sympy")
+    a, b, c, d, l1, l2 = sympy.symbols("a b c d l1 l2")
+    x1, y1, z1, x2, y2, z2 = sympy.symbols("x1 y1 z1 x2 y2 z2")
+
+    class SymbolicMatrix(SimpleNamespace):
+        apply = hb.SL2Matrix.apply
+
+    lift = hb.SL2Lift(SymbolicMatrix(a=a, b=b, c=c, d=d), (l1, l2))
+    e1, e2 = hb.HeisElem(None, x1, y1, z1), hb.HeisElem(None, x2, y2, z2)
+    lhs, rhs = lift(hb.heis_mul(e1, e2)), hb.heis_mul(lift(e1), lift(e2))
+    dx, dy, dz2 = (sympy.expand(u - v) for u, v in
+                   zip((lhs.x, lhs.y, lhs.z2), (rhs.x, rhs.y, rhs.z2)))
+    det_rel = a * d - b * c - 1
+    assert dx == 0 and dy == 0
+    # every determinant-one matrix lifts to a morphism of the group over Z
+    assert sympy.reduced(dz2, [det_rel])[1] == 0
+    assert sympy.expand(dz2 + det_rel * (x1 * y2 - x2 * y1)) == 0
+
+    x, y, z = sympy.symbols("x y z2")
+    chi = hb.sl2_lift(hb.SL2Matrix(*hb.CHI_MATRIX[0], *hb.CHI_MATRIX[1]))
+    out = chi(hb.HeisElem(None, x, y, z))
+    twisted = hb._twist(None, (x, y, z))
+    assert [sympy.expand(u - v) for u, v in zip((out.x, out.y, out.z2), twisted)] == [0, 0, 0]
