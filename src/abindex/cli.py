@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -97,6 +98,7 @@ def cmd_gamma(args) -> int:
     t0 = time.monotonic()
     n = args.n
     rep = VerificationReport("gamma", {"n": n, "cap": args.cap})
+    _check_dump_target(args.dump_group)
     g = hb.gamma_n(n, cap=args.cap)
     center = gc.center(g)
     comm = gc.commutator_subgroup(g)
@@ -117,6 +119,7 @@ def cmd_hat_gamma(args) -> int:
     t0 = time.monotonic()
     n = args.n
     rep = VerificationReport("hat-gamma", {"n": n, "cap": args.cap})
+    _check_dump_target(args.dump_group)
     hat = hb.hat_gamma_n(n, cap=args.cap)
     res = gc.min_abelian_index(hat.table, budget_s=args.budget_s)
     rep.add("order", "computed order of the twisted closure",
@@ -141,6 +144,15 @@ def cmd_hat_gamma(args) -> int:
                 None, res.index, "enumeration", None)
     _dump_group(args.dump_group, hat.table)
     return _emit(rep, t0)
+
+
+def _check_dump_target(path: Optional[str]) -> None:
+    """Reject an unwritable --dump-group path before any group is built."""
+    if not path:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise InvalidInput(f"cannot write {path}: not a file in a writable directory")
 
 
 def _dump_group(path: Optional[str], table: gc.GroupTable) -> None:

@@ -21,6 +21,7 @@ EXHAUSTIVE_ASSOC_LIMIT = 512
 SAMPLED_ASSOC_TRIPLES = 100_000
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
+MAX_TABLE_BYTES = 2 << 30  # largest Cayley table compose_rows allocates
 
 _BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
 
@@ -62,6 +63,7 @@ class GroupTable:
         self.labels = labels
         self.identity = self._find_identity()
         self.inv = self._build_inverse_table()
+        self.gens = self._find_generators()
         self._check_associativity()
 
     def _find_identity(self) -> int:
@@ -87,13 +89,38 @@ class GroupTable:
             raise ValueError("inverse law fails; table is not a group")
         return inv
 
+    def _find_generators(self) -> np.ndarray:
+        """Generators picked greedily in index order, then pruned.
+
+        Each pick is the first element outside the closure so far; a generator
+        is then dropped when the others still generate the group, so no member
+        of the result is redundant.  The result is not always of minimal size.
+        """
+        gens: list[int] = []
+        bits = closure(self, gens).bits
+        while not bits.all():
+            gens.append(int(np.argmin(bits)))
+            bits = closure(self, gens).bits
+        for x in list(gens):
+            rest = [y for y in gens if y != x]
+            if closure(self, rest).size == self.order:
+                gens = rest
+        out = np.array(gens, dtype=np.intp)
+        out.flags.writeable = False
+        return out
+
     def _check_associativity(self) -> None:
+        """Light's test on the generators: exact up to EXHAUSTIVE_ASSOC_LIMIT.
+
+        The s with (x s) y = x (s y) for all x, y form a set closed under the
+        product, so it is the whole group once it holds every generator.
+        """
         n = self.order
         mul = self.mul
         if n <= EXHAUSTIVE_ASSOC_LIMIT:
-            for a in range(n):
-                if not np.array_equal(mul[mul[a]], mul[a][mul]):
-                    raise ValueError(f"table not associative at row {a}")
+            for s in self.gens:
+                if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
+                    raise ValueError(f"table not associative at generator {s}")
         else:
             rng = np.random.default_rng(0)
             a = rng.integers(0, n, SAMPLED_ASSOC_TRIPLES)
@@ -180,10 +207,7 @@ class AutMap:
     perm: np.ndarray
 
     def verify(self, g: GroupTable) -> bool:
-        p = self.perm
-        if p[g.identity] != g.identity:
-            return False
-        return bool(np.array_equal(p[g.mul], g.mul[np.ix_(p, p)]))
+        return Homomorphism(g, g, self.perm).verify()
 
     def apply_mask(self, mask: SubgroupMask) -> SubgroupMask:
         bits = np.zeros(mask.owner.order, dtype=bool)
@@ -200,12 +224,15 @@ class Homomorphism:
     map: np.ndarray
 
     def verify(self) -> bool:
+        """Exact: m(r x) = m(r) m(x) for r the identity or a generator and every x.
+
+        The r passing form a set closed under the product, and the identity
+        row forces m(1) = 1, so the set is the whole source group.
+        """
         m = np.asarray(self.map, dtype=np.int64)
         s, t = self.source, self.target
-        for lo, hi in _blocks(s.order):
-            if not np.array_equal(m[s.mul[lo:hi]], t.mul[np.ix_(m[lo:hi], m)]):
-                return False
-        return True
+        rows = np.concatenate([[s.identity], s.gens])
+        return bool(np.array_equal(m[s.mul[rows]], t.mul[np.ix_(m[rows], m)]))
 
     def image_mask(self) -> SubgroupMask:
         bits = np.zeros(self.target.order, dtype=bool)
@@ -279,6 +306,8 @@ def compose_rows(
     that generator.  Element 0 is the identity.
     """
     m = len(parent)
+    if m * m * np.dtype(_index_dtype(m)).itemsize > MAX_TABLE_BYTES:
+        raise CapExceeded(f"a table of order {m} would exceed {MAX_TABLE_BYTES} bytes")
     gen_rows = np.asarray(gen_rows, dtype=_index_dtype(m))
     mul = np.empty((m, m), dtype=gen_rows.dtype)
     mul[0] = np.arange(m)
@@ -331,42 +360,34 @@ def table_from_json(doc: dict) -> GroupTable:
 
 
 def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
-    """Smallest subgroup containing the seed indices."""
+    """Smallest subgroup containing the seed indices.
+
+    This is the left orbit of the identity under the seeds, which in a finite
+    group is the subgroup they generate.
+    """
+    seed = np.asarray(list(seed), dtype=np.intp)
+    bad = seed[(seed < 0) | (seed >= g.order)]
+    if len(bad):
+        raise ValueError(f"seed index {bad[0]} out of range")
     bits = np.zeros(g.order, dtype=bool)
     bits[g.identity] = True
-    work = []
-    for s in seed:
-        s = int(s)
-        if not 0 <= s < g.order:
-            raise ValueError(f"seed index {s} out of range")
-        if not bits[s]:
-            bits[s] = True
-            work.append(s)
-    members = list(np.flatnonzero(bits))
-    frontier = list(work)
-    while frontier:
-        new = []
-        for x in frontier:
-            prods = np.concatenate([g.mul[x, members], g.mul[members, x]])
-            for y in np.unique(prods):
-                if not bits[y]:
-                    bits[y] = True
-                    new.append(int(y))
-        members.extend(new)
-        frontier = new
+    frontier = np.array([g.identity])
+    while len(frontier):
+        prods = np.unique(g.mul[np.ix_(seed, frontier)])
+        frontier = prods[~bits[prods]]
+        bits[frontier] = True
     return SubgroupMask(g, bits, _validated=True)
 
 
 def _center_bits(g: GroupTable) -> np.ndarray:
-    """Read-only mask of the center, computed once per table."""
+    """Read-only mask of the center, computed once per table.
+
+    The center is the intersection of the centralizers of the generators.
+    """
     cached = getattr(g, "_center_cache", None)
     if cached is not None:
         return cached
-    mul = g.mul
-    out = np.empty(g.order, dtype=bool)
-    mt = mul.T
-    for lo, hi in _blocks(g.order):
-        out[lo:hi] = (mul[lo:hi] == mt[lo:hi]).all(axis=1)
+    out = (g.mul[g.gens] == g.mul[:, g.gens].T).all(axis=0)
     out.flags.writeable = False
     g._center_cache = out
     return out
@@ -389,16 +410,18 @@ def centralizer(g: GroupTable, s) -> SubgroupMask:
     return SubgroupMask(g, bits, _validated=True)
 
 
+def commutators(g: GroupTable, a, b) -> np.ndarray:
+    """a b a^-1 b^-1 on broadcast index arrays, in the table dtype."""
+    return g.mul[g.mul[a, b], g.mul[g.inv[a], g.inv[b]]]
+
+
 def commutator_subgroup(g: GroupTable) -> SubgroupMask:
-    """Subgroup generated by all commutators a b a^-1 b^-1."""
-    n = g.order
-    mul, inv = g.mul, g.inv
-    seen = np.zeros(n, dtype=bool)
-    for a in range(n):
-        ab = mul[a, :]
-        ab_ainv = mul[ab, inv[a]]
-        seen[mul[ab_ainv, inv]] = True
-    return closure(g, np.flatnonzero(seen))
+    """[G,G], generated by the commutators [x, s] of every x with every generator s.
+
+    That subgroup is normal, since [xy, s] = x [y, s] x^-1 [x, s], and the
+    generators are central modulo it, so the quotient is abelian.
+    """
+    return closure(g, np.unique(commutators(g, np.arange(g.order)[:, None], g.gens)))
 
 
 def element_order(g: GroupTable, x: int) -> int:
@@ -436,12 +459,10 @@ def is_cyclic(g: GroupTable) -> bool:
 
 
 def is_normal(g: GroupTable, s: SubgroupMask) -> bool:
-    rng = np.arange(g.order)
-    for x in s.indices():
-        conj = g.mul[g.mul[rng, x], g.inv[rng]]
-        if not s.bits[conj].all():
-            return False
-    return True
+    """Exact: every generator conjugates the subgroup into itself."""
+    idx = s.indices()
+    conj = g.mul[g.mul[np.ix_(g.gens, idx)], g.inv[g.gens][:, None]]
+    return bool(s.bits[conj].all())
 
 
 def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homomorphism]:
@@ -712,30 +733,6 @@ def _element_fingerprints(g: GroupTable) -> np.ndarray:
     return orders * (g.order + 1) + cent_sizes
 
 
-def greedy_generating_set(g: GroupTable) -> list[int]:
-    """Generators picked greedily, highest element order first, then pruned.
-
-    A generator is dropped when the others still generate the group, so no
-    member of the result is redundant; the result is not always of minimal size.
-    """
-    n = g.order
-    orders = all_element_orders(g)
-    pool = sorted((i for i in range(n) if i != g.identity), key=lambda i: (-orders[i], i))
-    gens: list[int] = []
-    cur = closure(g, [g.identity])
-    for x in pool:
-        if not cur.contains(x):
-            gens.append(x)
-            cur = closure(g, gens)
-            if cur.size == n:
-                break
-    for x in list(gens):
-        rest = [y for y in gens if y != x]
-        if rest and closure(g, rest).size == n:
-            gens = rest
-    return gens
-
-
 def automorphisms(
     g: GroupTable,
     gen_hint: Optional[Sequence[int]] = None,
@@ -754,7 +751,7 @@ def automorphisms(
         if closure(g, gens).size != g.order:
             raise ValueError("gen_hint does not generate the group")
     else:
-        gens = greedy_generating_set(g)
+        gens = g.gens.tolist()
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
     # every element as a word in the generators: b = gens[v] * p, p found before b

@@ -24,6 +24,7 @@ from .group_core import (
     center,
     closure,
     commutator_subgroup,
+    commutators,
     is_cyclic,
     prime_power_base,
     quotient_by_normal,
@@ -59,15 +60,7 @@ def gamma_central_data(n: int, cap: int = DEFAULT_ORDER_CAP) -> CentralData:
 
 
 def _first_lifts(data: CentralData) -> np.ndarray:
-    lifts = np.empty(data.gammaB.order, dtype=np.int64)
-    emap = np.asarray(data.eta.map)
-    for a in range(data.gammaB.order):
-        lifts[a] = np.flatnonzero(emap == a)[0]
-    return lifts
-
-
-def _commutator(g: GroupTable, x: int, y: int) -> int:
-    return int(g.mul[g.mul[x, y], g.mul[g.inv[x], g.inv[y]]])
+    return np.unique(data.eta.map, return_index=True)[1]
 
 
 def q_pair(data: CentralData, a: int, b: int) -> int:
@@ -76,18 +69,13 @@ def q_pair(data: CentralData, a: int, b: int) -> int:
     Tries a second lift on each side when one exists; the result must not
     depend on the choice.
     """
-    g = data.g
     emap = np.asarray(data.eta.map)
     la = np.flatnonzero(emap == a)
     lb = np.flatnonzero(emap == b)
-    out = _commutator(g, int(la[0]), int(lb[0]))
-    alt_a = int(la[1]) if len(la) > 1 else int(la[0])
-    alt_b = int(lb[1]) if len(lb) > 1 else int(lb[0])
-    if (
-        _commutator(g, alt_a, int(lb[0])) != out
-        or _commutator(g, int(la[0]), alt_b) != out
-    ):
+    vals = commutators(data.g, la[[0, -1, 0]], lb[[0, 0, -1]])
+    if not (vals == vals[0]).all():
         raise RuntimeError("pairing value depends on the lift; data is not central")
+    out = int(vals[0])
     if not data.gamma0.contains(out):
         raise RuntimeError("pairing value escaped the central subgroup")
     return out
@@ -95,28 +83,16 @@ def q_pair(data: CentralData, a: int, b: int) -> int:
 
 def q_table(data: CentralData) -> np.ndarray:
     """The full pairing as a (|B|, |B|) array of G-element indices."""
-    g = data.g
     lifts = _first_lifts(data)
-    ab = g.mul[np.ix_(lifts, lifts)].astype(np.int64)
-    ai_bi = g.mul[np.ix_(g.inv[lifts], g.inv[lifts])].astype(np.int64)
-    return g.mul[ab, ai_bi].astype(np.int64)
+    return commutators(data.g, lifts[:, None], lifts[None, :]).astype(np.int64)
 
 
 def verify_lift_independence(data: CentralData) -> bool:
     """Exhaustive: every pair of lifts gives the same commutator."""
-    g = data.g
+    every = np.arange(data.g.order)
     emap = np.asarray(data.eta.map)
-    reference = q_table(data)
-    for a in range(data.gammaB.order):
-        la = np.flatnonzero(emap == a)
-        for b in range(data.gammaB.order):
-            lb = np.flatnonzero(emap == b)
-            ab = g.mul[np.ix_(la, lb)].astype(np.int64)
-            ai_bi = g.mul[np.ix_(g.inv[la], g.inv[lb])].astype(np.int64)
-            vals = g.mul[ab, ai_bi]
-            if not np.all(vals == reference[a, b]):
-                return False
-    return True
+    vals = commutators(data.g, every[:, None], every[None, :])
+    return bool(np.array_equal(vals, q_table(data)[np.ix_(emap, emap)]))
 
 
 @dataclass

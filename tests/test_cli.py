@@ -4,7 +4,8 @@ import json
 import subprocess
 import sys
 
-from abindex.cli import report_from_json
+from abindex import heisenberg as hb
+from abindex.cli import main, report_from_json
 
 
 def run_cli(*args, timeout=600):
@@ -155,9 +156,20 @@ def test_usage_error_exit_code():
 
 
 def test_cap_exit_code():
-    proc = run_cli("gamma", "--n", "30", "--cap", "1000")
-    assert proc.returncode == 3
-    assert "error" in json.loads(proc.stdout)
+    # order 32768 fits the cap, but its int32 table (4.3 GB) is over the memory guard
+    for args in (("--n", "30", "--cap", "1000"), ("--n", "32", "--cap", "40000")):
+        proc = run_cli("gamma", *args)
+        assert proc.returncode == 3, args
+        assert "error" in json.loads(proc.stdout)
+
+
+def test_dump_group_path_is_checked_before_the_build(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the group was built before the path was checked")
+
+    monkeypatch.setattr(hb, "gamma_n", unreachable)
+    assert main(["gamma", "--n", "2", "--dump-group", "/nonexistent/x.json"]) == 2
+    assert set(json.loads(capsys.readouterr().out)) == {"command", "error"}
 
 
 def test_verify_obeys_cap_in_every_suite():

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from abindex import group_core as gc
+from abindex import heisenberg as hb
+from abindex import qpairing as qp
+from abindex import surface_groups as sg
 from abindex.errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
 
 
@@ -183,6 +186,22 @@ def test_table_rejects_broken_associativity():
     mul = np.array([[0, 1], [1, 1]])
     with pytest.raises(ValueError):
         gc.GroupTable(mul)
+
+
+def test_table_rejects_nonassociative_loop():
+    # identity and two-sided inverses, so only the associativity check rejects it
+    mul = np.array(
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    )
+    with pytest.raises(ValueError, match="not associative"):
+        gc.GroupTable(mul)
+
+
+def test_compose_rows_refuses_an_oversized_table():
+    # an int32 table of order 40000 would take 6.4 GB; nothing is allocated
+    parent = np.zeros(40_000, dtype=np.intp)
+    with pytest.raises(CapExceeded):
+        gc.compose_rows([], parent, parent)
 
 
 def test_table_accepts_identity_off_zero():
@@ -543,3 +562,83 @@ def test_random_tables_pass_group_laws():
         assert np.array_equal(g.mul[g.mul[a, b], c], g.mul[a, g.mul[b, c]])
         assert np.all(g.mul[a, g.inv[a]] == g.identity)
         assert np.all(g.mul[g.identity, a] == a)
+
+
+def _all_pairs_closure(g, bits):
+    """Oracle: grow a set by all products of its members until it is closed."""
+    bits = bits.copy()
+    bits[g.identity] = True
+    while True:
+        idx = np.flatnonzero(bits)
+        grown = bits.copy()
+        grown[g.mul[np.ix_(idx, idx)]] = True
+        if np.array_equal(grown, bits):
+            return bits
+        bits = grown
+
+
+def _all_pairs_hom(m, source, target):
+    m = np.asarray(m)
+    return bool(np.array_equal(m[source.mul], target.mul[np.ix_(m, m)]))
+
+
+def _differential_groups():
+    kinds = [sg.cyclic_kind(k) for k in (2, 3, 5, 6)]
+    kinds += [sg.dihedral_kind(k) for k in (3, 4, 5, 6)] + [sg.TETRA, sg.OCTA, sg.ICOSA]
+    out = [pytest.param(sg.rotation_group(k), [], id=str(k)) for k in kinds]
+    for n in range(1, 6):
+        bn = hb.b_n_components(n)
+        out.append(pytest.param(bn.table, [bn.zeta], id=f"B{n}"))
+    out += [pytest.param(sg.b_n_affine(n).table, [], id=f"B{n}-affine") for n in range(3, 6)]
+    for n in range(2, 7):
+        data = qp.gamma_central_data(n)
+        out.append(pytest.param(data.g, [data.eta], id=f"Gamma{n}"))
+    for n in (2, 4):
+        hat = hb.hat_gamma_n(n)
+        out.append(pytest.param(hat.table, [hat.theta], id=f"HatGamma{n}"))
+    s3 = sg.rotation_group(sg.dihedral_kind(3))
+    out.append(pytest.param(gc.direct_product(s3, gc.cyclic_table(3)), [], id="D6xC3"))
+    return out
+
+
+@pytest.mark.parametrize("g,homs", _differential_groups())
+def test_generator_checks_match_all_pairs_definitions(g, homs):
+    """Center, [G,G], normality of every <x> and morphisms, against all-pairs definitions."""
+    mul, inv = g.mul, g.inv
+    assert np.array_equal(gc.center(g).bits, (mul == mul.T).all(axis=1))
+    every = np.arange(g.order)
+    comm = np.zeros(g.order, dtype=bool)
+    comm[gc.commutators(g, every[:, None], every[None, :])] = True
+    assert np.array_equal(gc.commutator_subgroup(g).bits, _all_pairs_closure(g, comm))
+    seen = set()
+    for x in range(g.order):
+        cyc = gc.closure(g, [x])
+        assert np.array_equal(cyc.bits, _all_pairs_closure(g, cyc.bits))
+        if cyc.bits.tobytes() in seen:
+            continue
+        seen.add(cyc.bits.tobytes())
+        conj = mul[mul[np.ix_(every, cyc.indices())], inv[:, None]]
+        assert gc.is_normal(g, cyc) == bool(cyc.bits[conj].all()), x
+    for hom in homs:
+        assert hom.verify() and _all_pairs_hom(hom.map, g, hom.target)
+        broken = np.array(hom.map, copy=True)
+        broken[-1] = (broken[-1] + 1) % hom.target.order
+        constant = np.full(g.order, 1)
+        for m in (broken, constant):
+            bad = gc.Homomorphism(g, hom.target, m)
+            assert not bad.verify() and not _all_pairs_hom(m, g, hom.target)
+
+
+def test_morphism_check_covers_every_generator():
+    # (a, b) -> (f(a), b) respects left multiplication by C3 but not by S3,
+    # since f swaps a transposition and a 3-cycle of S3
+    s3 = sg.rotation_group(sg.dihedral_kind(3))
+    g = gc.direct_product(s3, gc.cyclic_table(3))
+    orders = gc.all_element_orders(s3)
+    f = np.arange(6)
+    two, three = np.flatnonzero(orders == 2)[0], np.flatnonzero(orders == 3)[0]
+    f[[two, three]] = f[[three, two]]
+    a, b = np.divmod(np.arange(g.order), 3)
+    m = f[a] * 3 + b
+    assert not gc.Homomorphism(g, g, m).verify()
+    assert not _all_pairs_hom(m, g, g)
