@@ -8,6 +8,7 @@ numpy so that groups up to order ~20000 stay practical.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +23,8 @@ SAMPLED_ASSOC_TRIPLES = 100_000
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley table compose_rows allocates
+# centralizer masks the abelian search keeps: at least 4096 masks at order 12000
+MAX_CENT_CACHE_BYTES = 48 << 20
 
 _BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
 
@@ -92,15 +95,11 @@ class GroupTable:
     def _find_generators(self) -> np.ndarray:
         """Generators picked greedily in index order, then pruned.
 
-        Each pick is the first element outside the closure so far; a generator
-        is then dropped when the others still generate the group, so no member
-        of the result is redundant.  The result is not always of minimal size.
+        A generator of ``_greedy_generators`` is dropped when the others still
+        generate the group, so no member of the result is redundant.  The
+        result is not always of minimal size.
         """
-        gens: list[int] = []
-        bits = closure(self, gens).bits
-        while not bits.all():
-            gens.append(int(np.argmin(bits)))
-            bits = closure(self, gens).bits
+        gens = _greedy_generators(self, np.ones(self.order, dtype=bool))
         for x in list(gens):
             rest = [y for y in gens if y != x]
             if closure(self, rest).size == self.order:
@@ -263,11 +262,13 @@ def close_under(
     ``i > 0`` was found as ``product(gens[via[i]], elements[parent[i]])``
     with ``parent[i] < i`` (``parent[0]`` and ``via[0]`` are -1), and
     ``rows[j][i]`` is the index of ``product(gens[j], elements[i])``, in the
-    table dtype.  Raises CapExceeded when the closure grows past ``cap``.
+    table dtype.  Raises CapExceeded when the closure grows past ``cap``, or
+    past the largest order whose table ``compose_rows`` would allocate.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
+    limit = min(cap, _largest_table_order())
     elements = [identity]
     index = {identity: 0}
     parent, via = [-1], [-1]
@@ -277,9 +278,11 @@ def close_under(
             b = product(s, a)
             k = index.get(b)
             if k is None:
-                if len(elements) >= cap:
+                if len(elements) >= limit:
                     raise CapExceeded(
                         f"closure exceeded cap {cap}; generator set may be wrong"
+                        if limit == cap else f"closure exceeded order {limit}, "
+                        f"the largest whose table fits in {MAX_TABLE_BYTES} bytes"
                     )
                 k = index[b] = len(elements)
                 elements.append(b)
@@ -293,6 +296,15 @@ def close_under(
         np.array(via, dtype=np.intp),
         np.array(rows, dtype=_index_dtype(len(elements))),
     )
+
+
+def _largest_table_order() -> int:
+    """Largest order whose Cayley table fits in MAX_TABLE_BYTES.
+
+    Entries are 2 bytes up to order 32767 and 4 bytes above (``_index_dtype``).
+    """
+    narrow = min(int(np.iinfo(np.int16).max), math.isqrt(MAX_TABLE_BYTES // 2))
+    return max(narrow, math.isqrt(MAX_TABLE_BYTES // 4))
 
 
 def compose_rows(
@@ -391,6 +403,44 @@ def _center_bits(g: GroupTable) -> np.ndarray:
     out.flags.writeable = False
     g._center_cache = out
     return out
+
+
+def _greedy_generators(g: GroupTable, bits: np.ndarray) -> list[int]:
+    """Generators of the subgroup ``bits``: each is its smallest element
+    outside the closure of the ones before it."""
+    gens: list[int] = []
+    outside = bits.copy()
+    outside[g.identity] = False
+    while outside.any():
+        gens.append(int(np.argmax(outside)))
+        outside = bits & ~closure(g, gens).bits
+    return gens
+
+
+def conjugacy_class_labels(g: GroupTable) -> np.ndarray:
+    """Read-only map from each element to the smallest index of its class.
+
+    The classes are the orbits of the conjugations x -> s x s^-1 by the
+    generators s, found by propagating the smaller label along each map in
+    both directions, with pointer jumping, until nothing changes.  Computed
+    once per table.
+    """
+    cached = getattr(g, "_class_cache", None)
+    if cached is not None:
+        return cached
+    conj = g.mul[g.mul[g.gens], g.inv[g.gens][:, None]]
+    labels = np.arange(g.order)
+    while True:
+        prev = labels
+        for p in conj:
+            labels = np.minimum(labels, labels[p])
+            labels[p] = np.minimum(labels[p], labels)
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    labels.flags.writeable = False
+    g._class_cache = labels
+    return labels
 
 
 def center(g: GroupTable) -> SubgroupMask:
@@ -510,6 +560,7 @@ class AbelianIndexResult:
     witness: SubgroupMask
     nodes_explored: int = 0
     runtime_s: float = 0.0
+    root_classes: int = 0  # conjugacy classes branched on at the root
 
 
 @lru_cache(maxsize=None)
@@ -543,8 +594,10 @@ class _AbelianSearch:
     current centralizer are forced in (every inclusion-maximal abelian
     subgroup through the current one contains them), which collapses the
     branching over central chains; pruning is Lagrange on the centralizer
-    order against the incumbent.  Branching order: ascending element order,
-    then index, so the explored tree is deterministic.
+    order against the incumbent.  At the root, where the candidate is the
+    center, branching is over conjugacy-class representatives only.
+    Branching order: ascending element order, then index, so the explored
+    tree is deterministic.
     """
 
     def __init__(self, g: GroupTable, deadline: Optional[float]):
@@ -557,12 +610,13 @@ class _AbelianSearch:
         self.best_size = 1
         self.best_mask: Optional[np.ndarray] = None
         self.nodes = 0
+        self.root_classes = 0
 
     def centralizer_bits(self, x: int) -> np.ndarray:
         hit = self.cent_cache.get(x)
         if hit is None:
             hit = self.mul[x, :] == self.mul[:, x]
-            if len(self.cent_cache) < 4096:
+            if (len(self.cent_cache) + 1) * self.n <= MAX_CENT_CACHE_BYTES:
                 self.cent_cache[x] = hit
         return hit
 
@@ -581,17 +635,14 @@ class _AbelianSearch:
             p = int(self.mul[p, x])
         return out, int(np.count_nonzero(out))
 
-    def local_central_bits(self, c_idx: np.ndarray) -> np.ndarray:
-        """Mask over G of the elements of C that commute with all of C."""
-        bits = np.zeros(self.n, dtype=bool)
-        k = len(c_idx)
-        if k * k <= 16_000_000:
-            sub = self.mul[np.ix_(c_idx, c_idx)]
-            bits[c_idx[(sub == sub.T).all(axis=1)]] = True
-        else:
-            for z in c_idx:
-                if np.array_equal(self.mul[z, c_idx], self.mul[c_idx, z]):
-                    bits[z] = True
+    def local_central_bits(self, c_bits: np.ndarray) -> np.ndarray:
+        """Mask over G of the center of the subgroup C given by ``c_bits``.
+
+        Z(C) is C intersected with the centralizers of a generating set of C.
+        """
+        bits = c_bits.copy()
+        for s in _greedy_generators(self.g, c_bits):
+            bits &= self.centralizer_bits(s)
         return bits
 
     def check_time(self) -> None:
@@ -615,14 +666,17 @@ class _AbelianSearch:
         h_bits = _center_bits(self.g).copy()
         h_bits[self.g.identity] = True
         h_size = int(np.count_nonzero(h_bits))
-        c_bits = np.ones(self.n, dtype=bool)
-        for z in np.flatnonzero(h_bits):
-            c_bits &= self.centralizer_bits(int(z))
+        c_bits = np.ones(self.n, dtype=bool)  # the centralizer of the center
+        labels = conjugacy_class_labels(self.g)
         while True:
             # record first, so a timeout reports at least the center
             self.record(h_bits, h_size)
             self.check_time()
             cand = np.flatnonzero(c_bits & ~h_bits)
+            if c_bits.all():
+                # H is the center, and the gain of x is a class invariant: the
+                # first max-gain element is the smallest of its class
+                cand = cand[labels[cand] == cand]
             if len(cand) == 0:
                 return
             best_gain, best_x = h_size, -1
@@ -657,7 +711,7 @@ class _AbelianSearch:
             if c_size == self.n:
                 forced = _center_bits(self.g) & ~h_bits
             else:
-                forced = self.local_central_bits(np.flatnonzero(c_bits)) & ~h_bits
+                forced = self.local_central_bits(c_bits) & ~h_bits
             if not forced.any():
                 break
             if (forced & excluded).any():
@@ -671,6 +725,13 @@ class _AbelianSearch:
                 return
         self.record(h_bits, h_size)
         cand = np.flatnonzero(c_bits & ~h_bits & ~excluded)
+        root = c_size == self.n
+        if root:
+            # H is the center, which conjugation fixes: every abelian subgroup
+            # through x is conjugate to one through the smallest element of
+            # x's class, so branch on those and then exclude the whole class
+            labels = conjugacy_class_labels(self.g)
+            cand = cand[labels[cand] == cand]
         if len(cand) == 0:
             return
         cand = cand[np.lexsort((cand, self.orders[cand]))]
@@ -686,7 +747,11 @@ class _AbelianSearch:
                 h2, h2_size = self.extend_abelian(h_bits, x)
                 if not (h2 & excluded).any():
                     self.descend(h2, h2_size, c2, excluded)
-            excluded[x] = True
+            if root:
+                self.root_classes += 1
+                excluded |= labels == x
+            else:
+                excluded[x] = True
 
 
 def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> AbelianIndexResult:
@@ -715,6 +780,7 @@ def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> Abelia
         witness,
         nodes_explored=search.nodes,
         runtime_s=time.monotonic() - t0,
+        root_classes=search.root_classes,
     )
     g._min_abelian_cache = result
     return result
@@ -725,11 +791,13 @@ def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> Abelia
 
 
 def _element_fingerprints(g: GroupTable) -> np.ndarray:
-    """Per-element invariant preserved by every automorphism."""
+    """Per-element invariant preserved by every automorphism.
+
+    The centralizer order is |G| / |class(x)|.
+    """
     orders = all_element_orders(g)
-    cent_sizes = np.empty(g.order, dtype=np.int64)
-    for x in range(g.order):
-        cent_sizes[x] = np.count_nonzero(g.mul[x, :] == g.mul[:, x])
+    labels = conjugacy_class_labels(g)
+    cent_sizes = g.order // np.bincount(labels)[labels]
     return orders * (g.order + 1) + cent_sizes
 
 

@@ -156,9 +156,12 @@ def test_usage_error_exit_code():
 
 
 def test_cap_exit_code():
-    # order 32768 fits the cap, but its int32 table (4.3 GB) is over the memory guard
-    for args in (("--n", "30", "--cap", "1000"), ("--n", "32", "--cap", "40000")):
-        proc = run_cli("gamma", *args)
+    # order 32768 fits the cap, but its int32 table (4.3 GB) is over the memory
+    # guard; the hat closure of order 32928 stops as it passes order 32767
+    for args in (("gamma", "--n", "30", "--cap", "1000"),
+                 ("gamma", "--n", "32", "--cap", "40000"),
+                 ("hat-gamma", "--n", "14", "--cap", "40000")):
+        proc = run_cli(*args)
         assert proc.returncode == 3, args
         assert "error" in json.loads(proc.stdout)
 

@@ -204,6 +204,19 @@ def test_compose_rows_refuses_an_oversized_table():
         gc.compose_rows([], parent, parent)
 
 
+def test_closure_stops_at_the_largest_table_order():
+    # a cyclic group of order 40,000 is within the cap, but its table is not
+    products = []
+
+    def add(a, b):
+        products.append(a)
+        return (a + b) % 40_000
+
+    with pytest.raises(CapExceeded, match="largest whose table fits"):
+        gc.close_under(0, [1], add, cap=10**6)
+    assert len(products) == 32_767
+
+
 def test_table_accepts_identity_off_zero():
     # Z2 with the identity stored at index 1
     g = gc.GroupTable(np.array([[1, 0], [0, 1]]))
@@ -422,13 +435,19 @@ def test_min_abelian_index_against_full_subgroup_lattice():
         )
         return g
 
+    # the root branches on one element per noncentral conjugacy class
+    rotations = [sg.rotation_group(k) for k in
+                 (sg.dihedral_kind(5), sg.TETRA, sg.OCTA, sg.ICOSA)]
     for g in (s3()[0], a4(), s4(), dihedral(6), quaternion_group(),
-              hb.gamma_n(2), hb.b_n_group(2), hb.hat_gamma_n(2).table):
+              hb.gamma_n(2), hb.b_n_group(2), hb.hat_gamma_n(2).table,
+              hb.b_n_components(3).table, *rotations):
         subgroups = all_subgroup_masks(g)
         best = max(m.size for m in subgroups if m.is_abelian())
         res = gc.min_abelian_index(g)
         assert res.witness.size == best, g.name
         assert res.index == g.order // best
+        classes = len(np.unique(gc.conjugacy_class_labels(g)))
+        assert 1 <= res.root_classes <= classes - gc.center(g).size
 
 
 def test_quaternion_group_structure():
@@ -610,6 +629,9 @@ def test_generator_checks_match_all_pairs_definitions(g, homs):
     comm = np.zeros(g.order, dtype=bool)
     comm[gc.commutators(g, every[:, None], every[None, :])] = True
     assert np.array_equal(gc.commutator_subgroup(g).bits, _all_pairs_closure(g, comm))
+    # conj[h, x] = h x h^-1, so the class of x is column x
+    conj = mul[mul[every[:, None], every[None, :]], inv[:, None]]
+    assert np.array_equal(gc.conjugacy_class_labels(g), conj.min(axis=0))
     seen = set()
     for x in range(g.order):
         cyc = gc.closure(g, [x])
@@ -642,3 +664,23 @@ def test_morphism_check_covers_every_generator():
     m = f[a] * 3 + b
     assert not gc.Homomorphism(g, g, m).verify()
     assert not _all_pairs_hom(m, g, g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hb.gamma_n(3),
+    lambda: hb.hat_gamma_n(2).table,
+    lambda: hb.b_n_components(3).table,
+    lambda: sg.rotation_group(sg.OCTA),
+    lambda: gc.direct_product(sg.rotation_group(sg.dihedral_kind(3)), gc.cyclic_table(3)),
+], ids=["Gamma3", "HatGamma2", "B3", "octa", "D6xC3"])
+def test_local_center_matches_all_pairs_definition(make):
+    """Z(C) from generators of C equals the all-pairs center, for C = C_G(x), every x."""
+    g = make()
+    search = gc._AbelianSearch(g, None)
+    for x in range(g.order):
+        c_bits = search.centralizer_bits(x)
+        idx = np.flatnonzero(c_bits)
+        sub = g.mul[np.ix_(idx, idx)]
+        expected = np.zeros(g.order, dtype=bool)
+        expected[idx[(sub == sub.T).all(axis=1)]] = True
+        assert np.array_equal(search.local_central_bits(c_bits), expected), x
