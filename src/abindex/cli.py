@@ -52,6 +52,7 @@ class VerificationReport:
     inputs: dict
     claims: list[Claim] = field(default_factory=list)
     runtime_ms: int = 0
+    search: Optional[dict] = None  # how hard the abelian-subgroup search worked
 
     def add(self, name, law, expected, computed, source, passed) -> None:
         self.claims.append(Claim(name, law, expected, computed, source, passed))
@@ -60,16 +61,20 @@ class VerificationReport:
         return all(c.passed is not False for c in self.claims)
 
     def as_dict(self) -> dict:
-        return {
+        doc = {
             "command": self.command,
             "inputs": self.inputs,
             "claims": [c.as_dict() for c in self.claims],
-            "runtime_ms": self.runtime_ms,
         }
+        if self.search is not None:
+            doc["search"] = self.search
+        doc["runtime_ms"] = self.runtime_ms
+        return doc
 
 
 def report_from_json(doc: dict) -> VerificationReport:
-    rep = VerificationReport(doc["command"], doc["inputs"], runtime_ms=doc["runtime_ms"])
+    rep = VerificationReport(doc["command"], doc["inputs"], runtime_ms=doc["runtime_ms"],
+                             search=doc.get("search"))
     for c in doc["claims"]:
         rep.add(c["name"], c["law"], c["expected"], c["computed"], c["source"], c["pass"])
     return rep
@@ -111,6 +116,7 @@ def cmd_gamma(args) -> int:
             True, comm == center, "enumeration", comm == center)
     rep.add("min-abelian-index", "minimal abelian-subgroup index equals n",
             n, res.index, "enumeration", res.index == n)
+    rep.search = _search_stats(res)
     _dump_group(args.dump_group, g)
     return _emit(rep, t0)
 
@@ -142,8 +148,14 @@ def cmd_hat_gamma(args) -> int:
         rep.add("min-abelian-index",
                 "computed minimal abelian index (floor asserted only for n >= 8)",
                 None, res.index, "enumeration", None)
+    rep.search = _search_stats(res)
     _dump_group(args.dump_group, hat.table)
     return _emit(rep, t0)
+
+
+def _search_stats(res: gc.AbelianIndexResult) -> dict:
+    return {"nodes_explored": res.nodes_explored, "root_classes": res.root_classes,
+            "centralizers": res.centralizers}
 
 
 def _check_dump_target(path: Optional[str]) -> None:

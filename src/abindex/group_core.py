@@ -23,7 +23,8 @@ SAMPLED_ASSOC_TRIPLES = 100_000
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley table compose_rows allocates
-# centralizer masks the abelian search keeps: at least 4096 masks at order 12000
+# centralizer masks the abelian search keeps: 4194 masks at order 12000, while
+# the search computes one per entered node or greedy-seed step
 MAX_CENT_CACHE_BYTES = 48 << 20
 
 _BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
@@ -161,18 +162,16 @@ class SubgroupMask:
             self._validate()
 
     def _validate(self) -> None:
+        """Exact: the mask is the subgroup generated by a greedy generating
+        set of its own elements, which holds only when it is closed under
+        the product (in a finite group that makes it a subgroup)."""
         g = self.owner
         if not self.bits[g.identity]:
             raise ValueError("subgroup mask must contain the identity")
         if self.size == g.order:
             return
-        idx = self.indices()
-        if not self.bits[g.inv[idx]].all():
-            raise ValueError("mask not closed under inversion")
-        for lo in range(0, len(idx), 2048):
-            prods = g.mul[np.ix_(idx[lo : lo + 2048], idx)]
-            if not self.bits[prods].all():
-                raise ValueError("mask not closed under multiplication")
+        if not np.array_equal(closure(g, _greedy_generators(g, self.bits)).bits, self.bits):
+            raise ValueError("mask not closed under multiplication")
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
@@ -417,19 +416,22 @@ def _greedy_generators(g: GroupTable, bits: np.ndarray) -> list[int]:
     return gens
 
 
-def conjugacy_class_labels(g: GroupTable) -> np.ndarray:
-    """Read-only map from each element to the smallest index of its class.
+def _conjugation_orbits(g: GroupTable, gens: Sequence[int], bits: np.ndarray) -> np.ndarray:
+    """Map from each element of ``bits`` to the smallest element of its orbit
+    under the conjugations x -> s x s^-1 by ``gens``; other elements map to
+    themselves.
 
-    The classes are the orbits of the conjugations x -> s x s^-1 by the
-    generators s, found by propagating the smaller label along each map in
-    both directions, with pointer jumping, until nothing changes.  Computed
-    once per table.
+    ``bits`` must be a union of orbits (a subgroup holding the generators, or
+    the whole group).  The orbits are found by propagating the smaller label
+    along each map in both directions, with pointer jumping, until nothing
+    changes.
     """
-    cached = getattr(g, "_class_cache", None)
-    if cached is not None:
-        return cached
-    conj = g.mul[g.mul[g.gens], g.inv[g.gens][:, None]]
-    labels = np.arange(g.order)
+    idx = np.flatnonzero(bits)
+    gens = np.asarray(gens, dtype=np.intp)
+    pos = np.zeros(g.order, dtype=np.intp)
+    pos[idx] = np.arange(len(idx))
+    conj = pos[g.mul[g.mul[np.ix_(gens, idx)], g.inv[gens][:, None]]]
+    labels = np.arange(len(idx))
     while True:
         prev = labels
         for p in conj:
@@ -438,6 +440,21 @@ def conjugacy_class_labels(g: GroupTable) -> np.ndarray:
         labels = labels[labels]
         if np.array_equal(labels, prev):
             break
+    out = np.arange(g.order)
+    out[idx] = idx[labels]  # idx is ascending, so the smallest position is the smallest index
+    return out
+
+
+def conjugacy_class_labels(g: GroupTable) -> np.ndarray:
+    """Read-only map from each element to the smallest index of its class.
+
+    The classes are the orbits of the conjugations by the table's generators.
+    Computed once per table.
+    """
+    cached = getattr(g, "_class_cache", None)
+    if cached is not None:
+        return cached
+    labels = _conjugation_orbits(g, g.gens, np.ones(g.order, dtype=bool))
     labels.flags.writeable = False
     g._class_cache = labels
     return labels
@@ -561,6 +578,7 @@ class AbelianIndexResult:
     nodes_explored: int = 0
     runtime_s: float = 0.0
     root_classes: int = 0  # conjugacy classes branched on at the root
+    centralizers: int = 0  # centralizer masks the search computed
 
 
 @lru_cache(maxsize=None)
@@ -590,20 +608,26 @@ def _largest_subgroup_bound(c_size: int, h_size: int, avail: int) -> int:
 class _AbelianSearch:
     """Branch and bound for the largest abelian subgroup.
 
-    Candidates grow inside iterated centralizers.  Elements central in the
-    current centralizer are forced in (every inclusion-maximal abelian
-    subgroup through the current one contains them), which collapses the
-    branching over central chains; pruning is Lagrange on the centralizer
-    order against the incumbent.  At the root, where the candidate is the
-    center, branching is over conjugacy-class representatives only.
-    Branching order: ascending element order, then index, so the explored
-    tree is deterministic.
+    A node is the centralizer C = C_G(H) of the current abelian candidate H.
+    Every abelian subgroup through H lies in C, and every inclusion-maximal
+    one contains Z(C), which commutes with C; so H is taken to be Z(C) in one
+    step.  C fixes H pointwise and maps the excluded set E into itself, so an
+    abelian subgroup through H and x is C-conjugate to one through the
+    smallest element of x's orbit under C acting by conjugation.  A node
+    branches only on those orbit minima and, after exploring one, excludes
+    its whole orbit; E stays a union of orbits of every deeper centralizer,
+    since each lies in C.  The child's centralizer C cap C_G(x) has order
+    |C| / |orbit of x|, so it is compared with the incumbent before it is
+    computed.  Pruning is Lagrange on the centralizer order against the
+    incumbent.  Branching order: ascending element order, then index, so the
+    explored tree is deterministic.
     """
 
     def __init__(self, g: GroupTable, deadline: Optional[float]):
         self.g = g
         self.n = g.order
         self.mul = g.mul
+        self.inv = g.inv.astype(g.mul.dtype)
         self.deadline = deadline
         self.orders = all_element_orders(g)
         self.cent_cache: dict[int, np.ndarray] = {}
@@ -611,11 +635,15 @@ class _AbelianSearch:
         self.best_mask: Optional[np.ndarray] = None
         self.nodes = 0
         self.root_classes = 0
+        self.centralizers = 0
 
     def centralizer_bits(self, x: int) -> np.ndarray:
+        """C_G(x) from contiguous rows: column x is g x = (x^-1 g^-1)^-1."""
         hit = self.cent_cache.get(x)
         if hit is None:
-            hit = self.mul[x, :] == self.mul[:, x]
+            self.centralizers += 1
+            inv = self.inv
+            hit = self.mul[x] == inv[self.mul[inv[x]][inv]]
             if (len(self.cent_cache) + 1) * self.n <= MAX_CENT_CACHE_BYTES:
                 self.cent_cache[x] = hit
         return hit
@@ -635,15 +663,23 @@ class _AbelianSearch:
             p = int(self.mul[p, x])
         return out, int(np.count_nonzero(out))
 
-    def local_central_bits(self, c_bits: np.ndarray) -> np.ndarray:
-        """Mask over G of the center of the subgroup C given by ``c_bits``.
+    def local_orbits(self, c_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Orbits of the subgroup C given by ``c_bits`` acting on itself by
+        conjugation: the smallest element of each element's orbit, and each
+        element's orbit size (0 outside C).
 
-        Z(C) is C intersected with the centralizers of a generating set of C.
+        The orbits come from the conjugation maps of a greedy generating set
+        of C; at the root, C = G, they are the cached conjugacy classes.
         """
-        bits = c_bits.copy()
-        for s in _greedy_generators(self.g, c_bits):
-            bits &= self.centralizer_bits(s)
-        return bits
+        if c_bits.all():
+            labels = conjugacy_class_labels(self.g)
+        else:
+            labels = _conjugation_orbits(self.g, _greedy_generators(self.g, c_bits), c_bits)
+        return labels, np.bincount(labels[c_bits], minlength=self.n)[labels]
+
+    def local_central_bits(self, c_bits: np.ndarray) -> np.ndarray:
+        """Mask over G of Z(C): the elements of C alone in their C-orbit."""
+        return self.local_orbits(c_bits)[1] == 1
 
     def check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -666,24 +702,21 @@ class _AbelianSearch:
         h_bits = _center_bits(self.g).copy()
         h_bits[self.g.identity] = True
         h_size = int(np.count_nonzero(h_bits))
-        c_bits = np.ones(self.n, dtype=bool)  # the centralizer of the center
-        labels = conjugacy_class_labels(self.g)
+        c_bits = np.ones(self.n, dtype=bool)  # C_G(H)
         while True:
             # record first, so a timeout reports at least the center
             self.record(h_bits, h_size)
             self.check_time()
+            # the gain of x is invariant under conjugation by C, which fixes H
+            # pointwise: the first max-gain element is the smallest of its orbit
+            labels = self.local_orbits(c_bits)[0]
             cand = np.flatnonzero(c_bits & ~h_bits)
-            if c_bits.all():
-                # H is the center, and the gain of x is a class invariant: the
-                # first max-gain element is the smallest of its class
-                cand = cand[labels[cand] == cand]
-            if len(cand) == 0:
-                return
+            cand = cand[labels[cand] == cand]
             best_gain, best_x = h_size, -1
-            for x in cand:
-                grown = h_size * int(self.orders[x]) // self.cyclic_meet(h_bits, int(x))
+            for x in cand.tolist():
+                grown = h_size * int(self.orders[x]) // self.cyclic_meet(h_bits, x)
                 if grown > best_gain:
-                    best_gain, best_x = grown, int(x)
+                    best_gain, best_x = grown, x
             if best_x < 0:
                 return
             h_bits, h_size = self.extend_abelian(h_bits, best_x)
@@ -691,67 +724,39 @@ class _AbelianSearch:
 
     def run(self) -> None:
         self.greedy_seed()
-        h_bits = np.zeros(self.n, dtype=bool)
-        h_bits[self.g.identity] = True
-        self.descend(h_bits, 1, np.ones(self.n, dtype=bool), np.zeros(self.n, dtype=bool))
+        self.descend(np.ones(self.n, dtype=bool), np.zeros(self.n, dtype=bool))
 
-    def descend(
-        self,
-        h_bits: np.ndarray,
-        h_size: int,
-        c_bits: np.ndarray,
-        excluded: np.ndarray,
-    ) -> None:
+    def descend(self, c_bits: np.ndarray, excluded: np.ndarray) -> None:
         self.check_time()
         self.nodes += 1
-        while True:
-            c_size = int(np.count_nonzero(c_bits))
-            if c_size <= self.best_size:
-                return
-            if c_size == self.n:
-                forced = _center_bits(self.g) & ~h_bits
-            else:
-                forced = self.local_central_bits(c_bits) & ~h_bits
-            if not forced.any():
-                break
-            if (forced & excluded).any():
-                # every maximal abelian subgroup here needs an excluded element
-                return
-            for z in np.flatnonzero(forced):
-                if not h_bits[z]:
-                    h_bits, h_size = self.extend_abelian(h_bits, int(z))
-                    c_bits = c_bits & self.centralizer_bits(int(z))
-            if (h_bits & excluded).any():
-                return
+        c_size = int(np.count_nonzero(c_bits))
+        if c_size <= self.best_size:
+            return
+        labels, sizes = self.local_orbits(c_bits)
+        h_bits = sizes == 1  # H := Z(C)
+        if (h_bits & excluded).any():
+            # every maximal abelian subgroup here needs an excluded element
+            return
+        h_size = int(np.count_nonzero(h_bits))
         self.record(h_bits, h_size)
         cand = np.flatnonzero(c_bits & ~h_bits & ~excluded)
-        root = c_size == self.n
-        if root:
-            # H is the center, which conjugation fixes: every abelian subgroup
-            # through x is conjugate to one through the smallest element of
-            # x's class, so branch on those and then exclude the whole class
-            labels = conjugacy_class_labels(self.g)
-            cand = cand[labels[cand] == cand]
-        if len(cand) == 0:
-            return
+        cand = cand[labels[cand] == cand]
         cand = cand[np.lexsort((cand, self.orders[cand]))]
+        root = c_size == self.n
         excluded = excluded.copy()
-        for x in cand:
+        avail = c_size - int(np.count_nonzero(c_bits & excluded))
+        for x in cand.tolist():
             self.check_time()
-            avail = c_size - int(np.count_nonzero(c_bits & excluded))
             if _largest_subgroup_bound(c_size, h_size, avail) <= self.best_size:
                 return
-            x = int(x)
-            c2 = c_bits & self.centralizer_bits(x)
-            if int(np.count_nonzero(c2)) > self.best_size:
-                h2, h2_size = self.extend_abelian(h_bits, x)
+            if c_size // int(sizes[x]) > self.best_size:  # |C cap C_G(x)|
+                h2, _ = self.extend_abelian(h_bits, x)
                 if not (h2 & excluded).any():
-                    self.descend(h2, h2_size, c2, excluded)
+                    self.descend(c_bits & self.centralizer_bits(x), excluded)
+            excluded |= labels == x
+            avail -= int(sizes[x])
             if root:
                 self.root_classes += 1
-                excluded |= labels == x
-            else:
-                excluded[x] = True
 
 
 def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> AbelianIndexResult:
@@ -781,6 +786,7 @@ def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> Abelia
         nodes_explored=search.nodes,
         runtime_s=time.monotonic() - t0,
         root_classes=search.root_classes,
+        centralizers=search.centralizers,
     )
     g._min_abelian_cache = result
     return result

@@ -96,6 +96,16 @@ def test_report_round_trip():
     doc = json.loads(run_cli("bound", "--alpha", "4", "--beta", "1").stdout)
     rebuilt = report_from_json(doc).as_dict()
     assert rebuilt == doc
+    assert "search" not in doc
+
+
+def test_search_report_round_trip():
+    for args in (("gamma", "--n", "4"), ("hat-gamma", "--n", "2")):
+        doc = json.loads(run_cli(*args).stdout)
+        search = doc["search"]
+        assert set(search) == {"nodes_explored", "root_classes", "centralizers"}
+        assert search["nodes_explored"] >= 1 and search["root_classes"] >= 1
+        assert report_from_json(doc).as_dict() == doc
 
 
 def test_verify_sl2_suite():

@@ -1,9 +1,12 @@
 """Tests for the generic finite-group engine."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abindex import group_core as gc
 from abindex import heisenberg as hb
@@ -103,16 +106,22 @@ def quaternion_group():
 
 
 def all_subgroup_masks(g):
-    """Oracle: the full subgroup lattice, by closing every one-step extension."""
+    """Oracle: the full subgroup lattice, by closing every one-step extension.
+
+    <M, x> = <M, m x> for m in M, so one x per right coset M x is closed.
+    """
     triv = gc.closure(g, [g.identity])
     seen = {triv.bits.tobytes(): triv}
     frontier = [triv]
     while frontier:
         nxt = []
         for mask in frontier:
-            outside = np.flatnonzero(~mask.bits)
-            for x in outside:
-                bigger = gc.closure(g, list(mask.indices()) + [int(x)])
+            done = mask.bits.copy()
+            for x in range(g.order):
+                if done[x]:
+                    continue
+                done[g.mul[mask.indices(), x]] = True
+                bigger = gc.closure(g, list(mask.indices()) + [x])
                 key = bigger.bits.tobytes()
                 if key not in seen:
                     seen[key] = bigger
@@ -345,6 +354,34 @@ def test_subgroup_mask_validation():
     bits[idx[(1, 2, 0)]] = True  # misses its inverse's closure partner
     with pytest.raises(ValueError):
         gc.SubgroupMask(g, bits)
+
+
+@pytest.mark.parametrize("make", [lambda: s3()[0], quaternion_group, lambda: dihedral(4), a4],
+                         ids=["S3", "Q8", "D4", "A4"])
+def test_subgroup_mask_accepts_exactly_the_subgroups(make):
+    g = make()
+    subgroups = {m.bits.tobytes() for m in all_subgroup_masks(g)}
+    others = [x for x in range(g.order) if x != g.identity]
+    for r in range(len(others) + 1):
+        for subset in itertools.combinations(others, r):
+            bits = np.zeros(g.order, dtype=bool)
+            bits[[g.identity, *subset]] = True
+            if bits.tobytes() in subgroups:
+                gc.SubgroupMask(g, bits)
+            else:
+                with pytest.raises(ValueError):
+                    gc.SubgroupMask(g, bits)
+
+
+def test_subgroup_mask_rejects_a_kernel_missing_one_element():
+    hat = hb.hat_gamma_n(4)
+    kernel = hat.theta_kernel.bits
+    assert gc.SubgroupMask(hat.table, kernel).size == hat.theta_kernel_order
+    for x in np.flatnonzero(kernel)[1::37]:
+        bits = kernel.copy()
+        bits[x] = False
+        with pytest.raises(ValueError):
+            gc.SubgroupMask(hat.table, bits)
 
 
 def test_lagrange_on_produced_subgroups():
@@ -684,3 +721,64 @@ def test_local_center_matches_all_pairs_definition(make):
         expected = np.zeros(g.order, dtype=bool)
         expected[idx[(sub == sub.T).all(axis=1)]] = True
         assert np.array_equal(search.local_central_bits(c_bits), expected), x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hb.gamma_n(3),
+    lambda: hb.hat_gamma_n(2).table,
+    lambda: hb.b_n_components(3).table,
+    lambda: sg.rotation_group(sg.OCTA),
+    lambda: gc.direct_product(sg.rotation_group(sg.dihedral_kind(3)), gc.cyclic_table(3)),
+], ids=["Gamma3", "HatGamma2", "B3", "octa", "D6xC3"])
+def test_search_orbits_match_conjugation_by_c(make):
+    """For C = C_G(x), every x: the orbit labels and sizes of C acting on
+    itself are those of c y c^-1 over all c in C."""
+    g = make()
+    mul, inv = g.mul, g.inv
+    search = gc._AbelianSearch(g, None)
+    for x in range(g.order):
+        c_bits = search.centralizer_bits(x)
+        assert np.array_equal(c_bits, mul[x] == mul[:, x]), x
+        idx = np.flatnonzero(c_bits)
+        # conj[c, y] = c y c^-1 for c, y in C
+        conj = mul[mul[np.ix_(idx, idx)], inv[idx][:, None]]
+        labels, sizes = search.local_orbits(c_bits)
+        assert np.array_equal(labels[idx], conj.min(axis=0)), x
+        assert np.array_equal(sizes[idx], [len(np.unique(col)) for col in conj.T]), x
+        assert not sizes[~c_bits].any()
+
+
+def _perm_groups():
+    """Groups generated by 1 to 3 random permutations of degree at most 5."""
+    return st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_perm_groups())
+def test_min_abelian_index_property_on_permutation_groups(perms):
+    d = len(perms[0])
+    g, _ = gc.build_from_generators(tuple(range(d)), [tuple(p) for p in perms], perm_mul)
+    best = max(m.size for m in all_subgroup_masks(g) if m.is_abelian())
+    res = gc.min_abelian_index(g)
+    assert res.index == g.order // best
+    assert res.witness.size == best and res.witness.is_abelian()
+    # a largest abelian subgroup is maximal, so it is its own centralizer
+    assert gc.centralizer(g, res.witness) == res.witness
+
+
+def test_search_computes_a_centralizer_per_entered_node_only():
+    """Child sizes are |C| / |orbit|, so a centralizer is computed only for a
+    child the search enters or a step of the greedy seed, which at least
+    doubles the candidate each time (searching without orbit sizes made 484
+    centralizer calls on this group)."""
+    g = gc.GroupTable(hb.gamma_n(8).mul)
+    calls = []
+    search = gc._AbelianSearch(g, None)
+    fetch = search.centralizer_bits
+    search.centralizer_bits = lambda x: calls.append(x) or fetch(x)
+    search.run()
+    assert search.best_size == 64
+    assert len(calls) <= search.nodes + math.log2(g.order)
+    assert search.centralizers == len(set(calls))
