@@ -23,9 +23,6 @@ SAMPLED_ASSOC_TRIPLES = 100_000
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley table compose_rows allocates
-# centralizer masks the abelian search keeps: 4194 masks at order 12000, while
-# the search computes one per entered node or greedy-seed step
-MAX_CENT_CACHE_BYTES = 48 << 20
 
 _BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
 
@@ -370,16 +367,21 @@ def table_from_json(doc: dict) -> GroupTable:
 # subgroup machinery
 
 
+def _checked_indices(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
+    xs = np.asarray(list(xs), dtype=np.intp)
+    bad = xs[(xs < 0) | (xs >= g.order)]
+    if len(bad):
+        raise ValueError(f"element index {bad[0]} out of range")
+    return xs
+
+
 def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
     """Smallest subgroup containing the seed indices.
 
     This is the left orbit of the identity under the seeds, which in a finite
     group is the subgroup they generate.
     """
-    seed = np.asarray(list(seed), dtype=np.intp)
-    bad = seed[(seed < 0) | (seed >= g.order)]
-    if len(bad):
-        raise ValueError(f"seed index {bad[0]} out of range")
+    seed = _checked_indices(g, seed)
     bits = np.zeros(g.order, dtype=bool)
     bits[g.identity] = True
     frontier = np.array([g.identity])
@@ -390,6 +392,16 @@ def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
     return SubgroupMask(g, bits, _validated=True)
 
 
+def _centralizer_bits(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
+    """Mask of the elements commuting with every x in ``xs``, read from
+    contiguous rows: column x of the table is g x = (x^-1 g^-1)^-1."""
+    inv = g.inv
+    bits = np.ones(g.order, dtype=bool)
+    for x in xs:
+        bits &= g.mul[x] == inv[g.mul[inv[x]][inv]]
+    return bits
+
+
 def _center_bits(g: GroupTable) -> np.ndarray:
     """Read-only mask of the center, computed once per table.
 
@@ -398,7 +410,7 @@ def _center_bits(g: GroupTable) -> np.ndarray:
     cached = getattr(g, "_center_cache", None)
     if cached is not None:
         return cached
-    out = (g.mul[g.gens] == g.mul[:, g.gens].T).all(axis=0)
+    out = _centralizer_bits(g, g.gens)
     out.flags.writeable = False
     g._center_cache = out
     return out
@@ -466,15 +478,13 @@ def center(g: GroupTable) -> SubgroupMask:
 
 
 def centralizer(g: GroupTable, s) -> SubgroupMask:
-    """Elements commuting with every element of ``s`` (mask or index set)."""
+    """Elements commuting with every element of ``s`` (mask or index set), that
+    is with the greedy generators of a mask; ValueError for an index outside G."""
     if isinstance(s, SubgroupMask):
-        idx = s.indices()
+        xs = _greedy_generators(g, s.bits)
     else:
-        idx = sorted(int(x) for x in s)
-    bits = np.ones(g.order, dtype=bool)
-    for x in idx:
-        bits &= g.mul[x, :] == g.mul[:, x]
-    return SubgroupMask(g, bits, _validated=True)
+        xs = _checked_indices(g, s)
+    return SubgroupMask(g, _centralizer_bits(g, xs), _validated=True)
 
 
 def commutators(g: GroupTable, a, b) -> np.ndarray:
@@ -611,7 +621,8 @@ class _AbelianSearch:
     A node is the centralizer C = C_G(H) of the current abelian candidate H.
     Every abelian subgroup through H lies in C, and every inclusion-maximal
     one contains Z(C), which commutes with C; so H is taken to be Z(C) in one
-    step.  C fixes H pointwise and maps the excluded set E into itself, so an
+    step and recorded when it beats the incumbent (the root records Z(G)).
+    C fixes H pointwise and maps the excluded set E into itself, so an
     abelian subgroup through H and x is C-conjugate to one through the
     smallest element of x's orbit under C acting by conjugation.  A node
     branches only on those orbit minima and, after exploring one, excludes
@@ -626,42 +637,27 @@ class _AbelianSearch:
     def __init__(self, g: GroupTable, deadline: Optional[float]):
         self.g = g
         self.n = g.order
-        self.mul = g.mul
-        self.inv = g.inv.astype(g.mul.dtype)
         self.deadline = deadline
         self.orders = all_element_orders(g)
-        self.cent_cache: dict[int, np.ndarray] = {}
-        self.best_size = 1
+        self.best_size = 0
         self.best_mask: Optional[np.ndarray] = None
         self.nodes = 0
         self.root_classes = 0
         self.centralizers = 0
 
     def centralizer_bits(self, x: int) -> np.ndarray:
-        """C_G(x) from contiguous rows: column x is g x = (x^-1 g^-1)^-1."""
-        hit = self.cent_cache.get(x)
-        if hit is None:
-            self.centralizers += 1
-            inv = self.inv
-            hit = self.mul[x] == inv[self.mul[inv[x]][inv]]
-            if (len(self.cent_cache) + 1) * self.n <= MAX_CENT_CACHE_BYTES:
-                self.cent_cache[x] = hit
-        return hit
+        self.centralizers += 1
+        return _centralizer_bits(self.g, [x])
 
-    def record(self, bits: np.ndarray, size: int) -> None:
-        if size > self.best_size:
-            self.best_size = size
-            self.best_mask = bits.copy()
-
-    def extend_abelian(self, h_bits: np.ndarray, x: int) -> tuple[np.ndarray, int]:
-        """Product set H * <x> for x commuting with the abelian subgroup H."""
-        out = h_bits.copy()
+    def meets_excluded(self, h_bits: np.ndarray, x: int, excluded: np.ndarray) -> bool:
+        """Whether H<x> meets E (H misses it): walks the cosets H x^k until x^k is in H."""
         h_idx = np.flatnonzero(h_bits)
         p = int(x)
-        while not out[p]:
-            out[self.mul[h_idx, p]] = True
-            p = int(self.mul[p, x])
-        return out, int(np.count_nonzero(out))
+        while not h_bits[p]:
+            if excluded[self.g.mul[h_idx, p]].any():
+                return True
+            p = int(self.g.mul[p, x])
+        return False
 
     def local_orbits(self, c_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Orbits of the subgroup C given by ``c_bits`` acting on itself by
@@ -677,10 +673,6 @@ class _AbelianSearch:
             labels = _conjugation_orbits(self.g, _greedy_generators(self.g, c_bits), c_bits)
         return labels, np.bincount(labels[c_bits], minlength=self.n)[labels]
 
-    def local_central_bits(self, c_bits: np.ndarray) -> np.ndarray:
-        """Mask over G of Z(C): the elements of C alone in their C-orbit."""
-        return self.local_orbits(c_bits)[1] == 1
-
     def check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(
@@ -688,57 +680,21 @@ class _AbelianSearch:
                 best_order_found=self.best_size,
             )
 
-    def cyclic_meet(self, h_bits: np.ndarray, x: int) -> int:
-        """|H meet <x>| by walking the powers of x."""
-        meet = 0
-        p = int(x)
-        for _ in range(int(self.orders[x])):
-            if h_bits[p]:
-                meet += 1
-            p = int(self.mul[p, x])
-        return max(meet, 1)
-
-    def greedy_seed(self) -> None:
-        h_bits = _center_bits(self.g).copy()
-        h_bits[self.g.identity] = True
-        h_size = int(np.count_nonzero(h_bits))
-        c_bits = np.ones(self.n, dtype=bool)  # C_G(H)
-        while True:
-            # record first, so a timeout reports at least the center
-            self.record(h_bits, h_size)
-            self.check_time()
-            # the gain of x is invariant under conjugation by C, which fixes H
-            # pointwise: the first max-gain element is the smallest of its orbit
-            labels = self.local_orbits(c_bits)[0]
-            cand = np.flatnonzero(c_bits & ~h_bits)
-            cand = cand[labels[cand] == cand]
-            best_gain, best_x = h_size, -1
-            for x in cand.tolist():
-                grown = h_size * int(self.orders[x]) // self.cyclic_meet(h_bits, x)
-                if grown > best_gain:
-                    best_gain, best_x = grown, x
-            if best_x < 0:
-                return
-            h_bits, h_size = self.extend_abelian(h_bits, best_x)
-            c_bits &= self.centralizer_bits(best_x)
-
     def run(self) -> None:
-        self.greedy_seed()
         self.descend(np.ones(self.n, dtype=bool), np.zeros(self.n, dtype=bool))
 
     def descend(self, c_bits: np.ndarray, excluded: np.ndarray) -> None:
-        self.check_time()
+        """Search below C = ``c_bits``; the caller checked that |C| beats the incumbent."""
         self.nodes += 1
         c_size = int(np.count_nonzero(c_bits))
-        if c_size <= self.best_size:
-            return
         labels, sizes = self.local_orbits(c_bits)
         h_bits = sizes == 1  # H := Z(C)
         if (h_bits & excluded).any():
             # every maximal abelian subgroup here needs an excluded element
             return
         h_size = int(np.count_nonzero(h_bits))
-        self.record(h_bits, h_size)
+        if h_size > self.best_size:
+            self.best_size, self.best_mask = h_size, h_bits
         cand = np.flatnonzero(c_bits & ~h_bits & ~excluded)
         cand = cand[labels[cand] == cand]
         cand = cand[np.lexsort((cand, self.orders[cand]))]
@@ -749,10 +705,9 @@ class _AbelianSearch:
             self.check_time()
             if _largest_subgroup_bound(c_size, h_size, avail) <= self.best_size:
                 return
-            if c_size // int(sizes[x]) > self.best_size:  # |C cap C_G(x)|
-                h2, _ = self.extend_abelian(h_bits, x)
-                if not (h2 & excluded).any():
-                    self.descend(c_bits & self.centralizer_bits(x), excluded)
+            enter = c_size // int(sizes[x]) > self.best_size  # |C cap C_G(x)|
+            if enter and not self.meets_excluded(h_bits, x, excluded):
+                self.descend(c_bits & self.centralizer_bits(x), excluded)
             excluded |= labels == x
             avail -= int(sizes[x])
             if root:
@@ -764,17 +719,13 @@ def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> Abelia
 
     Deterministic branch and bound over commuting extensions.  When
     ``budget_s`` is given and exceeded, SearchTimeout is raised instead of
-    returning a partial answer.
+    returning a partial answer; it carries the order of the incumbent, at
+    least that of the center.
     """
     cached = getattr(g, "_min_abelian_cache", None)
     if cached is not None:
         return cached
     t0 = time.monotonic()
-    if g.is_abelian():
-        bits = np.ones(g.order, dtype=bool)
-        result = AbelianIndexResult(1, SubgroupMask(g, bits, _validated=True))
-        g._min_abelian_cache = result
-        return result
     search = _AbelianSearch(g, None if budget_s is None else t0 + float(budget_s))
     search.run()
     witness = SubgroupMask(g, search.best_mask)
