@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .group_core import (
     GroupTable,
     Homomorphism,
     SubgroupMask,
-    build_from_generators,
+    closure,
     compose_rows,
     cyclic_table,
     is_normal,
@@ -163,6 +163,21 @@ def parse_heis_literal(text: str, n: int) -> HeisElem:
     return heis_elem(n, x, y, z)
 
 
+def _digit_tree(radices: Sequence[int]) -> tuple[list, np.ndarray, np.ndarray]:
+    """Mixed-radix codes 0 .. prod(radices) - 1 as a tree for ``compose_rows``:
+    the digit arrays, most significant first, and for code t > 0 its parent,
+    t with its lowest nonzero digit lowered by one, and ``via[t]``, the
+    position of that digit (whose generator raises it)."""
+    places = np.cumprod([1, *radices[:0:-1]])[::-1]
+    codes = np.arange(int(np.prod(radices)))
+    digits = [codes // p % r for p, r in zip(places, radices)]
+    lowest = np.stack(digits[::-1]) != 0
+    via = len(radices) - 1 - np.argmax(lowest, axis=0)
+    parent = codes - places[via]
+    parent[0] = via[0] = -1
+    return digits, parent, via
+
+
 # ---------------------------------------------------------------------------
 # the group Gamma_n
 
@@ -178,20 +193,15 @@ def _gamma_n_cached(n: int, cap: int) -> GroupTable:
         raise InvalidInput("modulus must be at least 2")
     if n**3 > cap:
         raise CapExceeded(f"order {n**3} exceeds cap {cap}")
-    m = n**3
-    codes = np.arange(m)
-    xy, z = np.divmod(codes, n)
-    x, y = np.divmod(xy, n)
-    # code order is a tree: A(x,y,z) is c A(x,y,z-1), A(x,y,0) is b A(x,y-1,0)
-    # and A(x,0,0) is a A(x-1,0,0); the law fills the rows of a, b and c
-    via = np.where(z > 0, 2, np.where(y > 0, 1, 0))
-    parent = codes - np.array([n * n, n, 1])[via]
+    # digits (x, y, z): A(x,y,z) is c A(x,y,z-1), A(x,y,0) is b A(x,y-1,0)
+    # and A(x,0,0) is a A(x-1,0,0)
+    (x, y, z), parent, via = _digit_tree((n, n, n))
     gen_rows = []
     for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)):
         rx, ry, rz2 = _heis_law(n, s, (x, y, 2 * z))
         gen_rows.append((rx * n + ry) * n + rz2 // 2)
-    labels = [f"A({int(a)},{int(b)},{int(c)})" for a, b, c in zip(x, y, z)]
-    return GroupTable(compose_rows(gen_rows, parent, via), labels=labels, name=f"Gamma_{n}")
+    labels = [f"A({a},{b},{c})" for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
+    return compose_rows(gen_rows, parent, via, labels=labels, name=f"Gamma_{n}")
 
 
 def gamma_elem_index(n: int, x: int, y: int, z: int) -> int:
@@ -243,7 +253,6 @@ class HatGroup:
     gamma_image: SubgroupMask    # image of the integral translation group
     theta_kernel: SubgroupMask
     coords: np.ndarray           # (order, 4) rows (x, y, z2, k)
-    code_lookup: np.ndarray      # packed coordinate code -> element index
 
     @property
     def order(self) -> int:
@@ -252,22 +261,15 @@ class HatGroup:
     def index_of(self, e: HatElem) -> int:
         if e.g.n != self.n:
             raise ModulusMismatch(f"element modulus {e.g.n}, group modulus {self.n}")
-        idx = int(self.code_lookup[_hat_code(self.n, e.g.x, e.g.y, e.g.z2, e.k)])
-        if idx < 0:
-            raise ValueError(f"{e} is not in the closure")
-        return idx
+        return int(_hat_code(self.n, e.g.x, e.g.y, e.g.z2, e.k))
 
     def element_at(self, idx: int) -> HatElem:
         x, y, z2, k = (int(v) for v in self.coords[idx])
         return HatElem(HeisElem(self.n, x, y, z2), k)
 
-    @property
+    @cached_property
     def gamma_image_normal(self) -> bool:
-        cached = getattr(self, "_gamma_normal", None)
-        if cached is None:
-            cached = is_normal(self.table, self.gamma_image)
-            self._gamma_normal = cached
-        return cached
+        return is_normal(self.table, self.gamma_image)
 
     @property
     def gamma_image_index(self) -> int:
@@ -283,18 +285,21 @@ class HatGroup:
 
 
 def _hat_code(n: int, x, y, z2, k):
-    """Packed code of (x, y, z2, k) in [0, 12 n^3); entries are ints or int arrays."""
-    return ((x * n + y) * (2 * n) + z2) * 6 + k
+    """Code of (x, y, z2, k) in [0, 12 n^3), with digits (k, x, y, z2) of
+    radices (6, n, n, 2n); entries are ints or int arrays.  It is the
+    element's index in ``hat_gamma_n(n)``."""
+    return ((k * n + x) * n + y) * (2 * n) + z2
 
 
 def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     """Closure of {(gamma, 0)} and (identity, 1) in the twisted pair group.
 
     Pairs (g, k) with g half-integral mod n and k mod 6 compose as
-    (g, k)(g', k') = (g * h^k(g'), k + k').  The closure is computed, not
-    assumed: it decides for itself whether half-integral central elements
-    appear (they do, for every even n, which makes the kernel of the
-    order-6 projection twice the size of the translation image).
+    (g, k)(g', k') = (g * h^k(g'), k + k').  The table is composed on all
+    12 n^3 pairs, and the order is computed, not assumed: the closure of h,
+    a and b alone must be the whole set, so the half-integral central
+    elements appear (they do, for every even n, which makes the kernel of
+    the order-6 projection twice the size of the translation image).
     """
     return _hat_gamma_cached(int(n), int(cap))
 
@@ -306,29 +311,20 @@ def _hat_gamma_cached(n: int, cap: int) -> HatGroup:
     ambient = 12 * n**3
     if ambient > cap:
         raise CapExceeded(f"ambient order {ambient} exceeds cap {cap}")
-
-    def prod(a: tuple, b: tuple) -> tuple:
-        g = b[:3]
-        for _ in range(a[3]):
-            g = _twist(n, g)
-        return (*_heis_law(n, a[:3], g), (a[3] + b[3]) % 6)
-
-    table, index = build_from_generators(
-        (0, 0, 0, 0),
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)],
-        prod,
-        cap=cap,
-        labeler=lambda e: f"A({e[0]},{e[1]},{_format_half(e[2])})h^{e[3]}",
-        name=f"HatGamma_{n}",
-    )
-    arr = np.array(list(index), dtype=np.int64)
-    X, Y, Z2, K = np.ascontiguousarray(arr.T)
-    lookup = np.full(12 * n**3, -1, dtype=np.int64)
-    lookup[_hat_code(n, X, Y, Z2, K)] = np.arange(table.order)
-    theta = Homomorphism(table, cyclic_table(6, name="C6"), K.copy())
-    gamma_image = SubgroupMask(table, (K == 0) & (Z2 % 2 == 0))
-    theta_kernel = SubgroupMask(table, K == 0)
-    return HatGroup(n, table, theta, gamma_image, theta_kernel, arr, lookup)
+    # generators h, a, b and the half-integral central element (0, 0, 1/2)
+    (k, x, y, z2), parent, via = _digit_tree((6, n, n, 2 * n))
+    g = (x, y, z2)
+    gen_rows = [_hat_code(n, *_twist(n, g), (k + 1) % 6)] + [
+        _hat_code(n, *_heis_law(n, s, g), k) for s in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    labels = [f"A({a},{b},{_format_half(c)})h^{d}"
+              for a, b, c, d in zip(x.tolist(), y.tolist(), z2.tolist(), k.tolist())]
+    table = compose_rows(gen_rows, parent, via, labels=labels, name=f"HatGamma_{n}")
+    if closure(table, [int(r[0]) for r in gen_rows[:3]]).size != ambient:
+        raise RuntimeError(f"h, a and b do not generate all {ambient} pairs")
+    theta = Homomorphism(table, cyclic_table(6, name="C6"), k)
+    gamma_image = SubgroupMask(table, (k == 0) & (z2 % 2 == 0))
+    theta_kernel = SubgroupMask(table, k == 0)
+    return HatGroup(n, table, theta, gamma_image, theta_kernel, np.stack([x, y, z2, k], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -376,33 +372,20 @@ def _b_n_cached(n: int, cap: int) -> BnData:
         raise ValueError("n must be positive")
     if 6 * n * n > cap:
         raise CapExceeded(f"order {6 * n * n} exceeds cap {cap}")
-
-    chi_pows = [_chi_pow(n, k) for k in range(6)]
-
-    def prod(p: tuple, q: tuple) -> tuple:
-        u, v, k = p
-        u2, v2, k2 = q
-        a, b, c, d = chi_pows[k]
-        return ((u + a * u2 + b * v2) % n, (v + c * u2 + d * v2) % n, (k + k2) % 6)
-
-    ident = (0, 0, 0)
-    chi = (0, 0, 1)
-    ta = (1 % n, 0, 0)
-    tb = (0, 1 % n, 0)
-    table, index = build_from_generators(
-        ident,
-        [chi, ta, tb],
-        prod,
-        cap=cap,
-        labeler=lambda e: f"t({e[0]},{e[1]})chi^{e[2]}",
-        name=f"B_{n}",
-    )
-    k_of = np.zeros(table.order, dtype=np.int64)
-    for elem, i in index.items():
-        k_of[i] = elem[2]
-    translations = SubgroupMask(table, k_of == 0)
-    zeta = Homomorphism(table, cyclic_table(6, name="C6"), k_of)
-    return BnData(n, table, translations, zeta, index[chi], index[ta], index[tb])
+    # digits (k, u, v) of t(u,v) chi^k; generators chi, t_a and t_b
+    (k, u, v), parent, via = _digit_tree((6, n, n))
+    a, b, c, d = _chi_pow(n, 1)
+    gen_rows = [
+        ((k + 1) % 6 * n + (a * u + b * v) % n) * n + (c * u + d * v) % n,
+        (k * n + (u + 1) % n) * n + v,
+        (k * n + u) * n + (v + 1) % n,
+    ]
+    labels = [f"t({p},{q})chi^{r}" for p, q, r in zip(u.tolist(), v.tolist(), k.tolist())]
+    table = compose_rows(gen_rows, parent, via, labels=labels, name=f"B_{n}")
+    translations = SubgroupMask(table, k == 0)
+    zeta = Homomorphism(table, cyclic_table(6, name="C6"), k)
+    chi, ta, tb = (int(r[0]) for r in gen_rows)
+    return BnData(n, table, translations, zeta, chi, ta, tb)
 
 
 def b_n_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:

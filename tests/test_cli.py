@@ -167,7 +167,7 @@ def test_usage_error_exit_code():
 
 def test_cap_exit_code():
     # order 32768 fits the cap, but its int32 table (4.3 GB) is over the memory
-    # guard; the hat closure of order 32928 stops as it passes order 32767
+    # guard, and so is the hat table of order 32928; neither is allocated
     for args in (("gamma", "--n", "30", "--cap", "1000"),
                  ("gamma", "--n", "32", "--cap", "40000"),
                  ("hat-gamma", "--n", "14", "--cap", "40000")):

@@ -212,6 +212,118 @@ def test_compose_rows_refuses_an_oversized_table():
         gc.compose_rows([], parent, parent)
 
 
+def _corrupted_gamma_9():
+    # an order-729 table with identity and inverses intact, but row 1 has
+    # columns 3 and 4 swapped; a sample of 100,000 triples misses the fault
+    mul = hb.gamma_n(9).mul.copy()
+    mul[1, [3, 4]] = mul[1, [4, 3]]
+    return mul
+
+
+def test_table_rejects_a_corrupted_table_above_order_512():
+    with pytest.raises(ValueError, match="not associative"):
+        gc.GroupTable(_corrupted_gamma_9())
+    doc = gc.table_to_json(hb.gamma_n(9))
+    doc["mul"] = _corrupted_gamma_9().tolist()
+    with pytest.raises(ValueError, match="not associative"):
+        gc.table_from_json(doc)
+
+
+def _small_tables():
+    """Tables with identity 0 of order <= 8: a group relabelled, then up to
+    three entries off the identity's row and column overwritten."""
+    bases = [gc.cyclic_table(d) for d in range(1, 9)]
+    bases += [s3()[0], dihedral(4), quaternion_group()]
+    bases += [gc.direct_product(gc.cyclic_table(2), gc.cyclic_table(d)) for d in (2, 4)]
+
+    def edit(base, perm, edits):
+        d = base.order
+        p = np.array([0, *perm])
+        mul = np.empty((d, d), dtype=np.int64)
+        mul[np.ix_(p, p)] = p[base.mul]
+        for i, j, v in edits:
+            if d > 1:
+                mul[1 + i % (d - 1), 1 + j % (d - 1)] = v % d
+        return mul
+
+    return st.sampled_from(bases).flatmap(
+        lambda b: st.builds(
+            edit,
+            st.just(b),
+            st.permutations(range(1, b.order)),
+            st.lists(st.tuples(*[st.integers(0, 7)] * 3), max_size=3),
+        )
+    )
+
+
+def _is_group(mul):
+    m = len(mul)
+    rng = np.arange(m)
+    associative = np.array_equal(mul[mul], mul[rng[:, None, None], mul[None]])
+    identity = np.array_equal(mul[0], rng) and np.array_equal(mul[:, 0], rng)
+    return associative and identity and bool((mul == 0).any(axis=1).all())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_small_tables(), st.data())
+def test_compose_rows_accepts_exactly_the_groups(mul, data):
+    """The certificate against brute force: the table composed along the
+    closure of random generators is accepted exactly when it is a group."""
+    gens = data.draw(st.lists(st.sampled_from(range(len(mul))), min_size=1, unique=True))
+    _, _, parent, via, rows = gc.close_under(0, gens, lambda s, a: int(mul[s, a]), cap=64)
+    composed = np.empty((len(parent), len(parent)), dtype=np.int64)
+    composed[0] = np.arange(len(parent))
+    for t in range(1, len(parent)):
+        composed[t] = rows[via[t]][composed[parent[t]]]
+    try:
+        g = gc.compose_rows(rows, parent, via)
+    except ValueError:
+        g = None
+    assert (g is not None) == _is_group(composed)
+    if g is not None:
+        assert np.array_equal(g.mul, composed)
+
+
+def test_compose_rows_refuses_a_tree_whose_words_miss_their_codes():
+    # Gamma_3's rows along its digit tree, with the a and b edges swapped:
+    # the word of code t no longer sends 0 to t
+    (x, y, z), parent, via = hb._digit_tree((3, 3, 3))
+    rows = [(x + 1) % 3 * 9 + y * 3 + (z + y) % 3, x * 9 + (y + 1) % 3 * 3 + z,
+            x * 9 + y * 3 + (z + 1) % 3]
+    assert np.array_equal(gc.compose_rows(rows, parent, via).mul, hb.gamma_n(3).mul)
+    with pytest.raises(ValueError, match="column 0"):
+        gc.compose_rows(rows, parent, np.where(via == 2, 2, 1 - via))
+
+
+def test_closures_return_their_discovery_tree(monkeypatch):
+    closures = []
+    real = gc.close_under
+
+    def recording(identity, gens, product, cap):
+        gens = list(gens)
+        out = real(identity, gens, product, cap)
+        closures.append((gens, product, out))
+        return out
+
+    monkeypatch.setattr(gc, "close_under", recording)
+    sg.rotation_group(sg.TETRA)
+    sg.b_n_affine(3)
+    gc.automorphisms(gc.cyclic_table(6))
+    assert len(closures) == 3
+    for gens, product, (elements, index, parent, via, rows) in closures:
+        assert parent[0] == -1 and via[0] == -1
+        assert len(parent) == len(via) == len(elements) == len(index)
+        assert rows.shape == (len(gens), len(elements))
+        assert rows.dtype == gc._index_dtype(len(elements))
+        for i in range(1, len(elements)):
+            assert parent[i] < i
+            assert elements[i] == product(gens[via[i]], elements[parent[i]])
+            assert index[elements[i]] == i
+        for j, s in enumerate(gens):
+            for i, a in enumerate(elements):
+                assert rows[j][i] == index[product(s, a)]
+
+
 def test_closure_stops_at_the_largest_table_order():
     # a cyclic group of order 40,000 is within the cap, but its table is not
     products = []
@@ -778,6 +890,27 @@ def test_min_abelian_index_property_on_permutation_groups(perms):
     assert res.witness.size == best and res.witness.is_abelian()
     # a largest abelian subgroup is maximal, so it is its own centralizer
     assert gc.centralizer(g, res.witness) == res.witness
+
+
+def test_greedy_generators_grow_the_closures_the_identity_gives():
+    def from_identity(g, bits):
+        gens = []
+        outside = bits.copy()
+        outside[g.identity] = False
+        while outside.any():
+            gens.append(int(np.argmax(outside)))
+            outside = bits & ~gc.closure(g, gens).bits
+        return gens
+
+    g = hb.gamma_n(20)
+    search = gc._AbelianSearch(g, None)
+    centralizers = []
+    orbits = search.local_orbits
+    search.local_orbits = lambda c_bits: centralizers.append(c_bits) or orbits(c_bits)
+    search.run()
+    assert len(centralizers) == search.nodes > 1
+    for bits in centralizers:
+        assert gc._greedy_generators(g, bits) == from_identity(g, bits)
 
 
 def test_search_computes_a_centralizer_per_entered_node_only():

@@ -321,38 +321,8 @@ def test_hat_table_equals_the_law_on_all_pairs(n):
     for i in range(hat.order):
         k = K[i]
         rx, ry, rz2 = hb._heis_law(n, (X[i], Y[i], Z2[i]), powers[k])
-        row = hat.code_lookup[((rx * n + ry) * (2 * n) + rz2) * 6 + (k + K) % 6]
+        row = hb._hat_code(n, rx, ry, rz2, (k + K) % 6)
         assert np.array_equal(hat.table.mul[i], row), i
-
-
-def test_closures_return_their_discovery_tree(monkeypatch):
-    closures = []
-    real = gc.close_under
-
-    def recording(identity, gens, product, cap):
-        gens = list(gens)
-        out = real(identity, gens, product, cap)
-        closures.append((gens, product, out))
-        return out
-
-    monkeypatch.setattr(gc, "close_under", recording)
-    # bypass the constructors' caches so that each one closes afresh
-    hb._hat_gamma_cached.__wrapped__(4, gc.DEFAULT_ORDER_CAP)
-    hb._b_n_cached.__wrapped__(3, gc.DEFAULT_ORDER_CAP)
-    gc.automorphisms(gc.cyclic_table(6))
-    assert len(closures) == 3
-    for gens, product, (elements, index, parent, via, rows) in closures:
-        assert parent[0] == -1 and via[0] == -1
-        assert len(parent) == len(via) == len(elements) == len(index)
-        assert rows.shape == (len(gens), len(elements))
-        assert rows.dtype == gc._index_dtype(len(elements))
-        for i in range(1, len(elements)):
-            assert parent[i] < i
-            assert elements[i] == product(gens[via[i]], elements[parent[i]])
-            assert index[elements[i]] == i
-        for j, s in enumerate(gens):
-            for i, a in enumerate(elements):
-                assert rows[j][i] == index[product(s, a)]
 
 
 def test_greedy_generating_set_drops_redundant_generators():
@@ -410,6 +380,20 @@ def test_bn_order_and_relations(n):
     assert t.mul_idx(t.mul_idx(chi_inv, ta), chi) == t.mul_idx(ta, t.inv_idx(tb))
     assert t.mul_idx(t.mul_idx(chi_inv, tb), chi) == ta
     assert gc.element_order(t, chi) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bn_table_equals_the_law_on_all_pairs(n):
+    # (v, k)(v', k') = (v + chi^k v', k + k'), element t(u,v)chi^k at (k n + u) n + v
+    data = hb.b_n_components(n)
+    k, uv = np.divmod(np.arange(6 * n * n), n * n)
+    u, v = np.divmod(uv, n)
+    for i in range(data.table.order):
+        (a, b), (c, d) = np.linalg.matrix_power(np.array(hb.CHI_MATRIX), int(k[i]))
+        pu, pv = (u[i] + a * u + b * v) % n, (v[i] + c * u + d * v) % n
+        assert np.array_equal(data.table.mul[i], ((k[i] + k) % 6 * n + pu) * n + pv), i
+    assert (data.chi_idx, data.ta_idx, data.tb_idx) == (n * n, 1 % n * n, 1 % n)
+    assert data.table.labels[data.chi_idx] == "t(0,0)chi^1"
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
