@@ -55,7 +55,16 @@ class VerificationReport:
     search: Optional[dict] = None  # how hard the abelian-subgroup search worked
 
     def add(self, name, law, expected, computed, source, passed) -> None:
+        """A claim with its verdict given; only bounds ("<= 12") need this."""
         self.claims.append(Claim(name, law, expected, computed, source, passed))
+
+    def check(self, name, law, expected, computed, source) -> None:
+        """A claim that passes exactly when the computed value equals the expected one."""
+        self.add(name, law, expected, computed, source, bool(computed == expected))
+
+    def info(self, name, law, computed, source) -> None:
+        """An informational claim: nothing is expected, so it neither passes nor fails."""
+        self.add(name, law, None, computed, source, None)
 
     def all_pass(self) -> bool:
         return all(c.passed is not False for c in self.claims)
@@ -108,14 +117,12 @@ def cmd_gamma(args) -> int:
     center = gc.center(g)
     comm = gc.commutator_subgroup(g)
     res = gc.min_abelian_index(g, budget_s=args.budget_s)
-    rep.add("order", "the mod-n group has n^3 elements",
-            n**3, g.order, "closed-form", g.order == n**3)
-    rep.add("center-order", "the center has n elements",
-            n, center.size, "closed-form", center.size == n)
-    rep.add("commutator-equals-center", "commutator subgroup and center coincide",
-            True, comm == center, "enumeration", comm == center)
-    rep.add("min-abelian-index", "minimal abelian-subgroup index equals n",
-            n, res.index, "enumeration", res.index == n)
+    rep.check("order", "the mod-n group has n^3 elements", n**3, g.order, "closed-form")
+    rep.check("center-order", "the center has n elements", n, center.size, "closed-form")
+    rep.check("commutator-equals-center", "commutator subgroup and center coincide",
+              True, comm == center, "enumeration")
+    rep.check("min-abelian-index", "minimal abelian-subgroup index equals n",
+              n, res.index, "enumeration")
     rep.search = _search_stats(res)
     _dump_group(args.dump_group, g)
     return _emit(rep, t0)
@@ -128,26 +135,25 @@ def cmd_hat_gamma(args) -> int:
     _check_dump_target(args.dump_group)
     hat = hb.hat_gamma_n(n, cap=args.cap)
     res = gc.min_abelian_index(hat.table, budget_s=args.budget_s)
-    rep.add("order", "computed order of the twisted closure",
-            None, hat.order, "enumeration", None)
-    rep.add("theta-onto", "projection onto the order-6 quotient is surjective",
-            True, hat.theta_surjective, "enumeration", hat.theta_surjective)
-    rep.add("theta-kernel-order", "computed kernel order of the order-6 projection",
-            None, hat.theta_kernel_order, "enumeration", None)
+    rep.info("order", "computed order of the twisted closure", hat.order, "enumeration")
+    rep.check("theta-onto", "projection onto the order-6 quotient is surjective",
+              True, hat.theta_surjective, "enumeration")
+    rep.info("theta-kernel-order", "computed kernel order of the order-6 projection",
+             hat.theta_kernel_order, "enumeration")
     rep.add("gamma-image-index", "index of the translation image divides 12",
             "divisor of 12", hat.gamma_image_index, "enumeration",
             12 % hat.gamma_image_index == 0)
-    rep.add("gamma-image-normal", "whether the translation image is normal",
-            None, hat.gamma_image_normal, "enumeration", None)
+    rep.info("gamma-image-normal", "whether the translation image is normal",
+             hat.gamma_image_normal, "enumeration")
     floor = 6 * n
     if n >= 8:
         rep.add("min-abelian-index-floor",
                 "every abelian subgroup has index at least 6n",
                 f">= {floor}", res.index, "enumeration", res.index >= floor)
     else:
-        rep.add("min-abelian-index",
-                "computed minimal abelian index (floor asserted only for n >= 8)",
-                None, res.index, "enumeration", None)
+        rep.info("min-abelian-index",
+                 "computed minimal abelian index (floor asserted only for n >= 8)",
+                 res.index, "enumeration")
     rep.search = _search_stats(res)
     _dump_group(args.dump_group, hat.table)
     return _emit(rep, t0)
@@ -185,24 +191,22 @@ def cmd_bound(args) -> int:
     rep = VerificationReport("bound", {"alpha": str(alpha), "beta": str(beta),
                                        "p": args.p})
     lam = jb.lambda_of(s)
-    rep.add("lambda", "largest even integer strictly below |2 alpha / beta|, else 1",
-            None, lam, "closed-form", None)
-    rep.add("jordan-bound", "uniform abelian-index bound max(144, 6 lambda)",
-            None, jb.jordan_bound(s), "closed-form", None)
-    rep.add("admissible-degrees", "even degrees strictly inside the ratio window",
-            None, jb.admissible_fixed_surface_degrees(s), "closed-form", None)
+    rep.info("lambda", "largest even integer strictly below |2 alpha / beta|, else 1",
+             lam, "closed-form")
+    rep.info("jordan-bound", "uniform abelian-index bound max(144, 6 lambda)",
+             jb.jordan_bound(s), "closed-form")
+    rep.info("admissible-degrees", "even degrees strictly inside the ratio window",
+             jb.admissible_fixed_surface_degrees(s), "closed-form")
     if args.p is not None:
         adm = jb.nonabelian_p_admissible(s, args.p)
         # cross-check against the independently computed degree window
         in_window = 2 * args.p in set(jb.admissible_fixed_surface_degrees(s))
-        rep.add("p-admissible",
-                "a nonabelian p-group occurs exactly when 2p fits the degree window",
-                in_window, adm.admissible, "closed-form",
-                adm.admissible == in_window)
+        rep.check("p-admissible",
+                  "a nonabelian p-group occurs exactly when 2p fits the degree window",
+                  in_window, adm.admissible, "closed-form")
         if adm.admissible:
-            rep.add("p-witness", "witness group and its presentation",
-                    None, f"{adm.witness_group}: {adm.witness_presentation}",
-                    "closed-form", None)
+            rep.info("p-witness", "witness group and its presentation",
+                     f"{adm.witness_group}: {adm.witness_presentation}", "closed-form")
     return _emit(rep, t0)
 
 
@@ -214,39 +218,34 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> 
     for n in range(2, max_n + 1):
         data = qp.gamma_central_data(n, cap=cap)
         for prop in qp.verify_q_properties(data):
-            rep.add(f"q-{prop.name}-n{n}", prop.law, "pass",
-                    "pass" if prop.passed else f"fail at {prop.counterexample}",
-                    "enumeration", prop.passed)
+            rep.check(f"q-{prop.name}-n{n}", prop.law, "pass",
+                      "pass" if prop.passed else f"fail at {prop.counterexample}",
+                      "enumeration")
         if data.g.order <= 1000:
-            ok = qp.verify_lift_independence(data)
-            rep.add(f"q-lift-independent-n{n}",
-                    "pairing value does not depend on the chosen lifts",
-                    True, ok, "enumeration", ok)
+            rep.check(f"q-lift-independent-n{n}",
+                      "pairing value does not depend on the chosen lifts",
+                      True, qp.verify_lift_independence(data), "enumeration")
         dc = qp.check_dc_bound(data)
-        rep.add(f"dc-bound-n{n}",
-                "square of the commutator order is at most the quotient order",
-                True, dc.bound_holds, "enumeration", dc.bound_holds)
-        rep.add(f"dc-tight-n{n}",
-                "the bound is attained with equality on this family",
-                dc.gamma_b_order, dc.d_c**2, "closed-form",
-                dc.d_c**2 == dc.gamma_b_order)
-        rep.add(f"dc-generator-n{n}",
-                "a single pairing value generates the commutator subgroup",
-                True, dc.generator_attains, "enumeration", dc.generator_attains)
-        pull = qp.abelian_pullback(data)
-        idx = gc.min_abelian_index(data.g, budget_s=budget_s).index
-        rep.add(f"pullback-meets-search-n{n}",
-                "cyclic-pullback index equals the searched minimal abelian index",
-                idx, pull.index, "enumeration", pull.index == idx)
+        rep.check(f"dc-bound-n{n}",
+                  "square of the commutator order is at most the quotient order",
+                  True, dc.bound_holds, "enumeration")
+        rep.check(f"dc-tight-n{n}", "the bound is attained with equality on this family",
+                  dc.gamma_b_order, dc.d_c**2, "closed-form")
+        rep.check(f"dc-generator-n{n}",
+                  "a single pairing value generates the commutator subgroup",
+                  True, dc.generator_attains, "enumeration")
+        pull_index = qp.abelian_pullback(data).index
+        rep.check(f"pullback-meets-search-n{n}",
+                  "cyclic-pullback index equals the searched minimal abelian index",
+                  gc.min_abelian_index(data.g, budget_s=budget_s).index, pull_index,
+                  "enumeration")
     if max_n >= 6:
         data = qp.gamma_central_data(6, cap=cap)
         ordB = gc.all_element_orders(data.gammaB)
         a = int(np.flatnonzero(ordB == 2)[0])
         b = int(np.flatnonzero(ordB == 3)[0])
-        val = qp.q_pair(data, a, b)
-        rep.add("q-mixed-prime-n6",
-                "pairing of a 2-element with a 3-element is the identity",
-                data.g.identity, val, "enumeration", val == data.g.identity)
+        rep.check("q-mixed-prime-n6", "pairing of a 2-element with a 3-element is the identity",
+                  data.g.identity, qp.q_pair(data, a, b), "enumeration")
 
 
 def _suite_esfera(rep: VerificationReport, cap: int) -> None:
@@ -261,78 +260,65 @@ def _suite_esfera(rep: VerificationReport, cap: int) -> None:
     for kind in kinds:
         g = sg.rotation_group(kind, cap=cap)
         want = expected_orders[kind.tag](kind.n)
-        rep.add(f"order-{kind}", "group order of the rotation family member",
-                want, g.order, "closed-form", g.order == want)
+        rep.check(f"order-{kind}", "group order of the rotation family member",
+                  want, g.order, "closed-form")
         wit = sg.esfera_witness(g, kind)
         if kind.tag in ("cyclic", "dihedral"):
-            rep.add(f"sigma-{kind}", "the distinguished subgroup is characteristic",
-                    1, wit.sigma_count, "enumeration", wit.sigma_count == 1)
+            rep.check(f"sigma-{kind}", "the distinguished subgroup is characteristic",
+                      1, wit.sigma_count, "enumeration")
         elif kind.tag in ("tetra", "octa"):
-            rep.add(f"sigma-{kind}", "automorphism orbit of the subgroup has 3 members",
-                    3, wit.sigma_count, "enumeration", wit.sigma_count == 3)
+            rep.check(f"sigma-{kind}", "automorphism orbit of the subgroup has 3 members",
+                      3, wit.sigma_count, "enumeration")
         else:
             rep.add(f"sigma-{kind}", "automorphism orbit stays within the bound 12",
                     "<= 12", wit.sigma_count, "documented-bound", wit.sigma_count <= 12)
         if kind.tag in ("tetra", "octa", "icosa"):
-            rep.add(f"inverting-{kind}",
-                    "an element conjugates the subgroup elementwise to inverses",
-                    True, wit.inverting_element is not None, "enumeration",
-                    wit.inverting_element is not None)
+            rep.check(f"inverting-{kind}",
+                      "an element conjugates the subgroup elementwise to inverses",
+                      True, wit.inverting_element is not None, "enumeration")
         for p in (3, 5, 7):
             if g.order % p == 0:
                 sub, _ = gc.subgroup_table(g, gc.sylow(g, p))
-                ok = sg.p_group_on_sphere_is_cyclic(p, sub)
-                rep.add(f"odd-sylow-cyclic-{kind}-p{p}",
-                        "odd-order p-subgroups of rotation groups are cyclic",
-                        True, ok, "enumeration", ok)
+                rep.check(f"odd-sylow-cyclic-{kind}-p{p}",
+                          "odd-order p-subgroups of rotation groups are cyclic",
+                          True, sg.p_group_on_sphere_is_cyclic(p, sub), "enumeration")
 
 
 def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
     for bound in range(2, 11):
-        orders = sg.torus_point_orders(bound)
-        rep.add(f"point-orders-bound{bound}",
-                "finite-order torus symmetries have order 1, 2, 3, 4 or 6",
-                [1, 2, 3, 4, 6], sorted(orders), "enumeration",
-                orders == {1, 2, 3, 4, 6})
+        rep.check(f"point-orders-bound{bound}",
+                  "finite-order torus symmetries have order 1, 2, 3, 4 or 6",
+                  [1, 2, 3, 4, 6], sorted(sg.torus_point_orders(bound)), "enumeration")
     for n in range(2, max_n + 1):
         data = hb.b_n_components(n, cap=cap)
         t = data.table
-        rep.add(f"bn-order-n{n}", "the torus extension has order 6 n^2",
-                6 * n * n, t.order, "closed-form", t.order == 6 * n * n)
+        rep.check(f"bn-order-n{n}", "the torus extension has order 6 n^2",
+                  6 * n * n, t.order, "closed-form")
         chi, ta, tb = data.chi_idx, data.ta_idx, data.tb_idx
         chi_inv = t.inv_idx(chi)
         rel1 = t.mul_idx(t.mul_idx(chi_inv, ta), chi) == t.mul_idx(ta, t.inv_idx(tb))
         rel2 = t.mul_idx(t.mul_idx(chi_inv, tb), chi) == ta
-        rep.add(f"bn-relation-a-n{n}",
-                "conjugating the first translation gives t_a t_b^-1",
-                True, rel1, "enumeration", rel1)
-        rep.add(f"bn-relation-b-n{n}",
-                "conjugating the second translation gives t_a",
-                True, rel2, "enumeration", rel2)
+        rep.check(f"bn-relation-a-n{n}", "conjugating the first translation gives t_a t_b^-1",
+                  True, rel1, "enumeration")
+        rep.check(f"bn-relation-b-n{n}", "conjugating the second translation gives t_a",
+                  True, rel2, "enumeration")
     for n in (6, 8, 9, 12):
         for k in (1, 2, 3):
-            computed = sorted(hb.fixed_points_chi_power(n, k))
-            expected = sorted(_documented_fixed_points(n, k))
-            rep.add(f"fixed-points-n{n}-k{k}",
-                    "fixed points of the twist power match the documented set",
-                    expected, computed, "documented", computed == expected)
+            rep.check(f"fixed-points-n{n}-k{k}",
+                      "fixed points of the twist power match the documented set",
+                      sorted(_documented_fixed_points(n, k)),
+                      sorted(hb.fixed_points_chi_power(n, k)), "documented")
     for n in range(3, max_n + 1):
-        res = sg.tor_index_bound_check(sg.b_n_affine(n, cap=cap))
-        rep.add(f"tor-index-bn-n{n}",
-                "translation subgroup of the full extension has index 6",
-                6, res.index, "enumeration", res.index == 6)
-    ident = ((1, 0), (0, 1))
-    trans = sg.affine_torus_group(5, [(ident, (1, 0)), (ident, (0, 1))], cap=cap)
-    res = sg.tor_index_bound_check(trans)
-    rep.add("tor-index-translations", "pure translations have index 1",
-            1, res.index, "enumeration", res.index == 1)
-    neg = ((-1, 0), (0, -1))
-    half = sg.affine_torus_group(
-        5, [(ident, (1, 0)), (ident, (0, 1)), (neg, (0, 0))], cap=cap
-    )
-    res = sg.tor_index_bound_check(half)
-    rep.add("tor-index-halfturn", "translations plus the half turn have index 2",
-            2, res.index, "enumeration", res.index == 2)
+        rep.check(f"tor-index-bn-n{n}", "translation subgroup of the full extension has index 6",
+                  6, sg.tor_index_bound_check(sg.b_n_affine(n, cap=cap)).index, "enumeration")
+    ident, neg = ((1, 0), (0, 1)), ((-1, 0), (0, -1))
+    shifts = [(ident, (1, 0)), (ident, (0, 1))]
+    for name, law, want, gens in (
+            ("translations", "pure translations have index 1", 1, shifts),
+            ("halfturn", "translations plus the half turn have index 2", 2,
+             shifts + [(neg, (0, 0))])):
+        res = sg.tor_index_bound_check(sg.affine_torus_group(5, gens, cap=cap))
+        rep.check(f"tor-index-{name}", law, want, res.index, "enumeration")
 
 
 def _documented_fixed_points(n: int, k: int) -> set:
@@ -357,9 +343,8 @@ def _suite_sl2(rep: VerificationReport, seed: int) -> None:
         F, G = hb.random_sl2(rng), hb.random_sl2(rng)
         if not hb.q_form_cocycle_check(F, G).is_cocycle_mod_linear:
             bad += 1
-    rep.add("cocycle-quadratic-defect",
-            "lift corrections compose with vanishing quadratic defect",
-            0, bad, "enumeration", bad == 0)
+    rep.check("cocycle-quadratic-defect",
+              "lift corrections compose with vanishing quadratic defect", 0, bad, "enumeration")
     # For a fixed lift, each defect below is a polynomial of degree <= 2 in
     # every x and y and <= 1 in every z2, so vanishing on a grid with 3 values
     # per x, y and 2 per z2 proves it for all integer elements (Alon,
@@ -372,40 +357,37 @@ def _suite_sl2(rep: VerificationReport, seed: int) -> None:
             a, b = hb.HeisElem(None, x1, y1, z1), hb.HeisElem(None, x2, y2, z2)
             if lift(hb.heis_mul(a, b)) != hb.heis_mul(lift(a), lift(b)):
                 hom_bad += 1
-    rep.add("lift-homomorphism",
-            "every determinant-one lift respects the group law "
-            "(20 sampled lifts, each exact on the grid {0,1,2}^4 x {0,1}^2)",
-            0, hom_bad, "enumeration", hom_bad == 0)
+    rep.check("lift-homomorphism",
+              "every determinant-one lift respects the group law "
+              "(20 sampled lifts, each exact on the grid {0,1,2}^4 x {0,1}^2)",
+              0, hom_bad, "enumeration")
     lift = hb.sl2_lift(hb.SL2Matrix(*hb.CHI_MATRIX[0], *hb.CHI_MATRIX[1]))
     mismatch = 0
     for x, y, z2 in itertools.product(range(3), range(3), range(2)):
         e = hb.HeisElem(None, x, y, z2)
         if lift(e) != hb.h_auto(e):
             mismatch += 1
-    rep.add("lift-reproduces-twist",
-            "the lift over [[0,-1],[1,1]] equals the order-6 twist coordinatewise "
-            "(exact on the grid {0,1,2}^2 x {0,1})",
-            0, mismatch, "enumeration", mismatch == 0)
+    rep.check("lift-reproduces-twist",
+              "the lift over [[0,-1],[1,1]] equals the order-6 twist coordinatewise "
+              "(exact on the grid {0,1,2}^2 x {0,1})",
+              0, mismatch, "enumeration")
 
 
 def _suite_doubling(rep: VerificationReport, cap: int) -> None:
     for p in (3, 5, 7):
         d = hb.doubling_embed(p, cap=cap)
-        rep.add(f"doubling-hom-p{p}", "doubling is a homomorphism on all pairs",
-                True, d.verify(), "enumeration", d.verify())
-        rep.add(f"doubling-injective-p{p}", "doubling is injective",
-                True, d.is_injective(), "enumeration", d.is_injective())
+        rep.check(f"doubling-hom-p{p}", "doubling is a homomorphism on all pairs",
+                  True, d.verify(), "enumeration")
+        rep.check(f"doubling-injective-p{p}", "doubling is injective",
+                  True, d.is_injective(), "enumeration")
         img = d.image_mask()
-        rep.add(f"doubling-image-p{p}", "image has p^3 elements",
-                p**3, img.size, "closed-form", img.size == p**3)
-        syl = gc.sylow(d.target, p)
-        rep.add(f"doubling-sylow-p{p}",
-                "image order equals the Sylow order at p",
-                syl.size, img.size, "enumeration", img.size == syl.size)
-        spot = d.map[hb.gamma_elem_index(p, 1, 0, 0)]
-        want = hb.gamma_elem_index(2 * p, 2, 0, 0)
-        rep.add(f"doubling-spot-p{p}", "the first translation doubles coordinatewise",
-                int(want), int(spot), "closed-form", int(spot) == int(want))
+        rep.check(f"doubling-image-p{p}", "image has p^3 elements",
+                  p**3, img.size, "closed-form")
+        rep.check(f"doubling-sylow-p{p}", "image order equals the Sylow order at p",
+                  gc.sylow(d.target, p).size, img.size, "enumeration")
+        rep.check(f"doubling-spot-p{p}", "the first translation doubles coordinatewise",
+                  int(hb.gamma_elem_index(2 * p, 2, 0, 0)),
+                  int(d.map[hb.gamma_elem_index(p, 1, 0, 0)]), "closed-form")
 
 
 def cmd_verify(args) -> int:

@@ -20,7 +20,7 @@ from .errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
 
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
-MAX_TABLE_BYTES = 2 << 30  # largest Cayley table compose_rows allocates
+MAX_TABLE_BYTES = 2 << 30  # largest Cayley table a construction allocates
 
 _BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
 
@@ -296,6 +296,13 @@ def _largest_table_order() -> int:
     return max(narrow, math.isqrt(MAX_TABLE_BYTES // 4))
 
 
+def check_table_order(m: int) -> None:
+    """The table-size guard: refuse order m, before anything of that size is
+    allocated, when its Cayley table would not fit in MAX_TABLE_BYTES."""
+    if m > _largest_table_order():
+        raise CapExceeded(f"a table of order {m} would exceed {MAX_TABLE_BYTES} bytes")
+
+
 def compose_rows(gen_rows: Sequence[np.ndarray], parent: np.ndarray, via: np.ndarray,
                  labels: Optional[Sequence[str]] = None, name: str = "") -> GroupTable:
     """The group table composed from generator rows along a tree, certified.
@@ -315,8 +322,7 @@ def compose_rows(gen_rows: Sequence[np.ndarray], parent: np.ndarray, via: np.nda
     Permutation Groups, 4.2.)
     """
     m = len(parent)
-    if m * m * np.dtype(_index_dtype(m)).itemsize > MAX_TABLE_BYTES:
-        raise CapExceeded(f"a table of order {m} would exceed {MAX_TABLE_BYTES} bytes")
+    check_table_order(m)
     gen_rows = np.asarray(gen_rows, dtype=_index_dtype(m)).reshape(-1, m)
     mul = np.empty((m, m), dtype=gen_rows.dtype)
     mul[0] = np.arange(m)
@@ -853,14 +859,14 @@ def prime_power_base(k: int) -> int:
     return k  # k itself prime
 
 
-def _is_p_power(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
 def sylow(g: GroupTable, p: int) -> SubgroupMask:
-    """A subgroup whose order is the largest power of p dividing |G|."""
+    """A subgroup whose order is the largest power of p dividing |G|.
+
+    One pass over the p-elements, by order: x joins when the closure stays a
+    p-group.  A rejected x stays rejected, since its closure with a larger
+    subgroup is larger still.  A p-subgroup H below a Sylow subgroup P is
+    proper in its normalizer in P, and an x there outside H extends it.
+    """
     n = g.order
     if p < 2 or n % p != 0:
         raise PrimeDoesNotDivide(f"{p} does not divide the group order {n}")
@@ -870,24 +876,18 @@ def sylow(g: GroupTable, p: int) -> SubgroupMask:
         target *= p
         m //= p
     orders = all_element_orders(g)
-    p_elts = [
-        int(x)
-        for x in np.lexsort((np.arange(n), orders))
-        if orders[x] > 1 and _is_p_power(int(orders[x]), p)
-    ]
+    by_order = np.lexsort((np.arange(n), orders))
+    p_orders = [o for o in np.unique(orders).tolist() if prime_power_base(o) == p]
     cur = closure(g, [g.identity])
-    while cur.size < target:
-        grown = None
-        for x in p_elts:
-            if cur.contains(x):
-                continue
+    for x in by_order[np.isin(orders[by_order], p_orders)].tolist():
+        if cur.size == target:
+            break
+        if not cur.contains(x):
             trial = closure(g, list(cur.indices()) + [x])
-            if _is_p_power(trial.size, p):
-                grown = trial
-                break
-        if grown is None:
-            raise RuntimeError("sylow growth stalled; table is corrupt")
-        cur = grown
+            if prime_power_base(trial.size) == p:
+                cur = trial
+    if cur.size != target:
+        raise RuntimeError("sylow growth stalled; table is corrupt")
     return cur
 
 

@@ -10,6 +10,7 @@ None) and its reductions mod (n, n, 2n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,6 +31,7 @@ from .group_core import (
     GroupTable,
     Homomorphism,
     SubgroupMask,
+    check_table_order,
     closure,
     compose_rows,
     cyclic_table,
@@ -167,9 +169,12 @@ def _digit_tree(radices: Sequence[int]) -> tuple[list, np.ndarray, np.ndarray]:
     """Mixed-radix codes 0 .. prod(radices) - 1 as a tree for ``compose_rows``:
     the digit arrays, most significant first, and for code t > 0 its parent,
     t with its lowest nonzero digit lowered by one, and ``via[t]``, the
-    position of that digit (whose generator raises it)."""
+    position of that digit (whose generator raises it).  An order whose
+    table would not fit is refused first."""
+    order = math.prod(radices)
+    check_table_order(order)
     places = np.cumprod([1, *radices[:0:-1]])[::-1]
-    codes = np.arange(int(np.prod(radices)))
+    codes = np.arange(order)
     digits = [codes // p % r for p, r in zip(places, radices)]
     lowest = np.stack(digits[::-1]) != 0
     via = len(radices) - 1 - np.argmax(lowest, axis=0)
@@ -363,11 +368,6 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
     6 n^2 for every n (for n <= 2 the matrix action alone would collapse to
     a smaller bijection group).
     """
-    return _b_n_cached(int(n), int(cap))
-
-
-@lru_cache(maxsize=None)
-def _b_n_cached(n: int, cap: int) -> BnData:
     if n < 1:
         raise ValueError("n must be positive")
     if 6 * n * n > cap:

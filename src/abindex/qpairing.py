@@ -110,90 +110,40 @@ class QProperty:
         return out
 
 
+def _property(name: str, law: str, holds: np.ndarray) -> QProperty:
+    """The law holds where ``holds`` is true; its first false index is the counterexample."""
+    bad = np.argwhere(~holds)
+    if len(bad) == 0:
+        return QProperty(name, law, True)
+    return QProperty(name, law, False, tuple(int(v) for v in bad[0]))
+
+
 def verify_q_properties(data: CentralData) -> list[QProperty]:
     """Exhaustive check of the four pairing laws over all element tuples."""
-    g, gb = data.g, data.gammaB
-    nb = gb.order
     Q = q_table(data)
-    mulB = gb.mul.astype(np.int64)
-    mulg = g.mul
-    ordB = all_element_orders(gb)
-    ordQ = all_element_orders(g)[Q]
-    e = g.identity
-    results: list[QProperty] = []
-
-    lhs_left = Q[mulB]                       # [a,b,c] -> Q(ab, c)
-    rhs_left = mulg[Q[:, None, :], Q[None, :, :]]
-    lhs_right = Q[:, mulB]                   # [a,b,c] -> Q(a, bc)
-    rhs_right = mulg[Q[:, :, None], Q[:, None, :]]
-    ok_bi = np.array_equal(lhs_left, rhs_left) and np.array_equal(
-        lhs_right, rhs_right
-    )
-    diag_ok = (
-        np.all(np.diagonal(Q) == e)
-        and np.all(Q[0, :] == e)
-        and np.all(Q[:, 0] == e)
-    )
-    ce = None
-    if not ok_bi:
-        bad = np.argwhere(lhs_left != rhs_left)
-        ce = tuple(int(v) for v in bad[0]) if len(bad) else None
-        if ce is None:
-            bad = np.argwhere(lhs_right != rhs_right)
-            ce = tuple(int(v) for v in bad[0])
-    results.append(
-        QProperty(
-            "biadditive",
-            "Q(ab,c)=Q(a,c)Q(b,c), Q(a,bc)=Q(a,b)Q(a,c), Q(a,a)=Q(1,a)=Q(a,1)=1",
-            bool(ok_bi and diag_ok),
-            ce,
-        )
-    )
-
-    gcd_ok = np.gcd.outer(ordB, ordB) % ordQ == 0
-    ce = None if gcd_ok.all() else tuple(int(v) for v in np.argwhere(~gcd_ok)[0])
-    results.append(
-        QProperty(
-            "order-divides-gcd",
-            "the order of Q(a,b) divides gcd(ord(a), ord(b))",
-            bool(gcd_ok.all()),
-            ce,
-        )
-    )
-
+    mulB, mulg, e = data.gammaB.mul, data.g.mul, data.g.identity
+    ordB = all_element_orders(data.gammaB)
+    ordQ = all_element_orders(data.g)[Q]
     base = np.array([prime_power_base(int(o)) for o in ordB])
     pa, pb = base[:, None], base[None, :]
-    cross = (pa > 0) & (pb > 0) & (pa != pb)
-    cross_ok = np.all(Q[cross] == e) if cross.any() else True
-    ce = None
-    if not cross_ok:
-        bad = np.argwhere(cross & (Q != e))
-        ce = tuple(int(v) for v in bad[0])
-    results.append(
-        QProperty(
-            "cross-prime-vanishing",
-            "Q(a,b)=1 when a and b are elements of coprime prime-power order",
-            bool(cross_ok),
-            ce,
-        )
-    )
-
-    same = (pa > 0) & (pa == pb)
-    bound = np.maximum(ordB[:, None], ordB[None, :])
-    p_ok = np.all(ordQ[same] <= bound[same]) if same.any() else True
-    ce = None
-    if not p_ok:
-        bad = np.argwhere(same & (ordQ > bound))
-        ce = tuple(int(v) for v in bad[0])
-    results.append(
-        QProperty(
-            "p-order-bound",
-            "for p-elements a, b the order of Q(a,b) is at most max(ord(a), ord(b))",
-            bool(p_ok),
-            ce,
-        )
-    )
-    return results
+    # [a, b, c]: Q(ab, c) = Q(a, c) Q(b, c), Q(a, bc) = Q(a, b) Q(a, c), and at a
+    # the units Q(a, a) = Q(1, a) = Q(a, 1) = 1
+    units = (np.diagonal(Q) == e) & (Q[0] == e) & (Q[:, 0] == e)
+    additive = ((Q[mulB] == mulg[Q[:, None, :], Q[None, :, :]])
+                & (Q[:, mulB] == mulg[Q[:, :, None], Q[:, None, :]]) & units[:, None, None])
+    return [
+        _property("biadditive",
+                  "Q(ab,c)=Q(a,c)Q(b,c), Q(a,bc)=Q(a,b)Q(a,c), Q(a,a)=Q(1,a)=Q(a,1)=1",
+                  additive),
+        _property("order-divides-gcd", "the order of Q(a,b) divides gcd(ord(a), ord(b))",
+                  np.gcd.outer(ordB, ordB) % ordQ == 0),
+        _property("cross-prime-vanishing",
+                  "Q(a,b)=1 when a and b are elements of coprime prime-power order",
+                  ~((pa > 0) & (pb > 0) & (pa != pb)) | (Q == e)),
+        _property("p-order-bound",
+                  "for p-elements a, b the order of Q(a,b) is at most max(ord(a), ord(b))",
+                  ~((pa > 0) & (pa == pb)) | (ordQ <= np.maximum.outer(ordB, ordB))),
+    ]
 
 
 def _require_dc_hypotheses(data: CentralData) -> SubgroupMask:

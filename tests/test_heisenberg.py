@@ -1,5 +1,7 @@
 """Tests for the Heisenberg constructions and the order-6 twist."""
 
+import gc as garbage
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -394,6 +396,12 @@ def test_bn_table_equals_the_law_on_all_pairs(n):
         assert np.array_equal(data.table.mul[i], ((k[i] + k) % 6 * n + pu) * n + pv), i
     assert (data.chi_idx, data.ta_idx, data.tb_idx) == (n * n, 1 % n * n, 1 % n)
     assert data.table.labels[data.chi_idx] == "t(0,0)chi^1"
+
+
+def test_bn_tables_are_not_cached():
+    ref = weakref.ref(hb.b_n_group(5))
+    garbage.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

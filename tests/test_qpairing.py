@@ -122,6 +122,23 @@ def test_property_report_shape():
     assert set(doc) == {"property", "pass", "counterexample"}
 
 
+def test_biadditivity_counterexample_on_s3():
+    # S3 over the trivial subgroup, assembled by hand (central_data_from would
+    # refuse the nonabelian quotient), so the commutator pairing on S3 itself
+    # is checked and must fail
+    g = s3()
+    trivial = gc.SubgroupMask(g, np.arange(g.order) == g.identity)
+    data = qp.CentralData(g, trivial, gc.Homomorphism(g, g, np.arange(g.order)), g)
+    prop = qp.verify_q_properties(data)[0]
+    assert prop.name == "biadditive" and prop.passed is False
+    a, b, c = prop.counterexample
+    Q, m = qp.q_table(data), g.mul
+    e = g.identity
+    law_at = (Q[m[a, b], c] == m[Q[a, c], Q[b, c]] and Q[a, m[b, c]] == m[Q[a, b], Q[a, c]]
+              and Q[a, a] == e and Q[e, a] == e and Q[a, e] == e)
+    assert not law_at
+
+
 # ---------------------------------------------------------------------------
 # the commutator-order bound
 
