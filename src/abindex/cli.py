@@ -239,6 +239,7 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> 
                   "cyclic-pullback index equals the searched minimal abelian index",
                   gc.min_abelian_index(data.g, budget_s=budget_s).index, pull_index,
                   "enumeration")
+        del data  # free this table before the next one is built
     if max_n >= 6:
         data = qp.gamma_central_data(6, cap=cap)
         ordB = gc.all_element_orders(data.gammaB)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,12 @@ def _blocks(n: int):
 
 
 class GroupTable:
-    """A finite group as an indexed element set with a full Cayley table."""
+    """A finite group as an indexed element set with a full Cayley table.
+
+    The table memoizes exactly two derived arrays, both read-only: its element
+    orders and its center mask (read through ``all_element_orders`` and
+    ``center``).
+    """
 
     def __init__(
         self,
@@ -106,6 +111,28 @@ class GroupTable:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _orders(self) -> np.ndarray:
+        """The least k >= 1 with x^k = 1, for every x at once."""
+        elems = np.arange(self.order)
+        cur = elems.copy()
+        orders = np.ones(self.order, dtype=np.int64)
+        alive = cur != self.identity
+        while alive.any():
+            idx = np.flatnonzero(alive)
+            cur[idx] = self.mul[cur[idx], elems[idx]]
+            orders[idx] += 1
+            alive[idx] = cur[idx] != self.identity
+        orders.flags.writeable = False
+        return orders
+
+    @cached_property
+    def _center_bits(self) -> np.ndarray:
+        """The intersection of the centralizers of the generators."""
+        out = _centralizer_bits(self, self.gens)
+        out.flags.writeable = False
+        return out
+
     def _check_associativity(self) -> None:
         """Light's test on the generators, exact at every order.
 
@@ -129,7 +156,7 @@ class GroupTable:
         return self.labels[a] if self.labels is not None else str(a)
 
     def is_abelian(self) -> bool:
-        return bool(_center_bits(self).all())
+        return bool(self._center_bits.all())
 
     def __len__(self) -> int:
         return self.order
@@ -419,20 +446,6 @@ def _centralizer_bits(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
     return bits
 
 
-def _center_bits(g: GroupTable) -> np.ndarray:
-    """Read-only mask of the center, computed once per table.
-
-    The center is the intersection of the centralizers of the generators.
-    """
-    cached = getattr(g, "_center_cache", None)
-    if cached is not None:
-        return cached
-    out = _centralizer_bits(g, g.gens)
-    out.flags.writeable = False
-    g._center_cache = out
-    return out
-
-
 def _greedy_generators(g: GroupTable, bits: np.ndarray) -> list[int]:
     """Generators of the subgroup ``bits``: each is its smallest element
     outside the closure H of the ones before it.  The closure grows from H:
@@ -477,23 +490,16 @@ def _conjugation_orbits(g: GroupTable, gens: Sequence[int], bits: np.ndarray) ->
 
 
 def conjugacy_class_labels(g: GroupTable) -> np.ndarray:
-    """Read-only map from each element to the smallest index of its class.
+    """Map from each element to the smallest index of its class.
 
     The classes are the orbits of the conjugations by the table's generators.
-    Computed once per table.
     """
-    cached = getattr(g, "_class_cache", None)
-    if cached is not None:
-        return cached
-    labels = _conjugation_orbits(g, g.gens, np.ones(g.order, dtype=bool))
-    labels.flags.writeable = False
-    g._class_cache = labels
-    return labels
+    return _conjugation_orbits(g, g.gens, np.ones(g.order, dtype=bool))
 
 
 def center(g: GroupTable) -> SubgroupMask:
     """Elements commuting with the whole group; always normal."""
-    return SubgroupMask(g, _center_bits(g), _validated=True)
+    return SubgroupMask(g, g._center_bits, _validated=True)
 
 
 def centralizer(g: GroupTable, s) -> SubgroupMask:
@@ -520,30 +526,9 @@ def commutator_subgroup(g: GroupTable) -> SubgroupMask:
     return closure(g, np.unique(commutators(g, np.arange(g.order)[:, None], g.gens)))
 
 
-def element_order(g: GroupTable, x: int) -> int:
-    k, cur = 1, int(x)
-    while cur != g.identity:
-        cur = int(g.mul[cur, x])
-        k += 1
-    return k
-
-
 def all_element_orders(g: GroupTable) -> np.ndarray:
-    cached = getattr(g, "_orders_cache", None)
-    if cached is not None:
-        return cached
-    n = g.order
-    elems = np.arange(n)
-    cur = elems.copy()
-    orders = np.ones(n, dtype=np.int64)
-    alive = cur != g.identity
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        cur[idx] = g.mul[cur[idx], elems[idx]]
-        orders[idx] += 1
-        alive[idx] = cur[idx] != g.identity
-    g._orders_cache = orders
-    return orders
+    """Read-only order of each element."""
+    return g._orders
 
 
 def exponent(g: GroupTable) -> int:
@@ -685,7 +670,7 @@ class _AbelianSearch:
         element's orbit size (0 outside C).
 
         The orbits come from the conjugation maps of a greedy generating set
-        of C; at the root, C = G, they are the cached conjugacy classes.
+        of C; at the root, C = G, they are the conjugacy classes.
         """
         if c_bits.all():
             labels = conjugacy_class_labels(self.g)
@@ -743,16 +728,13 @@ def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> Abelia
     returning a partial answer; it carries the order of the incumbent, at
     least that of the center.
     """
-    cached = getattr(g, "_min_abelian_cache", None)
-    if cached is not None:
-        return cached
     t0 = time.monotonic()
     search = _AbelianSearch(g, None if budget_s is None else t0 + float(budget_s))
     search.run()
     witness = SubgroupMask(g, search.best_mask)
     if not witness.is_abelian() or g.order % witness.size != 0:
         raise RuntimeError("abelian search produced an invalid witness")
-    result = AbelianIndexResult(
+    return AbelianIndexResult(
         g.order // witness.size,
         witness,
         nodes_explored=search.nodes,
@@ -760,8 +742,6 @@ def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> Abelia
         root_classes=search.root_classes,
         centralizers=search.centralizers,
     )
-    g._min_abelian_cache = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +759,7 @@ def _element_fingerprints(g: GroupTable) -> np.ndarray:
     return orders * (g.order + 1) + cent_sizes
 
 
-def automorphisms(
-    g: GroupTable,
-    gen_hint: Optional[Sequence[int]] = None,
-    cap: int = DEFAULT_AUT_CAP,
-) -> list[AutMap]:
+def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[AutMap]:
     """The full automorphism group, enumerated by generator images.
 
     Candidate images are filtered by an order/centralizer fingerprint; each
@@ -792,12 +768,7 @@ def automorphisms(
     """
     if g.order > cap:
         raise CapExceeded(f"automorphism enumeration capped at order {cap}")
-    if gen_hint is not None:
-        gens = [int(x) for x in gen_hint]
-        if closure(g, gens).size != g.order:
-            raise ValueError("gen_hint does not generate the group")
-    else:
-        gens = g.gens.tolist()
+    gens = g.gens.tolist()
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
     # every element as a word in the generators: b = gens[v] * p, p found before b

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -189,11 +189,6 @@ def _digit_tree(radices: Sequence[int]) -> tuple[list, np.ndarray, np.ndarray]:
 
 def gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Heisenberg group mod n: order n^3, integral z; any n >= 2."""
-    return _gamma_n_cached(int(n), int(cap))
-
-
-@lru_cache(maxsize=None)
-def _gamma_n_cached(n: int, cap: int) -> GroupTable:
     if n < 2:
         raise InvalidInput("modulus must be at least 2")
     if n**3 > cap:
@@ -306,11 +301,6 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     elements appear (they do, for every even n, which makes the kernel of
     the order-6 projection twice the size of the translation image).
     """
-    return _hat_gamma_cached(int(n), int(cap))
-
-
-@lru_cache(maxsize=None)
-def _hat_gamma_cached(n: int, cap: int) -> HatGroup:
     if n < 2 or n % 2 != 0:
         raise OddModulus("the extended group needs an even modulus >= 2")
     ambient = 12 * n**3

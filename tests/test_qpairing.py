@@ -139,6 +139,29 @@ def test_biadditivity_counterexample_on_s3():
     assert not law_at
 
 
+def pairing_on_itself(g):
+    trivial = gc.SubgroupMask(g, np.arange(g.order) == g.identity)
+    return qp.CentralData(g, trivial, gc.Homomorphism(g, g, np.arange(g.order)), g)
+
+
+@pytest.mark.parametrize("n", [*range(2, 9), "S3", "S3xC2"])
+def test_biadditivity_on_generators_equals_all_triples(n):
+    # the commutator pairings on S3 and on S3 x C2 are not biadditive; the
+    # first generator of S3 x C2 is central, so the laws hold at it
+    if n == "S3":
+        data = pairing_on_itself(s3())
+    elif n == "S3xC2":
+        data = pairing_on_itself(gc.direct_product(s3(), gc.cyclic_table(2)))
+    else:
+        data = qp.gamma_central_data(n)
+    Q, mB, mg = qp.q_table(data), data.gammaB.mul, data.g.mul
+    e, one = data.g.identity, data.gammaB.identity
+    every = (np.array_equal(Q[mB], mg[Q[:, None, :], Q[None, :, :]])
+             and np.array_equal(Q[:, mB], mg[Q[:, :, None], Q[:, None, :]])
+             and (np.diagonal(Q) == e).all() and (Q[one] == e).all() and (Q[:, one] == e).all())
+    assert qp.verify_q_properties(data)[0].passed == every
+
+
 # ---------------------------------------------------------------------------
 # the commutator-order bound
 
