@@ -8,7 +8,6 @@ summary to stderr.  Exit codes: 0 all claims pass, 1 some claim fails,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -215,6 +214,7 @@ def cmd_bound(args) -> int:
 
 
 def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> None:
+    mixed = None  # the n = 6 pairing of a 2-element with a 3-element, reported last
     for n in range(2, max_n + 1):
         data = qp.gamma_central_data(n, cap=cap)
         for prop in qp.verify_q_properties(data):
@@ -239,14 +239,15 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> 
                   "cyclic-pullback index equals the searched minimal abelian index",
                   gc.min_abelian_index(data.g, budget_s=budget_s).index, pull_index,
                   "enumeration")
+        if n == 6:
+            ordB = gc.all_element_orders(data.gammaB)
+            a = int(np.flatnonzero(ordB == 2)[0])
+            b = int(np.flatnonzero(ordB == 3)[0])
+            mixed = (data.g.identity, qp.q_pair(data, a, b))
         del data  # free this table before the next one is built
-    if max_n >= 6:
-        data = qp.gamma_central_data(6, cap=cap)
-        ordB = gc.all_element_orders(data.gammaB)
-        a = int(np.flatnonzero(ordB == 2)[0])
-        b = int(np.flatnonzero(ordB == 3)[0])
+    if mixed is not None:
         rep.check("q-mixed-prime-n6", "pairing of a 2-element with a 3-element is the identity",
-                  data.g.identity, qp.q_pair(data, a, b), "enumeration")
+                  *mixed, "enumeration")
 
 
 def _suite_esfera(rep: VerificationReport, cap: int) -> None:
@@ -349,29 +350,31 @@ def _suite_sl2(rep: VerificationReport, seed: int) -> None:
     # For a fixed lift, each defect below is a polynomial of degree <= 2 in
     # every x and y and <= 1 in every z2, so vanishing on a grid with 3 values
     # per x, y and 2 per z2 proves it for all integer elements (Alon,
-    # Combinatorial Nullstellensatz, 1999, Lemma 2.1).
+    # Combinatorial Nullstellensatz, 1999, Lemma 2.1).  Each grid is one
+    # array per coordinate.
+    x1, y1, x2, y2, z1, z2 = np.indices((3, 3, 3, 3, 2, 2)).reshape(6, -1)
+    a, b = (x1, y1, z1), (x2, y2, z2)
     hom_bad = 0
     for _ in range(20):
         F = hb.random_sl2(rng)
         lift = hb.SL2Lift(F, tuple(int(v) for v in rng.integers(-1, 2, 2)))
-        for x1, y1, x2, y2, z1, z2 in itertools.product(*[range(3)] * 4, *[range(2)] * 2):
-            a, b = hb.HeisElem(None, x1, y1, z1), hb.HeisElem(None, x2, y2, z2)
-            if lift(hb.heis_mul(a, b)) != hb.heis_mul(lift(a), lift(b)):
-                hom_bad += 1
+        hom_bad += _mismatches(lift.law(hb._heis_law(None, a, b)),
+                               hb._heis_law(None, lift.law(a), lift.law(b)))
     rep.check("lift-homomorphism",
               "every determinant-one lift respects the group law "
               "(20 sampled lifts, each exact on the grid {0,1,2}^4 x {0,1}^2)",
               0, hom_bad, "enumeration")
     lift = hb.sl2_lift(hb.SL2Matrix(*hb.CHI_MATRIX[0], *hb.CHI_MATRIX[1]))
-    mismatch = 0
-    for x, y, z2 in itertools.product(range(3), range(3), range(2)):
-        e = hb.HeisElem(None, x, y, z2)
-        if lift(e) != hb.h_auto(e):
-            mismatch += 1
+    g = tuple(np.indices((3, 3, 2)).reshape(3, -1))
     rep.check("lift-reproduces-twist",
               "the lift over [[0,-1],[1,1]] equals the order-6 twist coordinatewise "
               "(exact on the grid {0,1,2}^2 x {0,1})",
-              0, mismatch, "enumeration")
+              0, _mismatches(lift.law(g), hb._twist(None, g)), "enumeration")
+
+
+def _mismatches(g: tuple, h: tuple) -> int:
+    """Grid points where two coordinate triples of arrays differ."""
+    return int(np.count_nonzero(np.any([u != v for u, v in zip(g, h)], axis=0)))
 
 
 def _suite_doubling(rep: VerificationReport, cap: int) -> None:

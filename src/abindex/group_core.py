@@ -1,9 +1,10 @@
-"""Generic finite-group engine on dense multiplication tables.
+"""Generic finite-group engine on multiplication tables.
 
 Elements of a group of order ``n`` are the integers ``0..n-1``; index 0 is
-always the identity in every construction of this package.  Subgroups are
-boolean masks over the index range, and the heavy loops are vectorized with
-numpy so that groups up to order ~20000 stay practical.
+always the identity in every construction of this package.  A table's
+product is a dense Cayley table or a word table (``WordMul``), indexed
+alike.  Subgroups are boolean masks over the index range, and the heavy
+loops are vectorized with numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
 
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
-MAX_TABLE_BYTES = 2 << 30  # largest Cayley table a construction allocates
+MAX_TABLE_BYTES = 2 << 30  # largest Cayley or word table a construction allocates
 
 _BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
 
@@ -36,30 +37,35 @@ def _blocks(n: int):
 
 
 class GroupTable:
-    """A finite group as an indexed element set with a full Cayley table.
+    """A finite group as an indexed element set with its product ``mul``.
 
-    The table memoizes exactly two derived arrays, both read-only: its element
-    orders and its center mask (read through ``all_element_orders`` and
-    ``center``).
+    ``mul`` is a full Cayley table or a ``WordMul``, which is certified when
+    it is built.  The table memoizes exactly two derived arrays, both
+    read-only: its element orders and its center mask (read through
+    ``all_element_orders`` and ``center``).
     """
 
     def __init__(
         self,
-        mul: np.ndarray,
+        mul,
         labels: Optional[Sequence[str]] = None,
         name: str = "",
         _certified: bool = False,
     ):
-        mul = np.asarray(mul)
-        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-            raise ValueError("multiplication table must be square")
-        order = int(mul.shape[0])
-        if order == 0:
-            raise ValueError("empty table")
-        if mul.min() < 0 or mul.max() >= order:
-            raise ValueError("table entry out of range")
+        if isinstance(mul, WordMul):
+            order, _certified = mul.order, True
+        else:
+            mul = np.asarray(mul)
+            if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+                raise ValueError("multiplication table must be square")
+            order = int(mul.shape[0])
+            if order == 0:
+                raise ValueError("empty table")
+            if mul.min() < 0 or mul.max() >= order:
+                raise ValueError("table entry out of range")
+            mul = mul.astype(_index_dtype(order), copy=False)
         self.order = order
-        self.mul = mul.astype(_index_dtype(order), copy=False)
+        self.mul = mul
         self.name = name
         if labels is not None:
             labels = [str(x) for x in labels]
@@ -84,9 +90,12 @@ class GroupTable:
 
     def _build_inverse_table(self) -> np.ndarray:
         n = self.order
-        inv = np.empty(n, dtype=np.int64)
-        for lo, hi in _blocks(n):
-            inv[lo:hi] = np.argmax(self.mul[lo:hi] == self.identity, axis=1)
+        if isinstance(self.mul, WordMul):
+            inv = self.mul.inverses()
+        else:
+            inv = np.empty(n, dtype=np.int64)
+            for lo, hi in _blocks(n):
+                inv[lo:hi] = np.argmax(self.mul[lo:hi] == self.identity, axis=1)
         rng = np.arange(n)
         e = np.full(n, self.identity)
         if not np.array_equal(self.mul[rng, inv], e) or not np.array_equal(
@@ -364,6 +373,116 @@ def compose_rows(gen_rows: Sequence[np.ndarray], parent: np.ndarray, via: np.nda
     return GroupTable(mul, labels=labels, name=name, _certified=True)
 
 
+def _along_words(maps: np.ndarray, radices: Sequence[int], starts) -> np.ndarray:
+    """Row i, entry x: ``starts[i]`` mapped through maps[L]^d_L ... maps[0]^d_0,
+    where (d_0, ..., d_L) are the digits of the mixed-radix code x over
+    ``radices``, most significant first (maps[0] acts first).  One gather per
+    digit value, level by level, so O(|G|) in all for each start."""
+    cur = np.asarray(starts, dtype=maps.dtype)[:, None]
+    for m, r in zip(maps, radices):
+        out = np.empty(cur.shape + (r,), dtype=cur.dtype)
+        out[..., 0] = cur
+        for d in range(1, r):
+            out[..., d] = m[out[..., d - 1]]
+        cur = out.reshape(len(out), -1)
+    return cur
+
+
+def code_digits(radices: Sequence[int]) -> list[np.ndarray]:
+    """The digits of the mixed-radix codes 0 .. prod(radices) - 1, most
+    significant first.  The word-table guard: radices whose ``WordMul``
+    columns and digits would exceed MAX_TABLE_BYTES are refused first,
+    before any array is built."""
+    order = math.prod(radices)
+    itemsize = np.dtype(_index_dtype(order)).itemsize
+    if (sum(radices) * itemsize + 8 * len(radices)) * order > MAX_TABLE_BYTES:
+        raise CapExceeded(f"a word table of order {order} would exceed {MAX_TABLE_BYTES} bytes")
+    places = np.cumprod([1, *radices[:0:-1]])[::-1]
+    codes = np.arange(order)
+    return [codes // p % r for p, r in zip(places, radices)]
+
+
+class WordMul:
+    """The product of a word table, indexed like a dense Cayley table.
+
+    The elements are the mixed-radix codes over ``radices``, and the code
+    with digits (d_0, ..., d_L), most significant first, is the word
+    s_L^d_L ... s_0^d_0 in generators s_j, where ``gen_rows[j]`` is left
+    multiplication by s_j.  For each s_j and each power d < r_j the product
+    keeps the column x -> x s_j^d, and x y is one gather per digit of y,
+    lowest digit first.  ``mul[a, b]`` on broadcast index arrays, ``mul[x]``,
+    ``mul[:, y]``, boolean masks and slices read as they read a dense table;
+    ``nbytes`` counts the columns and the digits.
+
+    Built only certified, by ``compose_rows``' certificate: column 0 is the
+    identity map and each generator row commutes with each generator column.
+    The generator columns x -> x s_j are the words evaluated at s_j, computed
+    along the codes in O(|S| |G|).  Then the words are the regular
+    representation of a group, and the columns give its product.
+    """
+
+    def __init__(self, gen_rows: Sequence[np.ndarray], radices: Sequence[int]):
+        radices = list(radices)
+        digits = code_digits(radices)
+        self.order = order = math.prod(radices)
+        rows = np.asarray(gen_rows, dtype=np.int64).reshape(len(radices), order)
+        if rows.min() < 0 or rows.max() >= order:
+            raise ValueError("generator row entry out of range")
+        rows = rows.astype(_index_dtype(order))
+        words = _along_words(rows, radices, [0, *rows[:, 0]])
+        if not np.array_equal(words[0], np.arange(order)):
+            raise ValueError("word table is not a group: column 0 is not the identity map")
+        right = words[1:]
+        if not all(np.array_equal(left[r], r[left]) for left in rows for r in right):
+            raise ValueError("word table not associative: a generator row and a "
+                             "generator column do not commute")
+        self._radices = radices
+        self._cols = np.empty(sum(radices) * order, dtype=rows.dtype)
+        # digit j of y as the offset of its column: x s_j^d is _cols[_steps[j, y] + x]
+        self._steps = np.empty((len(radices), order), dtype=np.intp)
+        cols = self._cols.reshape(-1, order)
+        col = 0
+        for j, (r, d) in enumerate(zip(radices, digits)):
+            cols[col] = np.arange(order)
+            for p in range(col + 1, col + r):
+                cols[p] = right[j][cols[p - 1]]
+            self._steps[j] = (col + d) * order
+            col += r
+
+    @property
+    def nbytes(self) -> int:
+        return self._cols.nbytes + self._steps.nbytes
+
+    def inverses(self) -> np.ndarray:
+        """x^-1 = s_0^-d_0 ... s_L^-d_L, read along the codes from the inverse
+        generator columns; the caller checks x x^-1 = 1."""
+        back = np.zeros((len(self._radices), self.order), dtype=self._cols.dtype)
+        for j, r in enumerate(self._radices):
+            if r > 1:  # column x -> x s_j follows the identity column of s_j
+                start = int(self._steps[j, 0]) + self.order
+                back[j, self._cols[start:start + self.order]] = np.arange(self.order)
+        return _along_words(back, self._radices, [0])[0].astype(np.int64)
+
+    def __getitem__(self, key):
+        a, b = key if isinstance(key, tuple) else (key, slice(None))
+        (a, a_slice), (b, b_slice) = self._index(a), self._index(b)
+        if a_slice:  # a slice indexes an outer axis, as in numpy
+            a = a.reshape(a.shape + (1,) * np.ndim(b))
+        elif b_slice:
+            a = np.asarray(a)[..., None]
+        for step in self._steps[::-1, b]:
+            a = self._cols[step + a]
+        return a
+
+    def _index(self, k):
+        """An index as an int or int array, and whether it was a slice."""
+        if isinstance(k, slice):
+            return np.arange(self.order)[k], True
+        if isinstance(k, np.ndarray) and k.dtype == bool:
+            return np.flatnonzero(k), False
+        return k, False
+
+
 def build_from_generators(
     identity,
     gens: Iterable,
@@ -386,8 +505,10 @@ def build_from_generators(
 
 
 def table_to_json(g: GroupTable) -> dict:
-    """Interchange form: row-major table, element 0 is the identity."""
-    doc = {"order": g.order, "mul": g.mul.astype(int).tolist()}
+    """Interchange form: row-major table, element 0 is the identity.  The
+    rows are read in blocks, so a word table is never materialized whole."""
+    doc = {"order": g.order,
+           "mul": [row for lo, hi in _blocks(g.order) for row in g.mul[lo:hi].tolist()]}
     if g.labels is not None:
         doc["labels"] = list(g.labels)
     return doc

@@ -10,11 +10,10 @@ None) and its reductions mod (n, n, 2n).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,9 +30,9 @@ from .group_core import (
     GroupTable,
     Homomorphism,
     SubgroupMask,
-    check_table_order,
+    WordMul,
     closure,
-    compose_rows,
+    code_digits,
     cyclic_table,
     is_normal,
     prime_power_base,
@@ -165,24 +164,6 @@ def parse_heis_literal(text: str, n: int) -> HeisElem:
     return heis_elem(n, x, y, z)
 
 
-def _digit_tree(radices: Sequence[int]) -> tuple[list, np.ndarray, np.ndarray]:
-    """Mixed-radix codes 0 .. prod(radices) - 1 as a tree for ``compose_rows``:
-    the digit arrays, most significant first, and for code t > 0 its parent,
-    t with its lowest nonzero digit lowered by one, and ``via[t]``, the
-    position of that digit (whose generator raises it).  An order whose
-    table would not fit is refused first."""
-    order = math.prod(radices)
-    check_table_order(order)
-    places = np.cumprod([1, *radices[:0:-1]])[::-1]
-    codes = np.arange(order)
-    digits = [codes // p % r for p, r in zip(places, radices)]
-    lowest = np.stack(digits[::-1]) != 0
-    via = len(radices) - 1 - np.argmax(lowest, axis=0)
-    parent = codes - places[via]
-    parent[0] = via[0] = -1
-    return digits, parent, via
-
-
 # ---------------------------------------------------------------------------
 # the group Gamma_n
 
@@ -193,15 +174,14 @@ def gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise InvalidInput("modulus must be at least 2")
     if n**3 > cap:
         raise CapExceeded(f"order {n**3} exceeds cap {cap}")
-    # digits (x, y, z): A(x,y,z) is c A(x,y,z-1), A(x,y,0) is b A(x,y-1,0)
-    # and A(x,0,0) is a A(x-1,0,0)
-    (x, y, z), parent, via = _digit_tree((n, n, n))
+    # digits (x, y, z): A(x,y,z) is the word c^z b^y a^x
+    x, y, z = code_digits((n, n, n))
     gen_rows = []
     for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)):
         rx, ry, rz2 = _heis_law(n, s, (x, y, 2 * z))
         gen_rows.append((rx * n + ry) * n + rz2 // 2)
     labels = [f"A({a},{b},{c})" for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
-    return compose_rows(gen_rows, parent, via, labels=labels, name=f"Gamma_{n}")
+    return GroupTable(WordMul(gen_rows, (n, n, n)), labels=labels, name=f"Gamma_{n}")
 
 
 def gamma_elem_index(n: int, x: int, y: int, z: int) -> int:
@@ -307,13 +287,14 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     if ambient > cap:
         raise CapExceeded(f"ambient order {ambient} exceeds cap {cap}")
     # generators h, a, b and the half-integral central element (0, 0, 1/2)
-    (k, x, y, z2), parent, via = _digit_tree((6, n, n, 2 * n))
+    radices = (6, n, n, 2 * n)
+    k, x, y, z2 = code_digits(radices)
     g = (x, y, z2)
     gen_rows = [_hat_code(n, *_twist(n, g), (k + 1) % 6)] + [
         _hat_code(n, *_heis_law(n, s, g), k) for s in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     labels = [f"A({a},{b},{_format_half(c)})h^{d}"
               for a, b, c, d in zip(x.tolist(), y.tolist(), z2.tolist(), k.tolist())]
-    table = compose_rows(gen_rows, parent, via, labels=labels, name=f"HatGamma_{n}")
+    table = GroupTable(WordMul(gen_rows, radices), labels=labels, name=f"HatGamma_{n}")
     if closure(table, [int(r[0]) for r in gen_rows[:3]]).size != ambient:
         raise RuntimeError(f"h, a and b do not generate all {ambient} pairs")
     theta = Homomorphism(table, cyclic_table(6, name="C6"), k)
@@ -363,7 +344,7 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
     if 6 * n * n > cap:
         raise CapExceeded(f"order {6 * n * n} exceeds cap {cap}")
     # digits (k, u, v) of t(u,v) chi^k; generators chi, t_a and t_b
-    (k, u, v), parent, via = _digit_tree((6, n, n))
+    k, u, v = code_digits((6, n, n))
     a, b, c, d = _chi_pow(n, 1)
     gen_rows = [
         ((k + 1) % 6 * n + (a * u + b * v) % n) * n + (c * u + d * v) % n,
@@ -371,7 +352,7 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
         (k * n + u) * n + (v + 1) % n,
     ]
     labels = [f"t({p},{q})chi^{r}" for p, q, r in zip(u.tolist(), v.tolist(), k.tolist())]
-    table = compose_rows(gen_rows, parent, via, labels=labels, name=f"B_{n}")
+    table = GroupTable(WordMul(gen_rows, (6, n, n)), labels=labels, name=f"B_{n}")
     translations = SubgroupMask(table, k == 0)
     zeta = Homomorphism(table, cyclic_table(6, name="C6"), k)
     chi, ta, tb = (int(r[0]) for r in gen_rows)
@@ -465,13 +446,17 @@ class SL2Lift:
     F: SL2Matrix
     lin2: tuple[int, int]
 
+    def law(self, g: tuple) -> tuple:
+        """The lift on a coordinate triple (x, y, z2) over Z; entries are ints or int arrays."""
+        x, y, z2 = g
+        qxx, qxy, qyy = q_form_coeffs(self.F)
+        lx, ly = self.lin2
+        return (*self.F.apply(x, y),
+                z2 + qxx * x * x + qxy * x * y + qyy * y * y + lx * x + ly * y)
+
     def __call__(self, e: HeisElem) -> HeisElem:
         _require_integral_group(e, "a lift over SL(2,Z)")
-        qxx, qxy, qyy = q_form_coeffs(self.F)
-        x, y = e.x, e.y
-        lx, ly = self.lin2
-        z2 = e.z2 + qxx * x * x + qxy * x * y + qyy * y * y + lx * x + ly * y
-        return HeisElem(None, *self.F.apply(x, y), z2)
+        return HeisElem(None, *self.law((e.x, e.y, e.z2)))
 
 
 def sl2_lift(F: SL2Matrix, lin=(0, 0)) -> SL2Lift:

@@ -184,13 +184,10 @@ def test_usage_error_exit_code():
 
 
 def test_cap_exit_code():
-    # order 32768 fits the cap, but its int32 table (4.3 GB) is over the memory
-    # guard, and so is the hat table of order 32928.  The last three orders fit
-    # their caps too, and are refused before their digit arrays are built (for
-    # gamma --n 1000 those alone would take 7.45 GiB); no table is allocated
+    # the last three orders fit their caps, but their word tables are over the
+    # memory guard, and they are refused before their digit arrays are built
+    # (for gamma --n 1000 those alone would take 7.45 GiB)
     for args in (("gamma", "--n", "30", "--cap", "1000"),
-                 ("gamma", "--n", "32", "--cap", "40000"),
-                 ("hat-gamma", "--n", "14", "--cap", "40000"),
                  ("gamma", "--n", "1000", "--cap", "10000000000"),
                  ("hat-gamma", "--n", "200", "--cap", "10000000000"),
                  ("hat-gamma", "--n", "100", "--cap", "100000000")):
@@ -198,6 +195,16 @@ def test_cap_exit_code():
         assert proc.returncode == 3, args
         assert "error" in json.loads(proc.stdout)
         assert "Traceback" not in proc.stderr
+
+
+def test_hat_gamma_14_reaches_the_floor():
+    # order 32,928: its dense int32 table would take 4.3 GB, its word table 9.2 MB
+    proc = run_cli("hat-gamma", "--n", "14", "--cap", "40000")
+    assert proc.returncode == 0
+    claims = claims_by_name(json.loads(proc.stdout))
+    assert claims["order"]["computed"] == 32_928
+    assert claims["min-abelian-index-floor"]["computed"] == 84
+    assert claims["min-abelian-index-floor"]["pass"] is True
 
 
 def test_dump_group_path_is_checked_before_the_build(monkeypatch, capsys):

@@ -14,6 +14,7 @@ from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
 from abindex.errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
+from helpers import dense, digit_tree
 
 
 def perm_mul(a, b):
@@ -56,7 +57,8 @@ def brute_force_max_abelian(g):
     """
     best = 1
     n = g.order
-    commutes = g.mul == g.mul.T
+    mul = dense(g)
+    commutes = mul == mul.T
     for i in range(n):
         best = max(best, gc.closure(g, [i]).size)
         for j in range(i + 1, n):
@@ -141,7 +143,7 @@ def brute_force_automorphism_count(g):
         p[g.identity] = g.identity
         for spot, val in zip(others, perm_rest):
             p[spot] = val
-        if np.array_equal(p[g.mul], g.mul[np.ix_(p, p)]):
+        if np.array_equal(p[dense(g)], g.mul[np.ix_(p, p)]):
             count += 1
     return count
 
@@ -217,7 +219,7 @@ def test_compose_rows_refuses_an_oversized_table():
 def _corrupted_gamma_9():
     # an order-729 table with identity and inverses intact, but row 1 has
     # columns 3 and 4 swapped; a sample of 100,000 triples misses the fault
-    mul = hb.gamma_n(9).mul.copy()
+    mul = dense(hb.gamma_n(9))
     mul[1, [3, 4]] = mul[1, [4, 3]]
     return mul
 
@@ -242,7 +244,7 @@ def _small_tables():
         d = base.order
         p = np.array([0, *perm])
         mul = np.empty((d, d), dtype=np.int64)
-        mul[np.ix_(p, p)] = p[base.mul]
+        mul[np.ix_(p, p)] = p[dense(base)]
         for i, j, v in edits:
             if d > 1:
                 mul[1 + i % (d - 1), 1 + j % (d - 1)] = v % d
@@ -283,18 +285,57 @@ def test_compose_rows_accepts_exactly_the_groups(mul, data):
         g = None
     assert (g is not None) == _is_group(composed)
     if g is not None:
-        assert np.array_equal(g.mul, composed)
+        assert np.array_equal(dense(g), composed)
+
+
+def _factorizations(m):
+    """Ordered factorizations of m into factors >= 2; (1,) for m = 1."""
+    if m == 1:
+        return [(1,)]
+    out = [(m,)]
+    for d in range(2, m):
+        if m % d == 0:
+            out += [(d, *rest) for rest in _factorizations(m // d)]
+    return out
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_small_tables(), st.data())
+def test_word_table_accepts_exactly_the_groups(mul, data):
+    """The word certificate against brute force: with the rows of the table's
+    elements at the digit places as generator rows, the word table is
+    accepted exactly when the table composed along the digit tree is a
+    group, and then it reads as that table."""
+    radices = data.draw(st.sampled_from(_factorizations(len(mul))))
+    places = np.cumprod([1, *radices[:0:-1]])[::-1] % len(mul)
+    rows = mul[places]
+    parent, via = digit_tree(radices)
+    composed = np.empty_like(mul)
+    composed[0] = np.arange(len(mul))
+    for t in range(1, len(mul)):
+        composed[t] = rows[via[t]][composed[parent[t]]]
+    try:
+        g = gc.GroupTable(gc.WordMul(rows, radices))
+    except ValueError:
+        g = None
+    assert (g is not None) == _is_group(composed)
+    if g is not None:
+        assert np.array_equal(dense(g), composed)
 
 
 def test_compose_rows_refuses_a_tree_whose_words_miss_their_codes():
     # Gamma_3's rows along its digit tree, with the a and b edges swapped:
     # the word of code t no longer sends 0 to t
-    (x, y, z), parent, via = hb._digit_tree((3, 3, 3))
+    x, y, z = gc.code_digits((3, 3, 3))
+    parent, via = digit_tree((3, 3, 3))
     rows = [(x + 1) % 3 * 9 + y * 3 + (z + y) % 3, x * 9 + (y + 1) % 3 * 3 + z,
             x * 9 + y * 3 + (z + 1) % 3]
-    assert np.array_equal(gc.compose_rows(rows, parent, via).mul, hb.gamma_n(3).mul)
+    assert np.array_equal(dense(gc.compose_rows(rows, parent, via)), dense(hb.gamma_n(3)))
     with pytest.raises(ValueError, match="column 0"):
         gc.compose_rows(rows, parent, np.where(via == 2, 2, 1 - via))
+    # the same swap in a word table: its words are c^z a^y b^x
+    with pytest.raises(ValueError, match="column 0"):
+        gc.WordMul([rows[1], rows[0], rows[2]], (3, 3, 3))
 
 
 def test_closures_return_their_discovery_tree(monkeypatch):
@@ -356,8 +397,18 @@ def test_json_round_trip():
     doc = gc.table_to_json(g)
     g2 = gc.table_from_json(doc)
     assert g2.order == g.order
-    assert np.array_equal(g2.mul, g.mul)
+    assert np.array_equal(dense(g2), dense(g))
     assert g2.labels == g.labels
+
+
+@pytest.mark.parametrize("make", [lambda: hb.gamma_n(4), lambda: hb.hat_gamma_n(2).table],
+                         ids=["Gamma4", "HatGamma2"])
+def test_word_table_json_round_trip(make):
+    g = make()
+    g2 = gc.table_from_json(gc.table_to_json(g))
+    assert isinstance(g2.mul, np.ndarray)
+    assert np.array_equal(g2.mul, dense(g))
+    assert g2.labels == g.labels and np.array_equal(g2.inv, g.inv)
 
 
 def test_json_rejects_identity_off_zero():
@@ -776,7 +827,7 @@ def _all_pairs_closure(g, bits):
 
 def _all_pairs_hom(m, source, target):
     m = np.asarray(m)
-    return bool(np.array_equal(m[source.mul], target.mul[np.ix_(m, m)]))
+    return bool(np.array_equal(m[dense(source)], target.mul[np.ix_(m, m)]))
 
 
 def _differential_groups():
@@ -802,7 +853,8 @@ def _differential_groups():
 def test_generator_checks_match_all_pairs_definitions(g, homs):
     """Center, [G,G], normality of every <x> and morphisms, against all-pairs definitions."""
     mul, inv = g.mul, g.inv
-    assert np.array_equal(gc.center(g).bits, (mul == mul.T).all(axis=1))
+    table = dense(g)
+    assert np.array_equal(gc.center(g).bits, (table == table.T).all(axis=1))
     every = np.arange(g.order)
     comm = np.zeros(g.order, dtype=bool)
     comm[gc.commutators(g, every[:, None], every[None, :])] = True

@@ -17,6 +17,7 @@ from abindex.errors import (
     NonIntegralInput,
     OddModulus,
 )
+from helpers import dense, digit_tree
 
 
 def rand_int_elem(rng, span=50):
@@ -404,6 +405,72 @@ def test_bn_tables_are_not_cached():
         ref = weakref.ref(build())
         garbage.collect()
         assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# word tables against the dense composition
+
+
+def _word_and_composed(monkeypatch, build):
+    """The word table ``build()`` returns, and the dense table ``compose_rows``
+    composes from the same generator rows along the same digit tree."""
+    calls = []
+    real = hb.WordMul
+
+    def recording(rows, radices):
+        calls.append((rows, radices))
+        return real(rows, radices)
+
+    monkeypatch.setattr(hb, "WordMul", recording)
+    word = build()
+    [(rows, radices)] = calls
+    parent, via = digit_tree(radices)
+    return word, gc.compose_rows(rows, parent, via)
+
+
+@pytest.mark.parametrize("build,n", [
+    *[pytest.param(hb.gamma_n, n, id=f"Gamma{n}") for n in range(2, 13)],
+    *[pytest.param(lambda n: hb.hat_gamma_n(n, cap=12 * n**3).table, n, id=f"HatGamma{n}")
+      for n in range(2, 13, 2)],
+    *[pytest.param(hb.b_n_group, n, id=f"B{n}") for n in range(1, 11)],
+])
+def test_word_table_equals_its_dense_composition(monkeypatch, build, n):
+    word, composed = _word_and_composed(monkeypatch, lambda: build(n))
+    assert isinstance(word.mul, gc.WordMul) and isinstance(composed.mul, np.ndarray)
+    for lo, hi in gc._blocks(word.order):
+        assert np.array_equal(word.mul[lo:hi], composed.mul[lo:hi]), lo
+    assert np.array_equal(word.inv, composed.inv)
+    assert np.array_equal(word.gens, composed.gens)
+    assert np.array_equal(gc.all_element_orders(word), gc.all_element_orders(composed))
+    assert gc.center(word).bits.tobytes() == gc.center(composed).bits.tobytes()
+    assert (gc.commutator_subgroup(word).bits.tobytes()
+            == gc.commutator_subgroup(composed).bits.tobytes())
+    found, expected = gc.min_abelian_index(word), gc.min_abelian_index(composed)
+    assert (found.index, found.witness.size) == (expected.index, expected.witness.size)
+    assert found.witness.bits.tobytes() == expected.witness.bits.tobytes()
+
+
+def test_word_table_reads_like_its_dense_table():
+    g = hb.hat_gamma_n(2).table
+    full = dense(g)
+    a = np.array([[0, 5, 17], [95, 3, 40]])
+    mask = np.arange(g.order) % 3 == 1
+    for key in [(3, 5), (a, 7), (7, a), (a[:, :, None], a[:, None, :]), 11, [1, 2, 90], a,
+                (slice(None), 9), (slice(None), a), (a, slice(None)), (4, mask), mask,
+                (slice(10, 30), slice(5, 8)), np.ix_([4, 9], mask), (np.int64(6), 8)]:
+        assert np.array_equal(g.mul[key], full[key]), key
+    again = gc.GroupTable(g.mul)
+    assert again.mul is g.mul and np.array_equal(again.inv, g.inv)
+    # 14 int16 columns of order 96 and four digit offsets per element
+    assert g.mul.nbytes == (6 + 2 + 2 + 4) * 96 * 2 + 4 * 96 * 8
+
+
+def test_word_tables_are_refused_before_their_digits_are_built():
+    # 3,000 columns of 10^9 int32 entries; nothing of that size is allocated
+    with pytest.raises(CapExceeded, match="word table"):
+        gc.code_digits((1000, 1000, 1000))
+    with pytest.raises(CapExceeded, match="word table"):
+        hb.hat_gamma_n(200, cap=10**10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
