@@ -175,9 +175,10 @@ def _check_dump_target(path: Optional[str]) -> None:
 def _dump_group(path: Optional[str], table: gc.GroupTable) -> None:
     if not path:
         return
+    doc = gc.table_to_json(table)  # refuses an oversized table before the file is opened
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(gc.table_to_json(table), fh)
+            json.dump(doc, fh)
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc
 

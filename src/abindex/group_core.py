@@ -24,6 +24,7 @@ DEFAULT_AUT_CAP = 120
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley or word table a construction allocates
 
 _BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
+_DENSE_WORD_ORDER = 1 << 10  # word_table stores a group up to this order (2 MB) dense
 
 
 def _index_dtype(order: int):
@@ -411,7 +412,8 @@ class WordMul:
     multiplication by s_j.  For each s_j and each power d < r_j the product
     keeps the column x -> x s_j^d, and x y is one gather per digit of y,
     lowest digit first.  ``mul[a, b]`` on broadcast index arrays, ``mul[x]``,
-    ``mul[:, y]``, boolean masks and slices read as they read a dense table;
+    ``mul[:, y]``, boolean masks and slices read as they read a dense table,
+    negative indices included, and an index out of range raises IndexError.
     ``nbytes`` counts the columns and the digits.
 
     Built only certified, by ``compose_rows``' certificate: column 0 is the
@@ -464,8 +466,11 @@ class WordMul:
         return _along_words(back, self._radices, [0])[0].astype(np.int64)
 
     def __getitem__(self, key):
-        a, b = key if isinstance(key, tuple) else (key, slice(None))
-        (a, a_slice), (b, b_slice) = self._index(a), self._index(b)
+        if not isinstance(key, tuple):
+            key = (key, slice(None))
+        if len(key) != 2:
+            raise IndexError(f"a table takes two indices, not {len(key)}")
+        (a, a_slice), (b, b_slice) = self._index(key[0]), self._index(key[1])
         if a_slice:  # a slice indexes an outer axis, as in numpy
             a = a.reshape(a.shape + (1,) * np.ndim(b))
         elif b_slice:
@@ -475,12 +480,40 @@ class WordMul:
         return a
 
     def _index(self, k):
-        """An index as an int or int array, and whether it was a slice."""
+        """An index as an int or int array in 0 .. order - 1, and whether it
+        was a slice.  Negative indices count from the end, as in numpy."""
+        n = self.order
         if isinstance(k, slice):
-            return np.arange(self.order)[k], True
-        if isinstance(k, np.ndarray) and k.dtype == bool:
+            return np.arange(n)[k], True
+        if isinstance(k, (int, np.integer)) and not isinstance(k, bool):
+            if not -n <= k < n:
+                raise IndexError(f"index {k} out of range for a table of order {n}")
+            return k % n, False
+        k = np.asarray(k)
+        if k.dtype == bool:
+            if k.shape != (n,):
+                raise IndexError(f"a boolean mask of shape {k.shape} for a table of order {n}")
             return np.flatnonzero(k), False
-        return k, False
+        if k.size == 0:
+            return k.astype(np.intp), False
+        if k.dtype.kind not in "iu":
+            raise IndexError("a table is indexed by integers, slices and boolean masks")
+        lo, hi = k.min(), k.max()
+        if lo < -n or hi >= n:
+            raise IndexError(f"index {lo if lo < -n else hi} out of range "
+                             f"for a table of order {n}")
+        return (np.where(k < 0, k + n, k) if lo < 0 else k), False
+
+
+def word_table(gen_rows: Sequence[np.ndarray], radices: Sequence[int],
+               labels: Optional[Sequence[str]] = None, name: str = "") -> GroupTable:
+    """The group of the certified ``WordMul`` on these generator rows.  Up to
+    order _DENSE_WORD_ORDER its Cayley table is read out and kept instead:
+    it is small, and one lookup per product beats one gather per digit."""
+    mul = WordMul(gen_rows, radices)
+    if mul.order <= _DENSE_WORD_ORDER:
+        mul = mul[:, :]
+    return GroupTable(mul, labels=labels, name=name, _certified=True)
 
 
 def build_from_generators(
@@ -506,9 +539,10 @@ def build_from_generators(
 
 def table_to_json(g: GroupTable) -> dict:
     """Interchange form: row-major table, element 0 is the identity.  The
-    rows are read in blocks, so a word table is never materialized whole."""
-    doc = {"order": g.order,
-           "mul": [row for lo, hi in _blocks(g.order) for row in g.mul[lo:hi].tolist()]}
+    whole table is written out, so an order whose Cayley table would not fit
+    is refused first, as a dense table of that order is."""
+    check_table_order(g.order)
+    doc = {"order": g.order, "mul": g.mul[:, :].tolist()}
     if g.labels is not None:
         doc["labels"] = list(g.labels)
     return doc

@@ -30,12 +30,12 @@ from .group_core import (
     GroupTable,
     Homomorphism,
     SubgroupMask,
-    WordMul,
     closure,
     code_digits,
     cyclic_table,
     is_normal,
     prime_power_base,
+    word_table,
 )
 
 CHI_MATRIX = ((0, -1), (1, 1))  # order-6 torus symmetry (x,y) -> (-y, x+y)
@@ -181,7 +181,7 @@ def gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         rx, ry, rz2 = _heis_law(n, s, (x, y, 2 * z))
         gen_rows.append((rx * n + ry) * n + rz2 // 2)
     labels = [f"A({a},{b},{c})" for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
-    return GroupTable(WordMul(gen_rows, (n, n, n)), labels=labels, name=f"Gamma_{n}")
+    return word_table(gen_rows, (n, n, n), labels=labels, name=f"Gamma_{n}")
 
 
 def gamma_elem_index(n: int, x: int, y: int, z: int) -> int:
@@ -294,7 +294,7 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
         _hat_code(n, *_heis_law(n, s, g), k) for s in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     labels = [f"A({a},{b},{_format_half(c)})h^{d}"
               for a, b, c, d in zip(x.tolist(), y.tolist(), z2.tolist(), k.tolist())]
-    table = GroupTable(WordMul(gen_rows, radices), labels=labels, name=f"HatGamma_{n}")
+    table = word_table(gen_rows, radices, labels=labels, name=f"HatGamma_{n}")
     if closure(table, [int(r[0]) for r in gen_rows[:3]]).size != ambient:
         raise RuntimeError(f"h, a and b do not generate all {ambient} pairs")
     theta = Homomorphism(table, cyclic_table(6, name="C6"), k)
@@ -352,7 +352,7 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
         (k * n + u) * n + (v + 1) % n,
     ]
     labels = [f"t({p},{q})chi^{r}" for p, q, r in zip(u.tolist(), v.tolist(), k.tolist())]
-    table = GroupTable(WordMul(gen_rows, (6, n, n)), labels=labels, name=f"B_{n}")
+    table = word_table(gen_rows, (6, n, n), labels=labels, name=f"B_{n}")
     translations = SubgroupMask(table, k == 0)
     zeta = Homomorphism(table, cyclic_table(6, name="C6"), k)
     chi, ta, tb = (int(r[0]) for r in gen_rows)

@@ -10,14 +10,21 @@ def dense(g):
     return np.array(g.mul[:, :])
 
 
+def digit_places(radices):
+    """The place value of each digit of the codes ``gc.code_digits`` gives: the
+    code whose digit j is 1 and whose other digits are 0 (0 for a radix of 1)."""
+    digits = np.stack(gc.code_digits(radices))
+    single = (digits != 0).sum(axis=0) == 1
+    return np.array([np.argmax(single & (d == 1)) for d in digits])
+
+
 def digit_tree(radices):
     """The tree ``compose_rows`` composes a word table along: the parent of a
     code is the code with its lowest nonzero digit lowered by one, reached
     through that digit's generator (``via``)."""
     digits = gc.code_digits(radices)
-    places = np.cumprod([1, *radices[:0:-1]])[::-1]
     lowest = np.stack(digits[::-1]) != 0
     via = len(radices) - 1 - np.argmax(lowest, axis=0)
-    parent = np.arange(len(via)) - places[via]
+    parent = np.arange(len(via)) - digit_places(radices)[via]
     parent[0] = via[0] = -1
     return parent, via

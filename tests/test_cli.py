@@ -244,3 +244,13 @@ def test_dump_group_round_trip(tmp_path):
     from abindex.group_core import table_from_json
 
     assert table_from_json(doc).order == 27
+
+
+def test_dump_group_refuses_a_table_too_large_to_write(tmp_path):
+    # the word table of order 32,928 fits, but its dense int32 table (4.3 GB) does not
+    path = tmp_path / "hat14.json"
+    proc = run_cli("hat-gamma", "--n", "14", "--cap", "40000", "--dump-group", str(path))
+    assert proc.returncode == 3
+    assert "would exceed" in json.loads(proc.stdout)["error"]
+    assert "Traceback" not in proc.stderr
+    assert not path.exists()

@@ -415,13 +415,13 @@ def _word_and_composed(monkeypatch, build):
     """The word table ``build()`` returns, and the dense table ``compose_rows``
     composes from the same generator rows along the same digit tree."""
     calls = []
-    real = hb.WordMul
 
-    def recording(rows, radices):
+    def recording(rows, radices, **kwargs):
         calls.append((rows, radices))
-        return real(rows, radices)
+        return gc.word_table(rows, radices, **kwargs)
 
-    monkeypatch.setattr(hb, "WordMul", recording)
+    monkeypatch.setattr(hb, "word_table", recording)
+    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)  # every family table a word table
     word = build()
     [(rows, radices)] = calls
     parent, via = digit_tree(radices)
@@ -450,15 +450,38 @@ def test_word_table_equals_its_dense_composition(monkeypatch, build, n):
     assert found.witness.bits.tobytes() == expected.witness.bits.tobytes()
 
 
-def test_word_table_reads_like_its_dense_table():
+@pytest.mark.parametrize("build", [lambda: hb.gamma_n(4), lambda: hb.hat_gamma_n(2).table,
+                                   lambda: hb.b_n_group(4)], ids=["Gamma4", "HatGamma2", "B4"])
+def test_small_family_tables_are_dense(monkeypatch, build):
+    # orders 64, 96 and 96: each kept as its int16 Cayley table, read out of its word table
+    small = build()
+    assert isinstance(small.mul, np.ndarray) and small.mul.dtype == np.int16
+    assert small.mul.nbytes == small.order**2 * 2
+    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
+    word = build()
+    assert isinstance(word.mul, gc.WordMul)
+    assert np.array_equal(small.mul, dense(word)) and small.labels == word.labels
+
+
+def test_word_table_reads_like_its_dense_table(monkeypatch):
+    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
     g = hb.hat_gamma_n(2).table
     full = dense(g)
     a = np.array([[0, 5, 17], [95, 3, 40]])
+    neg = np.array([-1, 4, -96])
     mask = np.arange(g.order) % 3 == 1
     for key in [(3, 5), (a, 7), (7, a), (a[:, :, None], a[:, None, :]), 11, [1, 2, 90], a,
                 (slice(None), 9), (slice(None), a), (a, slice(None)), (4, mask), mask,
-                (slice(10, 30), slice(5, 8)), np.ix_([4, 9], mask), (np.int64(6), 8)]:
+                (slice(10, 30), slice(5, 8)), np.ix_([4, 9], mask), (np.int64(6), 8),
+                -1, (-1, 7), (slice(None), -1), (neg, 3), (5, neg), (neg[:, None], neg),
+                (list(mask), 2), (3, list(mask)), ([], 4)]:
         assert np.array_equal(g.mul[key], full[key]), key
+    for key in [96, -97, (96, 0), (0, 96), (np.array([0, 96]), 1), (1, np.array([-97])),
+                (mask[:50], 1), (1, 2, 3)]:
+        with pytest.raises(IndexError):
+            full[key]
+        with pytest.raises(IndexError):
+            g.mul[key]
     again = gc.GroupTable(g.mul)
     assert again.mul is g.mul and np.array_equal(again.inv, g.inv)
     # 14 int16 columns of order 96 and four digit offsets per element
