@@ -1,7 +1,5 @@
 """Exact finite-group engine for abelian-index bounds and their verification."""
 
-from . import errors, group_core, heisenberg, jordan_bounds, qpairing, surface_groups
-
 __all__ = [
     "errors",
     "group_core",

@@ -19,9 +19,6 @@ import numpy as np
 
 from . import group_core as gc
 from . import heisenberg as hb
-from . import jordan_bounds as jb
-from . import qpairing as qp
-from . import surface_groups as sg
 from .errors import CapExceeded, EngineError, InvalidInput, SearchTimeout
 
 
@@ -113,6 +110,8 @@ def cmd_gamma(args) -> int:
     rep = VerificationReport("gamma", {"n": n, "cap": args.cap})
     _check_dump_target(args.dump_group)
     g = hb.gamma_n(n, cap=args.cap)
+    if args.dump_group:
+        gc.check_table_order(g.order)  # refuse a table too large to write before the search
     center = gc.center(g)
     comm = gc.commutator_subgroup(g)
     res = gc.min_abelian_index(g, budget_s=args.budget_s)
@@ -133,6 +132,8 @@ def cmd_hat_gamma(args) -> int:
     rep = VerificationReport("hat-gamma", {"n": n, "cap": args.cap})
     _check_dump_target(args.dump_group)
     hat = hb.hat_gamma_n(n, cap=args.cap)
+    if args.dump_group:
+        gc.check_table_order(hat.order)  # refuse a table too large to write before the search
     res = gc.min_abelian_index(hat.table, budget_s=args.budget_s)
     rep.info("order", "computed order of the twisted closure", hat.order, "enumeration")
     rep.check("theta-onto", "projection onto the order-6 quotient is surjective",
@@ -184,6 +185,7 @@ def _dump_group(path: Optional[str], table: gc.GroupTable) -> None:
 
 
 def cmd_bound(args) -> int:
+    from . import jordan_bounds as jb
     t0 = time.monotonic()
     alpha = jb.parse_rational(args.alpha)
     beta = jb.parse_rational(args.beta)
@@ -215,6 +217,7 @@ def cmd_bound(args) -> int:
 
 
 def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> None:
+    from . import qpairing as qp
     mixed = None  # the n = 6 pairing of a 2-element with a 3-element, reported last
     for n in range(2, max_n + 1):
         data = qp.gamma_central_data(n, cap=cap)
@@ -252,6 +255,7 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> 
 
 
 def _suite_esfera(rep: VerificationReport, cap: int) -> None:
+    from . import surface_groups as sg
     kinds = [
         sg.cyclic_kind(2), sg.cyclic_kind(3), sg.cyclic_kind(5), sg.cyclic_kind(6),
         sg.dihedral_kind(3), sg.dihedral_kind(4), sg.dihedral_kind(5), sg.dihedral_kind(6),
@@ -288,6 +292,7 @@ def _suite_esfera(rep: VerificationReport, cap: int) -> None:
 
 
 def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
+    from . import surface_groups as sg
     for bound in range(2, 11):
         rep.check(f"point-orders-bound{bound}",
                   "finite-order torus symmetries have order 1, 2, 3, 4 or 6",

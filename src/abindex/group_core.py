@@ -43,13 +43,14 @@ class GroupTable:
     ``mul`` is a full Cayley table or a ``WordMul``, which is certified when
     it is built.  The table memoizes exactly two derived arrays, both
     read-only: its element orders and its center mask (read through
-    ``all_element_orders`` and ``center``).
+    ``all_element_orders`` and ``center``).  ``labels`` is a list, or a
+    function of no arguments that makes it on first read.
     """
 
     def __init__(
         self,
         mul,
-        labels: Optional[Sequence[str]] = None,
+        labels: Optional[Sequence[str] | Callable[[], Sequence[str]]] = None,
         name: str = "",
         _certified: bool = False,
     ):
@@ -68,11 +69,11 @@ class GroupTable:
         self.order = order
         self.mul = mul
         self.name = name
-        if labels is not None:
+        if labels is not None and not callable(labels):
             labels = [str(x) for x in labels]
             if len(labels) != order:
                 raise ValueError("labels length does not match order")
-        self.labels = labels
+        self._labels = labels
         self.identity = self._find_identity()
         self.inv = self._build_inverse_table()
         self.gens = self._find_generators()
@@ -120,6 +121,12 @@ class GroupTable:
         out = np.array(gens, dtype=np.intp)
         out.flags.writeable = False
         return out
+
+    @property
+    def labels(self) -> Optional[list[str]]:
+        if callable(self._labels):  # a label function runs once, on first read
+            self._labels = self._labels()
+        return self._labels
 
     @cached_property
     def _orders(self) -> np.ndarray:
@@ -259,19 +266,22 @@ class Homomorphism:
         rows = np.concatenate([[s.identity], s.gens])
         return bool(np.array_equal(m[s.mul[rows]], t.mul[np.ix_(m[rows], m)]))
 
-    def image_mask(self) -> SubgroupMask:
+    def _image_bits(self) -> np.ndarray:
         bits = np.zeros(self.target.order, dtype=bool)
         bits[self.map] = True
-        return SubgroupMask(self.target, bits)
+        return bits
+
+    def image_mask(self) -> SubgroupMask:
+        return SubgroupMask(self.target, self._image_bits())
 
     def kernel_mask(self) -> SubgroupMask:
         return SubgroupMask(self.source, np.asarray(self.map) == self.target.identity)
 
     def is_injective(self) -> bool:
-        return len(np.unique(self.map)) == self.source.order
+        return int(np.count_nonzero(self._image_bits())) == self.source.order
 
     def is_surjective(self) -> bool:
-        return len(np.unique(self.map)) == self.target.order
+        return bool(self._image_bits().all())
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +449,7 @@ class WordMul:
             raise ValueError("word table not associative: a generator row and a "
                              "generator column do not commute")
         self._radices = radices
+        self._codes = np.arange(order)
         self._cols = np.empty(sum(radices) * order, dtype=rows.dtype)
         # digit j of y as the offset of its column: x s_j^d is _cols[_steps[j, y] + x]
         self._steps = np.empty((len(radices), order), dtype=np.intp)
@@ -470,43 +481,19 @@ class WordMul:
             key = (key, slice(None))
         if len(key) != 2:
             raise IndexError(f"a table takes two indices, not {len(key)}")
-        (a, a_slice), (b, b_slice) = self._index(key[0]), self._index(key[1])
-        if a_slice:  # a slice indexes an outer axis, as in numpy
-            a = a.reshape(a.shape + (1,) * np.ndim(b))
-        elif b_slice:
-            a = np.asarray(a)[..., None]
+        # numpy checks each index against the codes and resolves negative ones
+        a, b = self._codes[key[0]], self._codes[key[1]]
+        if isinstance(key[0], slice):  # a slice indexes an outer axis, as in numpy
+            a = a.reshape(a.shape + (1,) * b.ndim)
+        elif isinstance(key[1], slice):
+            a = a[..., None]
         for step in self._steps[::-1, b]:
             a = self._cols[step + a]
         return a
 
-    def _index(self, k):
-        """An index as an int or int array in 0 .. order - 1, and whether it
-        was a slice.  Negative indices count from the end, as in numpy."""
-        n = self.order
-        if isinstance(k, slice):
-            return np.arange(n)[k], True
-        if isinstance(k, (int, np.integer)) and not isinstance(k, bool):
-            if not -n <= k < n:
-                raise IndexError(f"index {k} out of range for a table of order {n}")
-            return k % n, False
-        k = np.asarray(k)
-        if k.dtype == bool:
-            if k.shape != (n,):
-                raise IndexError(f"a boolean mask of shape {k.shape} for a table of order {n}")
-            return np.flatnonzero(k), False
-        if k.size == 0:
-            return k.astype(np.intp), False
-        if k.dtype.kind not in "iu":
-            raise IndexError("a table is indexed by integers, slices and boolean masks")
-        lo, hi = k.min(), k.max()
-        if lo < -n or hi >= n:
-            raise IndexError(f"index {lo if lo < -n else hi} out of range "
-                             f"for a table of order {n}")
-        return (np.where(k < 0, k + n, k) if lo < 0 else k), False
-
 
 def word_table(gen_rows: Sequence[np.ndarray], radices: Sequence[int],
-               labels: Optional[Sequence[str]] = None, name: str = "") -> GroupTable:
+               labels: Optional[Callable[[], list[str]]] = None, name: str = "") -> GroupTable:
     """The group of the certified ``WordMul`` on these generator rows.  Up to
     order _DENSE_WORD_ORDER its Cayley table is read out and kept instead:
     it is small, and one lookup per product beats one gather per digit."""
@@ -584,11 +571,17 @@ def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
 
 def _grow(bits: np.ndarray, frontier: np.ndarray, images: Callable) -> None:
     """Add the frontier to ``bits`` in place, then ``images(f)`` of each
-    batch f of elements gained, until no new element appears."""
+    batch f of elements gained, until no new element appears.  A new element
+    found more than once is kept once, without sorting: of the positions
+    that write it to ``slot``, exactly one reads itself back."""
+    slot = np.empty(len(bits), dtype=np.intp)
     while len(frontier):
         bits[frontier] = True
-        prods = np.unique(images(frontier))
-        frontier = prods[~bits[prods]]
+        prods = images(frontier).ravel()
+        prods = prods[~bits[prods]]
+        pos = np.arange(len(prods))
+        slot[prods] = pos
+        frontier = prods[slot[prods] == pos]
 
 
 def _centralizer_bits(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
@@ -678,7 +671,9 @@ def commutator_subgroup(g: GroupTable) -> SubgroupMask:
     That subgroup is normal, since [xy, s] = x [y, s] x^-1 [x, s], and the
     generators are central modulo it, so the quotient is abelian.
     """
-    return closure(g, np.unique(commutators(g, np.arange(g.order)[:, None], g.gens)))
+    bits = np.zeros(g.order, dtype=bool)
+    bits[commutators(g, np.arange(g.order)[:, None], g.gens)] = True
+    return closure(g, np.flatnonzero(bits))
 
 
 def all_element_orders(g: GroupTable) -> np.ndarray:

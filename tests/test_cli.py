@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex.cli import main, report_from_json
 
@@ -246,7 +247,7 @@ def test_dump_group_round_trip(tmp_path):
     assert table_from_json(doc).order == 27
 
 
-def test_dump_group_refuses_a_table_too_large_to_write(tmp_path):
+def test_dump_group_refuses_a_table_too_large_to_write(tmp_path, monkeypatch, capsys):
     # the word table of order 32,928 fits, but its dense int32 table (4.3 GB) does not
     path = tmp_path / "hat14.json"
     proc = run_cli("hat-gamma", "--n", "14", "--cap", "40000", "--dump-group", str(path))
@@ -254,3 +255,37 @@ def test_dump_group_refuses_a_table_too_large_to_write(tmp_path):
     assert "would exceed" in json.loads(proc.stdout)["error"]
     assert "Traceback" not in proc.stderr
     assert not path.exists()
+
+    # the size is refused as soon as the table is built, before any structure or search
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the table was searched before its size was checked")
+
+    monkeypatch.setattr(gc, "commutator_subgroup", unreachable)
+    monkeypatch.setattr(gc, "min_abelian_index", unreachable)
+    for command, n in (("gamma", "33"), ("hat-gamma", "14")):
+        assert main([command, "--n", n, "--cap", "40000", "--dump-group", str(path)]) == 3
+        assert "would exceed" in json.loads(capsys.readouterr().out)["error"]
+    assert not path.exists()
+
+
+def test_gamma_and_hat_gamma_load_only_the_modules_they_use():
+    # numpy 1.x imports numpy.ma with numpy itself; only what the jobs load counts
+    code = """
+import sys
+import numpy
+before = set(sys.modules)
+import abindex
+loaded = [m for m in sys.modules if m.startswith("abindex.")]
+assert not loaded, loaded
+from abindex import cli
+for args in (["gamma", "--n", "6"], ["hat-gamma", "--n", "2"]):
+    assert cli.main(args) == 0
+print(sorted({"numpy.ma", "abindex.qpairing", "abindex.surface_groups",
+              "abindex.jordan_bounds"} & set(sys.modules) - before))
+from abindex import qpairing
+print(qpairing.__name__)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "abindex.qpairing"]

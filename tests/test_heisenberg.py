@@ -463,6 +463,16 @@ def test_small_family_tables_are_dense(monkeypatch, build):
     assert np.array_equal(small.mul, dense(word)) and small.labels == word.labels
 
 
+def test_family_labels_are_made_on_first_read(monkeypatch):
+    calls = []
+    real = hb._format_half
+    monkeypatch.setattr(hb, "_format_half", lambda z2: calls.append(z2) or real(z2))
+    table = hb.hat_gamma_n(2).table
+    assert not calls
+    labels = table.labels
+    assert len(calls) == 96 and table.labels is labels and labels[1] == "A(0,0,1/2)h^0"
+
+
 def test_word_table_reads_like_its_dense_table(monkeypatch):
     monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
     g = hb.hat_gamma_n(2).table
@@ -486,6 +496,48 @@ def test_word_table_reads_like_its_dense_table(monkeypatch):
     assert again.mul is g.mul and np.array_equal(again.inv, g.inv)
     # 14 int16 columns of order 96 and four digit offsets per element
     assert g.mul.nbytes == (6 + 2 + 2 + 4) * 96 * 2 + 4 * 96 * 8
+
+
+def _set_closure(mul, seed, identity):
+    """The subgroup generated by ``seed``, breadth first on Python sets."""
+    found, queue = {identity}, [identity]
+    for x in queue:
+        for s in seed:
+            y = mul[s][x]
+            if y not in found:
+                found.add(y)
+                queue.append(y)
+    return found
+
+
+@pytest.mark.parametrize("word", [True, False], ids=["word", "dense"])
+@pytest.mark.parametrize("build", [lambda: hb.gamma_n(4), lambda: hb.hat_gamma_n(2).table,
+                                   lambda: hb.b_n_components(3).table],
+                         ids=["Gamma4", "HatGamma2", "B3"])
+def test_closures_match_a_set_closure(monkeypatch, build, word):
+    if word:
+        monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
+    g = build()
+    assert isinstance(g.mul, gc.WordMul) == word
+    mul = dense(g).tolist()
+    rng = np.random.default_rng(7)
+    seeds = [[], [0], [5, 5, 5], g.gens.tolist(), *rng.integers(0, g.order, (8, 2)).tolist()]
+    for seed in seeds:
+        want = _set_closure(mul, seed, g.identity)
+        assert set(gc.closure(g, seed).indices().tolist()) == want, seed
+    inv = g.inv.tolist()
+    comms = {mul[mul[x][y]][mul[inv[x]][inv[y]]] for x in range(g.order) for y in range(g.order)}
+    want = _set_closure(mul, sorted(comms), g.identity)
+    assert set(gc.commutator_subgroup(g).indices().tolist()) == want
+
+
+def test_injective_and_surjective_each_fail_alone():
+    hat = hb.hat_gamma_n(2)
+    assert hat.theta.verify() and hat.theta.is_surjective() and not hat.theta.is_injective()
+    g = hat.table
+    sub, idx = gc.subgroup_table(g, hat.theta_kernel)
+    inclusion = gc.Homomorphism(sub, g, idx)
+    assert inclusion.verify() and inclusion.is_injective() and not inclusion.is_surjective()
 
 
 def test_word_tables_are_refused_before_their_digits_are_built():
