@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,8 +42,9 @@ class GroupTable:
 
     ``mul`` is a full Cayley table or a ``WordMul``, which is certified when
     it is built.  The table memoizes exactly two derived arrays, both
-    read-only: its element orders and its center mask (read through
-    ``all_element_orders`` and ``center``).  ``labels`` is a list, or a
+    read-only: its conjugacy classes, from which the center, ``is_abelian``
+    and the search root are read (``conjugacy_class_labels``), and its
+    element orders (``all_element_orders``).  ``labels`` is a list, or a
     function of no arguments that makes it on first read.
     """
 
@@ -129,26 +130,29 @@ class GroupTable:
         return self._labels
 
     @cached_property
+    def _classes(self) -> np.ndarray:
+        """Map from each element to the smallest index of its conjugacy class."""
+        out = _conjugation_orbits(self, self.gens, np.ones(self.order, dtype=bool))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _orders(self) -> np.ndarray:
-        """The least k >= 1 with x^k = 1, for every x at once."""
-        elems = np.arange(self.order)
-        cur = elems.copy()
+        """The least k >= 1 with x^k = 1, for every x.  Conjugates have equal
+        orders, so the powers run only on the class representatives and the
+        result is read out through the classes."""
+        reps = np.flatnonzero(self._classes == np.arange(self.order))
+        cur = reps.copy()
         orders = np.ones(self.order, dtype=np.int64)
         alive = cur != self.identity
         while alive.any():
             idx = np.flatnonzero(alive)
-            cur[idx] = self.mul[cur[idx], elems[idx]]
-            orders[idx] += 1
+            cur[idx] = self.mul[cur[idx], reps[idx]]
+            orders[reps[idx]] += 1
             alive[idx] = cur[idx] != self.identity
+        orders = orders[self._classes]
         orders.flags.writeable = False
         return orders
-
-    @cached_property
-    def _center_bits(self) -> np.ndarray:
-        """The intersection of the centralizers of the generators."""
-        out = _centralizer_bits(self, self.gens)
-        out.flags.writeable = False
-        return out
 
     def _check_associativity(self) -> None:
         """Light's test on the generators, exact at every order.
@@ -173,7 +177,7 @@ class GroupTable:
         return self.labels[a] if self.labels is not None else str(a)
 
     def is_abelian(self) -> bool:
-        return bool(self._center_bits.all())
+        return bool((self._classes == np.arange(self.order)).all())
 
     def __len__(self) -> int:
         return self.order
@@ -565,7 +569,7 @@ def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
     """
     seed = _checked_indices(g, seed)
     bits = np.zeros(g.order, dtype=bool)
-    _grow(bits, np.array([g.identity]), lambda f: g.mul[np.ix_(seed, f)])
+    _grow(bits, np.array([g.identity]), lambda f: g.mul[seed[:, None], f])
     return SubgroupMask(g, bits, _validated=True)
 
 
@@ -604,7 +608,8 @@ def _greedy_generators(g: GroupTable, bits: np.ndarray) -> list[int]:
     while (outside := bits & ~sub).any():
         gens.append(int(np.argmax(outside)))
         gained = g.mul[gens[-1], sub]
-        _grow(sub, gained[~sub[gained]], lambda f: g.mul[np.ix_(gens, f)])
+        seed = np.array(gens)[:, None]
+        _grow(sub, gained[~sub[gained]], lambda f: g.mul[seed, f])
     return gens
 
 
@@ -638,16 +643,16 @@ def _conjugation_orbits(g: GroupTable, gens: Sequence[int], bits: np.ndarray) ->
 
 
 def conjugacy_class_labels(g: GroupTable) -> np.ndarray:
-    """Map from each element to the smallest index of its class.
+    """Read-only map from each element to the smallest index of its class.
 
     The classes are the orbits of the conjugations by the table's generators.
     """
-    return _conjugation_orbits(g, g.gens, np.ones(g.order, dtype=bool))
+    return g._classes
 
 
 def center(g: GroupTable) -> SubgroupMask:
-    """Elements commuting with the whole group; always normal."""
-    return SubgroupMask(g, g._center_bits, _validated=True)
+    """Elements commuting with the whole group, the one-element classes; always normal."""
+    return SubgroupMask(g, np.bincount(g._classes)[g._classes] == 1, _validated=True)
 
 
 def centralizer(g: GroupTable, s) -> SubgroupMask:
@@ -745,28 +750,10 @@ class AbelianIndexResult:
     centralizers: int = 0  # centralizer masks the search computed
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return tuple(sorted(out))
-
-
-def _largest_subgroup_bound(c_size: int, h_size: int, avail: int) -> int:
-    """Largest divisor of c_size that is a multiple of h_size and <= avail."""
-    best = 0
-    for d in _divisors(c_size):
-        if d > avail:
-            break
-        if d % h_size == 0:
-            best = d
-    return best
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 class _AbelianSearch:
@@ -783,9 +770,11 @@ class _AbelianSearch:
     its whole orbit; E stays a union of orbits of every deeper centralizer,
     since each lies in C.  The child's centralizer C cap C_G(x) has order
     |C| / |orbit of x|, so it is compared with the incumbent before it is
-    computed.  Pruning is Lagrange on the centralizer order against the
-    incumbent.  Branching order: ascending element order, then index, so the
-    explored tree is deterministic.
+    computed.  Pruning is Lagrange: an abelian subgroup of C through H has
+    an order that |H| divides, that divides |C| and that is at most the
+    number of elements of C outside E, so a node stops once the largest
+    such order no longer beats the incumbent.  Branching order: ascending
+    element order, then index, so the explored tree is deterministic.
     """
 
     def __init__(self, g: GroupTable, deadline: Optional[float]):
@@ -820,10 +809,10 @@ class _AbelianSearch:
         element's orbit size (0 outside C).
 
         The orbits come from the conjugation maps of a greedy generating set
-        of C; at the root, C = G, they are the conjugacy classes.
+        of C; at the root, C = G, they are the table's conjugacy classes.
         """
         if c_bits.all():
-            labels = conjugacy_class_labels(self.g)
+            labels = self.g._classes
         else:
             labels = _conjugation_orbits(self.g, _greedy_generators(self.g, c_bits), c_bits)
         return labels, np.bincount(labels[c_bits], minlength=self.n)[labels]
@@ -857,9 +846,13 @@ class _AbelianSearch:
         root = c_size == self.n
         excluded = excluded.copy()
         avail = c_size - int(np.count_nonzero(c_bits & excluded))
+        # orders an abelian subgroup of C through H may have; H misses E, so avail >= |H|
+        bounds = [h_size * k for k in _divisors(c_size // h_size)]
         for x in cand.tolist():
             self.check_time()
-            if _largest_subgroup_bound(c_size, h_size, avail) <= self.best_size:
+            while bounds[-1] > avail:
+                bounds.pop()
+            if bounds[-1] <= self.best_size:
                 return
             enter = c_size // int(sizes[x]) > self.best_size  # |C cap C_G(x)|
             if enter and not self.meets_excluded(h_bits, h_idx, x, excluded):

@@ -456,14 +456,17 @@ def test_center_s3_trivial():
     assert gc.center(g).size == 1
 
 
-def test_center_is_computed_once_and_read_only():
+def test_classes_are_computed_once_read_only_and_read_by_center():
     g = dihedral(6)
-    first = gc.center(g)
-    assert not g.is_abelian()
-    assert gc.center(g).bits is first.bits
+    assert gc.center(g).size == 2 and not g.is_abelian()
+    first = gc.conjugacy_class_labels(g)
+    assert vars(g)["_classes"] is first
+    assert gc.conjugacy_class_labels(g) is first
     with pytest.raises(ValueError):
-        first.bits[0] = False
-    assert first.size == 2
+        first[0] = 1
+    # center and is_abelian read the memo: with every class a singleton the table reads abelian
+    vars(g)["_classes"] = np.arange(g.order)
+    assert gc.center(g).size == g.order and g.is_abelian()
 
 
 def test_commutator_abelian_trivial():
@@ -995,3 +998,69 @@ def test_search_computes_a_centralizer_per_entered_node_only():
     search.run()
     assert search.best_size == 64
     assert search.centralizers == len(calls) == search.nodes - 1
+
+
+# ---------------------------------------------------------------------------
+# structure read off the conjugacy classes
+
+
+def _orders_by_powers(g):
+    """Oracle: the power loop over every element, not only class representatives."""
+    elems = np.arange(g.order)
+    cur = elems.copy()
+    orders = np.ones(g.order, dtype=np.int64)
+    alive = cur != g.identity
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        cur[idx] = g.mul[cur[idx], elems[idx]]
+        orders[idx] += 1
+        alive[idx] = cur[idx] != g.identity
+    return orders
+
+
+def _check_class_structure(g):
+    assert np.array_equal(gc.all_element_orders(g), _orders_by_powers(g))
+    center = gc._centralizer_bits(g, g.gens)
+    assert np.array_equal(gc.center(g).bits, center)
+    assert g.is_abelian() == bool(center.all())
+
+
+def _structure_groups():
+    out = [pytest.param(lambda n=n: hb.gamma_n(n), id=f"Gamma{n}") for n in range(2, 13)]
+    out += [pytest.param(lambda n=n: hb.hat_gamma_n(n).table, id=f"HatGamma{n}")
+            for n in range(2, 11, 2)]
+    out += [pytest.param(lambda n=n: hb.b_n_components(n).table, id=f"B{n}") for n in range(1, 14)]
+    kinds = [sg.cyclic_kind(k) for k in (2, 3, 5, 6)]
+    kinds += [sg.dihedral_kind(k) for k in (3, 4, 5, 6)] + [sg.TETRA, sg.OCTA, sg.ICOSA]
+    out += [pytest.param(lambda k=k: sg.rotation_group(k), id=str(k)) for k in kinds]
+    return out
+
+
+@pytest.mark.parametrize("make", _structure_groups())
+def test_class_orders_and_center_match_direct_definitions(make):
+    """Orders from class representatives equal the power loop over every
+    element, and the one-element classes are the generators' centralizer."""
+    _check_class_structure(make())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_perm_groups())
+def test_class_orders_and_center_on_permutation_groups(perms):
+    d = len(perms[0])
+    g, _ = gc.build_from_generators(tuple(range(d)), [tuple(p) for p in perms], perm_mul)
+    _check_class_structure(g)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 3001):
+        assert gc._divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda: hb.gamma_n(20), (20, 36, 591, 35)),
+    (lambda: hb.hat_gamma_n(10).table, (60, 7, 158, 6)),
+], ids=["Gamma20", "HatGamma10"])
+def test_search_work_is_pinned(make, expected):
+    """Index, nodes, root classes and centralizers of two searches."""
+    res = gc.min_abelian_index(make())
+    assert (res.index, res.nodes_explored, res.root_classes, res.centralizers) == expected
