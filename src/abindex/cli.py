@@ -458,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--beta", required=True, help="rational, e.g. 1 or 3/4")
     p_bound.add_argument("--p", type=int, default=None,
                          help="also decide nonabelian p-group admissibility")
-    common(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify", help="run a named property suite")

@@ -707,15 +707,14 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
         raise NotNormal("subgroup is not normal, cannot form the quotient")
     idx = s.indices()
     coset_min = g.mul[:, idx].min(axis=1)
-    reps = np.unique(coset_min)
+    reps = np.flatnonzero(coset_min == np.arange(g.order))  # each coset's smallest element
     e_rep = coset_min[g.identity]
     reps = np.concatenate([[e_rep], reps[reps != e_rep]])
-    rep_to_q = {int(r): i for i, r in enumerate(reps)}
-    proj = np.array([rep_to_q[int(c)] for c in coset_min], dtype=np.int64)
     q = len(reps)
-    qmul = np.zeros((q, q), dtype=_index_dtype(q))
-    for i, r in enumerate(reps):
-        qmul[i] = proj[g.mul[r, reps]]
+    pos = np.empty(g.order, dtype=np.int64)
+    pos[reps] = np.arange(q)
+    proj = pos[coset_min]
+    qmul = proj[g.mul[np.ix_(reps, reps)]].astype(_index_dtype(q))
     labels = None
     if g.labels is not None:
         labels = [f"[{g.labels[int(r)]}]" for r in reps]
@@ -846,9 +845,12 @@ class _AbelianSearch:
         root = c_size == self.n
         excluded = excluded.copy()
         avail = c_size - int(np.count_nonzero(c_bits & excluded))
+        # the orbit of x is members[start:start + sizes[x]]
+        members = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[members], cand)
         # orders an abelian subgroup of C through H may have; H misses E, so avail >= |H|
         bounds = [h_size * k for k in _divisors(c_size // h_size)]
-        for x in cand.tolist():
+        for x, start in zip(cand.tolist(), starts.tolist()):
             self.check_time()
             while bounds[-1] > avail:
                 bounds.pop()
@@ -857,7 +859,7 @@ class _AbelianSearch:
             enter = c_size // int(sizes[x]) > self.best_size  # |C cap C_G(x)|
             if enter and not self.meets_excluded(h_bits, h_idx, x, excluded):
                 self.descend(c_bits & self.centralizer_bits(x), excluded)
-            excluded |= labels == x
+            excluded[members[start:start + sizes[x]]] = True
             avail -= int(sizes[x])
             if root:
                 self.root_classes += 1
@@ -929,7 +931,7 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[AutMap]:
             img[g.identity] = g.identity
             for b, p, v in steps:
                 img[b] = g.mul[img_of_gen[v], img[p]]
-            if len(np.unique(img)) != g.order:
+            if (np.bincount(img, minlength=g.order) != 1).any():
                 return
             cand = AutMap(img.copy())
             if cand.verify(g):
@@ -991,9 +993,9 @@ def sylow(g: GroupTable, p: int) -> SubgroupMask:
         m //= p
     orders = all_element_orders(g)
     by_order = np.lexsort((np.arange(n), orders))
-    p_orders = [o for o in np.unique(orders).tolist() if prime_power_base(o) == p]
     cur = closure(g, [g.identity])
-    for x in by_order[np.isin(orders[by_order], p_orders)].tolist():
+    # the p-elements: an order above 1 that divides |G|'s p-part is a power of p
+    for x in by_order[(orders[by_order] > 1) & (target % orders[by_order] == 0)].tolist():
         if cur.size == target:
             break
         if not cur.contains(x):

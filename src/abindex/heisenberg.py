@@ -179,18 +179,19 @@ def gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     gen_rows = []
     for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)):
         rx, ry, rz2 = _heis_law(n, s, (x, y, 2 * z))
-        gen_rows.append((rx * n + ry) * n + rz2 // 2)
+        gen_rows.append(gamma_elem_index(n, rx, ry, rz2 // 2))
     return word_table(gen_rows, (n, n, n), name=f"Gamma_{n}", labels=lambda: [
         f"A({a},{b},{c})" for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())])
 
 
-def gamma_elem_index(n: int, x: int, y: int, z: int) -> int:
+def gamma_elem_index(n: int, x, y, z):
+    """Index of A(x, y, z) in ``gamma_n(n)``; entries are ints or int arrays."""
     return ((x % n) * n + (y % n)) * n + (z % n)
 
 
 def gamma_center_mask(g: GroupTable, n: int) -> SubgroupMask:
     bits = np.zeros(g.order, dtype=bool)
-    bits[[gamma_elem_index(n, 0, 0, z) for z in range(n)]] = True
+    bits[gamma_elem_index(n, 0, 0, np.arange(n))] = True
     return SubgroupMask(g, bits)
 
 
@@ -318,17 +319,15 @@ class BnData:
     tb_idx: int
 
 
-def _chi_pow(n: int, k: int) -> tuple:
-    (p, q), (r, s) = CHI_MATRIX
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(k % 6):
-        a, b, c, d = (
-            (p * a + q * c) % n,
-            (p * b + q * d) % n,
-            (r * a + s * c) % n,
-            (r * b + s * d) % n,
-        )
-    return a, b, c, d
+def chi_power(n: int, k: int) -> np.ndarray:
+    """chi^k reduced mod n, a 2 x 2 int64 array."""
+    return np.linalg.matrix_power(np.array(CHI_MATRIX), k % 6) % n
+
+
+def _bn_code(n: int, k, u, v):
+    """Index of t(u, v) chi^k in ``b_n_group(n)``, digits (k, u, v) of radices
+    (6, n, n); entries are ints or int arrays."""
+    return (k * n + u) * n + v
 
 
 def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
@@ -345,11 +344,10 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
         raise CapExceeded(f"order {6 * n * n} exceeds cap {cap}")
     # digits (k, u, v) of t(u,v) chi^k; generators chi, t_a and t_b
     k, u, v = code_digits((6, n, n))
-    a, b, c, d = _chi_pow(n, 1)
     gen_rows = [
-        ((k + 1) % 6 * n + (a * u + b * v) % n) * n + (c * u + d * v) % n,
-        (k * n + (u + 1) % n) * n + v,
-        (k * n + u) * n + (v + 1) % n,
+        _bn_code(n, (k + 1) % 6, *(chi_power(n, 1) @ [u, v] % n)),
+        _bn_code(n, k, (u + 1) % n, v),
+        _bn_code(n, k, u, (v + 1) % n),
     ]
     table = word_table(gen_rows, (6, n, n), name=f"B_{n}", labels=lambda: [
         f"t({p},{q})chi^{r}" for p, q, r in zip(u.tolist(), v.tolist(), k.tolist())])
@@ -374,13 +372,9 @@ def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:
         raise ValueError("k must be 1, 2 or 3")
     if n < 1:
         raise ValueError("n must be positive")
-    a, b, c, d = _chi_pow(n, k)
-    return {
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if ((a * u + b * v) % n, (c * u + d * v) % n) == (u, v)
-    }
+    pts = np.array(code_digits((n, n)))
+    fixed = (chi_power(n, k) @ pts % n == pts).all(axis=0)
+    return set(zip(*pts[:, fixed].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +387,8 @@ def doubling_embed(p: int, cap: int = DEFAULT_ORDER_CAP) -> Homomorphism:
         raise ValueError("doubling needs an odd prime")
     src = gamma_n(p, cap=cap)
     tgt = gamma_n(2 * p, cap=cap)
-    codes = np.arange(src.order)
-    xy, z = np.divmod(codes, p)
-    x, y = np.divmod(xy, p)
-    m = 2 * p
-    img = ((2 * x % m) * m + (2 * y % m)) * m + (4 * z % m)
-    return Homomorphism(src, tgt, img.astype(np.int64))
+    x, y, z = code_digits((p, p, p))
+    return Homomorphism(src, tgt, gamma_elem_index(2 * p, 2 * x, 2 * y, 4 * z))
 
 
 @dataclass(frozen=True)

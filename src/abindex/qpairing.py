@@ -60,7 +60,11 @@ def gamma_central_data(n: int, cap: int = DEFAULT_ORDER_CAP) -> CentralData:
 
 
 def _first_lifts(data: CentralData) -> np.ndarray:
-    return np.unique(data.eta.map, return_index=True)[1]
+    """The smallest lift of each quotient element, in quotient order."""
+    emap = np.asarray(data.eta.map)
+    first = np.full(data.gammaB.order, len(emap))
+    np.minimum.at(first, emap, np.arange(len(emap)))
+    return first
 
 
 def q_pair(data: CentralData, a: int, b: int) -> int:

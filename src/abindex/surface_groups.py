@@ -118,12 +118,9 @@ class EsferaWitness:
 
 def _find_inverting_element(g: GroupTable, mask: SubgroupMask) -> Optional[int]:
     idx = mask.indices()
-    targets = g.inv[idx]
-    for h in range(g.order):
-        conj = g.mul[g.mul[h, idx], g.inv[h]]
-        if np.array_equal(conj, targets):
-            return h
-    return None
+    conj = g.mul[g.mul[:, idx], g.inv[:, None]]  # row h: h x h^-1 for each x in the mask
+    hits = np.flatnonzero((conj == g.inv[idx]).all(axis=1))
+    return int(hits[0]) if len(hits) else None
 
 
 def esfera_witness(g: GroupTable, kind: RotationGroupKind) -> EsferaWitness:
@@ -167,31 +164,27 @@ def p_group_on_sphere_is_cyclic(p: int, g: GroupTable) -> bool:
 # torus point groups
 
 
-_SL2_IDENT = (1, 0, 0, 1)
+def _matrix_orders(mats: np.ndarray) -> np.ndarray:
+    """Orders of a stack of SL(2,Z) matrices, shape (m, 2, 2); 0 where infinite.
 
-
-def _matrix_order(a: int, b: int, c: int, d: int) -> Optional[int]:
-    """Order of an SL(2,Z) matrix; None when infinite.
-
-    Finite order happens exactly for +-identity or trace in {-1, 0, 1}.
+    Finite order happens exactly for trace in {-1, 0, 1} or +-identity, which
+    with det one are the matrices whose entries are those of I up to sign.
+    Only these are powered, so no entry can overflow.
     """
-    if (a, b, c, d) == _SL2_IDENT:
-        return 1
-    if (a, b, c, d) == (-1, 0, 0, -1):
-        return 2
-    if abs(a + d) > 1:
-        return None
-    cur = (a, b, c, d)
-    for k in range(2, 7):
-        cur = (
-            cur[0] * a + cur[1] * c,
-            cur[0] * b + cur[1] * d,
-            cur[2] * a + cur[3] * c,
-            cur[2] * b + cur[3] * d,
-        )
-        if cur == _SL2_IDENT:
-            return k
-    raise RuntimeError("trace criterion violated; arithmetic bug")
+    eye = np.eye(2, dtype=np.int64)
+    trace = mats[:, 0, 0] + mats[:, 1, 1]
+    finite = (np.abs(trace) <= 1) | (np.abs(mats) == eye).all(axis=(1, 2))
+    base = mats[finite]
+    found = np.zeros(len(base), dtype=np.int64)
+    cur = base
+    for k in range(1, 7):
+        found[(found == 0) & (cur == eye).all(axis=(1, 2))] = k
+        cur = cur @ base
+    if (found == 0).any():
+        raise RuntimeError("trace criterion violated; arithmetic bug")
+    orders = np.zeros(len(mats), dtype=np.int64)
+    orders[finite] = found
+    return orders
 
 
 def torus_point_orders(entry_bound: int) -> set[int]:
@@ -200,14 +193,10 @@ def torus_point_orders(entry_bound: int) -> set[int]:
         raise ValueError("entry bound must be positive")
     span = np.arange(-entry_bound, entry_bound + 1)
     a, b, c, d = np.meshgrid(span, span, span, span, indexing="ij")
-    det_one = (a * d - b * c) == 1
+    det_one = a * d - b * c == 1
     mats = np.stack([a[det_one], b[det_one], c[det_one], d[det_one]], axis=1)
-    found: set[int] = set()
-    for row in mats:
-        o = _matrix_order(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-        if o is not None:
-            found.add(o)
-    return found
+    orders = _matrix_orders(mats.reshape(-1, 2, 2))
+    return set(orders[orders > 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +269,8 @@ def affine_torus_group(
         labeler=lambda e: f"[{e[0]},{e[1]};{e[2]},{e[3]}]+({e[4]},{e[5]})",
         name=name or f"affine({n})",
     )
-    mats = np.zeros((table.order, 2, 2), dtype=np.int64)
-    offs = np.zeros((table.order, 2), dtype=np.int64)
-    for elem, i in index.items():
-        mats[i] = [[elem[0], elem[1]], [elem[2], elem[3]]]
-        offs[i] = [elem[4], elem[5]]
-    return AffineTorusAction(n, table, mats, offs)
+    rows = np.array(list(index), dtype=np.int64)  # the index lists the elements in order
+    return AffineTorusAction(n, table, rows[:, :4].reshape(-1, 2, 2), rows[:, 4:])
 
 
 def b_n_affine(n: int, cap: int = DEFAULT_ORDER_CAP) -> AffineTorusAction:
@@ -314,7 +299,7 @@ def tor_index_bound_check(action: AffineTorusAction) -> TorIndexResult:
     """
     n, g = action.n, action.table
     eye = np.eye(2, dtype=np.int64) % n
-    bits = np.array([np.array_equal(action.mats[i] % n, eye) for i in range(g.order)])
+    bits = (action.mats % n == eye).all(axis=(1, 2))
     mask = SubgroupMask(g, bits)
     index = g.order // mask.size
     if index > 6:

@@ -385,6 +385,17 @@ def test_bn_order_and_relations(n):
     assert gc.all_element_orders(t)[chi] == 6
 
 
+# chi^0 .. chi^5, written out
+_CHI_POWERS = [((1, 0), (0, 1)), ((0, -1), (1, 1)), ((-1, -1), (1, 0)),
+               ((-1, 0), (0, -1)), ((0, 1), (-1, -1)), ((1, 1), (-1, 0))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_chi_power_matches_the_written_powers(n):
+    for k in range(-6, 13):
+        assert np.array_equal(hb.chi_power(n, k), np.array(_CHI_POWERS[k % 6]) % n), k
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bn_table_equals_the_law_on_all_pairs(n):
     # (v, k)(v', k') = (v + chi^k v', k + k'), element t(u,v)chi^k at (k n + u) n + v
@@ -392,7 +403,7 @@ def test_bn_table_equals_the_law_on_all_pairs(n):
     k, uv = np.divmod(np.arange(6 * n * n), n * n)
     u, v = np.divmod(uv, n)
     for i in range(data.table.order):
-        (a, b), (c, d) = np.linalg.matrix_power(np.array(hb.CHI_MATRIX), int(k[i]))
+        (a, b), (c, d) = _CHI_POWERS[k[i]]
         pu, pv = (u[i] + a * u + b * v) % n, (v[i] + c * u + d * v) % n
         assert np.array_equal(data.table.mul[i], ((k[i] + k) % 6 * n + pu) * n + pv), i
     assert (data.chi_idx, data.ta_idx, data.tb_idx) == (n * n, 1 % n * n, 1 % n)

@@ -167,12 +167,29 @@ def test_point_orders_exact(bound):
 
 
 def test_specific_matrix_orders():
-    assert sg._matrix_order(0, -1, 1, 0) == 4
-    assert sg._matrix_order(0, -1, 1, 1) == 6
-    assert sg._matrix_order(-1, 1, -1, 0) == 3
-    assert sg._matrix_order(1, 0, 0, 1) == 1
-    assert sg._matrix_order(-1, 0, 0, -1) == 2
-    assert sg._matrix_order(1, 1, 0, 1) is None  # shear, infinite order
+    mats = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, 1], [-1, 0]],
+            [[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[1, 1], [0, 1]]]
+    # the shear has infinite order, reported as 0
+    assert sg._matrix_orders(np.array(mats)).tolist() == [4, 6, 3, 1, 2, 0]
+
+
+def test_matrix_orders_match_a_scalar_power_loop():
+    # every det-one matrix with entries in [-3, 3], against exact powers up to 12
+    def order(a, b, c, d):
+        cur = (a, b, c, d)
+        for k in range(1, 13):
+            if cur == (1, 0, 0, 1):
+                return k
+            p, q, r, s = cur
+            cur = (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+        return 0
+
+    span = range(-3, 4)
+    mats = [(a, b, c, d) for a in span for b in span for c in span for d in span
+            if a * d - b * c == 1]
+    got = sg._matrix_orders(np.array(mats).reshape(-1, 2, 2)).tolist()
+    assert got == [order(*m) for m in mats]
+    assert set(got) == {0, 1, 2, 3, 4, 6}
 
 
 # ---------------------------------------------------------------------------
