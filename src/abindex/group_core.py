@@ -23,7 +23,7 @@ DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley or word table a construction allocates
 
-_BLOCK_ELEMS = 1 << 22  # elements per block in O(n^2) scans
+_BLOCK_ELEMS = 1 << 16  # elements per block in O(n^2) scans and read-outs
 _DENSE_WORD_ORDER = 1 << 10  # word_table stores a group up to this order (2 MB) dense
 
 
@@ -218,9 +218,11 @@ class SubgroupMask:
         return bool(self.bits[a])
 
     def is_abelian(self) -> bool:
-        idx = self.indices()
-        sub = self.owner.mul[np.ix_(idx, idx)]
-        return bool(np.array_equal(sub, sub.T))
+        """Exact in O(|S| |H|): a member commuting with each generator s of
+        H centralizes H, so H is abelian when every member does."""
+        g, idx = self.owner, self.indices()
+        return all(np.array_equal(g.mul[idx, s], g.mul[s, idx])
+                   for s in _greedy_generators(g, self.bits))
 
     def __eq__(self, other) -> bool:
         return (
@@ -500,10 +502,14 @@ def word_table(gen_rows: Sequence[np.ndarray], radices: Sequence[int],
                labels: Optional[Callable[[], list[str]]] = None, name: str = "") -> GroupTable:
     """The group of the certified ``WordMul`` on these generator rows.  Up to
     order _DENSE_WORD_ORDER its Cayley table is read out and kept instead:
-    it is small, and one lookup per product beats one gather per digit."""
-    mul = WordMul(gen_rows, radices)
-    if mul.order <= _DENSE_WORD_ORDER:
-        mul = mul[:, :]
+    it is small, and one lookup per product beats one gather per digit.  It
+    is read out in ``_blocks`` of rows, so the gather offsets of one block
+    are alive at a time."""
+    mul = words = WordMul(gen_rows, radices)
+    if words.order <= _DENSE_WORD_ORDER:
+        mul = np.empty((words.order, words.order), dtype=_index_dtype(words.order))
+        for lo, hi in _blocks(words.order):
+            mul[lo:hi] = words[lo:hi]
     return GroupTable(mul, labels=labels, name=name, _certified=True)
 
 

@@ -10,6 +10,7 @@ None) and its reductions mod (n, n, 2n).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -484,14 +485,14 @@ def q_form_cocycle_check(F: SL2Matrix, G: SL2Matrix) -> CocycleCheck:
     return CocycleCheck(ok, (0, 0), (dxx, dxy, dyy))
 
 
-def random_sl2(rng: np.random.Generator, entry_bound: int = 20) -> SL2Matrix:
+def random_sl2(rng: random.Random, entry_bound: int = 20) -> SL2Matrix:
     """Seeded random walk on the standard generators, entries kept bounded."""
     T = SL2Matrix(1, 1, 0, 1)
     Ti = SL2Matrix(1, -1, 0, 1)
     S = SL2Matrix(0, -1, 1, 0)
     cur = SL2Matrix(1, 0, 0, 1)
-    for _ in range(int(rng.integers(1, 12))):
-        nxt = cur @ [T, Ti, S][int(rng.integers(0, 3))]
+    for _ in range(rng.randrange(1, 12)):
+        nxt = cur @ [T, Ti, S][rng.randrange(3)]
         if nxt.entry_bound() <= entry_bound:
             cur = nxt
     return cur

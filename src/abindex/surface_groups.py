@@ -187,15 +187,25 @@ def _matrix_orders(mats: np.ndarray) -> np.ndarray:
     return orders
 
 
+def det_one_matrices(entry_bound: int) -> np.ndarray:
+    """The integer matrices of determinant one with entries in [-B, B], for
+    B the bound, as rows (a, b, c, d), found in O(B^3) by solving
+    a d - b c = 1 for d: when a != 0, d = (1 + b c) / a where a divides
+    1 + b c and |d| <= B; when a = 0, b c = -1 and d is free."""
+    span = np.arange(-entry_bound, entry_bound + 1)
+    a, b, c = np.ix_(span, span, span)
+    num, den = 1 + b * c, np.where(a == 0, 1, a)
+    d = num // den
+    ia, ib, ic = np.nonzero((a != 0) & (num % den == 0) & (np.abs(d) <= entry_bound))
+    solved = np.stack([span[ia], span[ib], span[ic], d[ia, ib, ic]], axis=1)
+    return np.concatenate([solved, [(0, s, -s, x) for s in (1, -1) for x in span]])
+
+
 def torus_point_orders(entry_bound: int) -> set[int]:
     """Orders of finite-order SL(2,Z) matrices with entries up to the bound."""
     if entry_bound < 1:
         raise ValueError("entry bound must be positive")
-    span = np.arange(-entry_bound, entry_bound + 1)
-    a, b, c, d = np.meshgrid(span, span, span, span, indexing="ij")
-    det_one = a * d - b * c == 1
-    mats = np.stack([a[det_one], b[det_one], c[det_one], d[det_one]], axis=1)
-    orders = _matrix_orders(mats.reshape(-1, 2, 2))
+    orders = _matrix_orders(det_one_matrices(entry_bound).reshape(-1, 2, 2))
     return set(orders[orders > 0].tolist())
 
 

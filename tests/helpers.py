@@ -1,4 +1,6 @@
-"""Shared test helpers for reading word tables whole."""
+"""Shared test helpers: reading word tables whole, and traced memory peaks."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -28,3 +30,14 @@ def digit_tree(radices):
     parent = np.arange(len(via)) - digit_places(radices)[via]
     parent[0] = via[0] = -1
     return parent, via
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes.
+    numpy reports its buffers to tracemalloc, so the peak counts arrays the
+    same way on every platform."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 All tolerances are exact integer or exact rational comparisons.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -286,7 +287,7 @@ def test_criterion_8_shape_arithmetic():
 
 
 def test_criterion_9_cocycle_property():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     problems = []
     for i in range(100):
         F = hb.random_sl2(rng, entry_bound=20)

@@ -945,6 +945,31 @@ def test_search_orbits_match_conjugation_by_c(make):
         assert not sizes[~c_bits].any()
 
 
+def abelian_subgroups(g):
+    """The abelian subgroups of g, from its whole lattice.  On each subgroup
+    ``SubgroupMask.is_abelian`` must equal the definition on all |H|^2 pairs."""
+    out = []
+    for mask in all_subgroup_masks(g):
+        idx = mask.indices()
+        sub = g.mul[np.ix_(idx, idx)]
+        abelian = bool(np.array_equal(sub, sub.T))
+        assert mask.is_abelian() == abelian, mask
+        if abelian:
+            out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda n=n: hb.gamma_n(n), id=f"Gamma{n}") for n in range(2, 7)],
+    *[pytest.param(lambda k=k: sg.rotation_group(k), id=str(k))
+      for k in (sg.dihedral_kind(3), sg.dihedral_kind(6), sg.TETRA, sg.OCTA, sg.ICOSA)],
+])
+def test_subgroup_is_abelian_matches_all_pairs(make):
+    g = make()
+    assert not g.is_abelian()  # the lattice holds a non-abelian mask: g itself
+    assert len(abelian_subgroups(g)) > 1
+
+
 def _perm_groups():
     """Groups generated by 1 to 3 random permutations of degree at most 5."""
     return st.integers(1, 5).flatmap(
@@ -957,7 +982,7 @@ def _perm_groups():
 def test_min_abelian_index_property_on_permutation_groups(perms):
     d = len(perms[0])
     g, _ = gc.build_from_generators(tuple(range(d)), [tuple(p) for p in perms], perm_mul)
-    best = max(m.size for m in all_subgroup_masks(g) if m.is_abelian())
+    best = max(m.size for m in abelian_subgroups(g))
     res = gc.min_abelian_index(g)
     assert res.index == g.order // best
     assert res.witness.size == best and res.witness.is_abelian()

@@ -1,6 +1,7 @@
 """Tests for the Heisenberg constructions and the order-6 twist."""
 
 import gc as garbage
+import random
 import weakref
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from abindex.errors import (
     NonIntegralInput,
     OddModulus,
 )
-from helpers import dense, digit_tree
+from helpers import dense, digit_tree, traced_peak
 
 
 def rand_int_elem(rng, span=50):
@@ -474,6 +475,13 @@ def test_small_family_tables_are_dense(monkeypatch, build):
     assert np.array_equal(small.mul, dense(word)) and small.labels == word.labels
 
 
+def test_dense_read_out_stays_below_twice_the_table():
+    # read out whole, the order-1000 table would take |G|^2 gather offsets per digit (11.6 MB)
+    g, peak = traced_peak(lambda: hb.gamma_n(10))
+    assert isinstance(g.mul, np.ndarray) and g.mul.nbytes == 2 * 10**6
+    assert peak < 2 * g.mul.nbytes, peak
+
+
 def test_family_labels_are_made_on_first_read(monkeypatch):
     calls = []
     real = hb._format_half
@@ -651,9 +659,9 @@ def test_lift_reproduces_both_twists():
 
 def test_lift_is_homomorphism_random_matrices():
     # 100 seeded matrices, 1000 element pairs each
-    rng = np.random.default_rng(4)
+    rng, walk = np.random.default_rng(4), random.Random(4)
     for _ in range(100):
-        F = hb.random_sl2(rng, entry_bound=20)
+        F = hb.random_sl2(walk, entry_bound=20)
         lift = hb.sl2_lift(F)
         coords = rng.integers(-50, 51, (1000, 4))
         zs = rng.integers(-99, 100, (1000, 2))
@@ -682,7 +690,7 @@ def test_cocycle_twist_squared():
 
 
 def test_cocycle_random_pairs():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(100):
         F, G = hb.random_sl2(rng, 20), hb.random_sl2(rng, 20)
         assert F.entry_bound() <= 20 and G.entry_bound() <= 20

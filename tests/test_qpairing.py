@@ -7,6 +7,7 @@ from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex.errors import HypothesisViolation, NotCentral, QuotientNotAbelian
+from helpers import traced_peak
 
 
 def s3():
@@ -104,6 +105,21 @@ def test_q_mixed_primes_vanish_in_gamma_6():
 def test_lift_independence_exhaustive(n):
     # exhaustive over every pair of lifts, for group orders up to 1000
     assert qp.verify_lift_independence(qp.gamma_central_data(n))
+
+
+def test_lift_independence_checks_blocks_of_rows():
+    # one all-pairs commutator array of Gamma_10 would trace 10.6 MB
+    data = qp.gamma_central_data(10)
+    ok, peak = traced_peak(lambda: qp.verify_lift_independence(data))
+    assert ok and peak < 2 << 20, peak
+    # a lift moved to another coset is caught in the last block of rows
+    emap = np.asarray(data.eta.map).copy()
+    last = data.g.order - 1
+    assert emap[1] != emap[last]
+    emap[last] = emap[1]
+    moved = qp.CentralData(data.g, data.gamma0, gc.Homomorphism(data.g, data.gammaB, emap),
+                           data.gammaB)
+    assert not qp.verify_lift_independence(moved)
 
 
 def test_q_image_generates_commutator():

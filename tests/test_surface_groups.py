@@ -6,6 +6,7 @@ import pytest
 from abindex import group_core as gc
 from abindex import surface_groups as sg
 from abindex.errors import HypothesisViolation, IndexExceedsSix
+from helpers import traced_peak
 
 
 def perm_parity(p):
@@ -164,6 +165,22 @@ def test_point_orders_realized_at_bound_one():
 @pytest.mark.parametrize("bound", [2, 3, 5, 10])
 def test_point_orders_exact(bound):
     assert sg.torus_point_orders(bound) == {1, 2, 3, 4, 6}
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_det_one_matrices_match_the_four_loop(bound):
+    span = range(-bound, bound + 1)
+    loop = sorted((a, b, c, d) for a in span for b in span for c in span for d in span
+                  if a * d - b * c == 1)
+    got = sg.det_one_matrices(bound).tolist()
+    assert len(got) == len(loop) and sorted(map(tuple, got)) == loop
+
+
+def test_point_orders_stay_below_one_megabyte():
+    # the (2B+1)^4 grid of all quadruples would take 8.9 MB at B = 10
+    orders, peak = traced_peak(lambda: sg.torus_point_orders(10))
+    assert orders == {1, 2, 3, 4, 6}
+    assert peak < 1 << 20, peak
 
 
 def test_specific_matrix_orders():
