@@ -2,7 +2,7 @@
 
 Each command writes one JSON document to stdout and a human-readable claim
 summary to stderr.  Exit codes: 0 all claims pass, 1 some claim fails,
-2 usage error, 3 cap or time budget exceeded.
+2 usage error, 3 cap, time budget or memory exceeded.
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ class VerificationReport:
             doc["search"] = self.search
         doc["runtime_ms"] = self.runtime_ms
         return doc
-
-
-def report_from_json(doc: dict) -> VerificationReport:
-    rep = VerificationReport(doc["command"], doc["inputs"], runtime_ms=doc["runtime_ms"],
-                             search=doc.get("search"))
-    for c in doc["claims"]:
-        rep.add(c["name"], c["law"], c["expected"], c["computed"], c["source"], c["pass"])
-    return rep
 
 
 def _emit(report: VerificationReport, t0: float) -> int:
@@ -478,8 +470,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("n must be positive")
     try:
         return args.func(args)
-    except (CapExceeded, SearchTimeout) as exc:
-        doc = {"command": args.command, "error": str(exc)}
+    except (CapExceeded, SearchTimeout, MemoryError) as exc:
+        doc = {"command": args.command, "error": str(exc) or "out of memory"}
         if isinstance(exc, SearchTimeout):
             # the incumbent: an abelian subgroup of this order exists
             doc["best_order_found"] = exc.best_order_found

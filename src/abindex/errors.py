@@ -21,16 +21,8 @@ class SearchTimeout(EngineError):
         self.best_order_found = best_order_found
 
 
-class ModulusMismatch(EngineError):
-    """Two elements with different moduli were combined."""
-
-
 class OddModulus(EngineError):
     """An operation requiring an even modulus received an odd one."""
-
-
-class NonIntegralInput(EngineError):
-    """An integral element was required but a half-integral one was given."""
 
 
 class DetNotOne(EngineError):

@@ -18,14 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    DetNotOne,
-    InvalidInput,
-    ModulusMismatch,
-    NonIntegralInput,
-    OddModulus,
-)
+from .errors import CapExceeded, DetNotOne, InvalidInput, OddModulus
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupTable,
@@ -43,49 +36,7 @@ CHI_MATRIX = ((0, -1), (1, 1))  # order-6 torus symmetry (x,y) -> (-y, x+y)
 
 
 # ---------------------------------------------------------------------------
-# element domains
-
-
-@dataclass(frozen=True)
-class HeisElem:
-    """Triple A(x, y, z) with z2 = 2z: reduced mod (n, n, 2n), or over Z when n is None."""
-
-    n: Optional[int]
-    x: int
-    y: int
-    z2: int
-
-    def __post_init__(self):
-        if self.n is None:
-            return
-        if self.n < 1:
-            raise ValueError("modulus must be positive")
-        if not (0 <= self.x < self.n and 0 <= self.y < self.n):
-            raise ValueError("x, y must be reduced mod n")
-        if not 0 <= self.z2 < 2 * self.n:
-            raise ValueError("z2 must be reduced mod 2n")
-
-    @property
-    def z(self) -> Fraction:
-        return Fraction(self.z2, 2)
-
-    def is_integral(self) -> bool:
-        return self.z2 % 2 == 0
-
-    def __str__(self) -> str:
-        return f"A({self.x},{self.y},{_format_half(self.z2)})"
-
-
-def heis_identity(n: Optional[int]) -> HeisElem:
-    return HeisElem(n, 0, 0, 0)
-
-
-def heis_elem(n: Optional[int], x: int, y: int, z) -> HeisElem:
-    """Build an element from integral or half-integral z; n None means over Z."""
-    zf = Fraction(z)
-    if zf.denominator not in (1, 2):
-        raise ValueError("z must be integral or half-integral")
-    return HeisElem(n, *_reduce(n, (x, y, int(zf * 2))))
+# the laws on coordinate triples
 
 
 def _reduce(n: Optional[int], g: tuple) -> tuple:
@@ -109,60 +60,8 @@ def _twist(n: Optional[int], g: tuple) -> tuple:
     return _reduce(n, (-y, x + y, z2 - 2 * x * y - y * y))
 
 
-def heis_mul(a: HeisElem, b: HeisElem) -> HeisElem:
-    """(x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y')."""
-    if a.n != b.n:
-        raise ModulusMismatch(f"moduli differ: {a.n} vs {b.n}")
-    return HeisElem(a.n, *_heis_law(a.n, (a.x, a.y, a.z2), (b.x, b.y, b.z2)))
-
-
-def heis_inv(a: HeisElem) -> HeisElem:
-    return HeisElem(a.n, *_reduce(a.n, (-a.x, -a.y, -a.z2 + 2 * a.x * a.y)))
-
-
-def h_auto(e: HeisElem) -> HeisElem:
-    """The order-6 twist (x,y,z) -> (-y, x+y, z - xy - y^2/2); a modulus must be even."""
-    if e.n is not None and e.n % 2 != 0:
-        raise OddModulus("the twist is only defined for even moduli")
-    return HeisElem(e.n, *_twist(e.n, (e.x, e.y, e.z2)))
-
-
-def _require_integral_group(e: HeisElem, what: str) -> None:
-    if e.n is not None:
-        raise InvalidInput(f"{what} is defined over Z only (modulus None)")
-
-
-def h_prime_auto(e: HeisElem) -> HeisElem:
-    """Integral variant of the twist: z - xy - (y^2 - y)/2; preserves T(Z,Z)."""
-    _require_integral_group(e, "the integral twist")
-    if not e.is_integral():
-        raise NonIntegralInput("the integral twist needs an integral element")
-    x, y, z2 = _twist(None, (e.x, e.y, e.z2))
-    return HeisElem(None, x, y, z2 + e.y)
-
-
 def _format_half(z2: int) -> str:
     return str(z2 // 2) if z2 % 2 == 0 else f"{z2}/2"
-
-
-def parse_heis_literal(text: str, n: int) -> HeisElem:
-    """Parse "A(x,y,z)" with z an integer or a half-integer "k/2"."""
-    s = text.strip()
-    if not (s.startswith("A(") and s.endswith(")")):
-        raise ValueError(f"not an element literal: {text!r}")
-    parts = s[2:-1].split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three coordinates: {text!r}")
-    x, y = int(parts[0]), int(parts[1])
-    zs = parts[2].strip()
-    if "/" in zs:
-        num, den = zs.split("/")
-        if int(den) != 2:
-            raise ValueError("half-integers must be written as k/2")
-        z = Fraction(int(num), 2)
-    else:
-        z = Fraction(int(zs))
-    return heis_elem(n, x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +99,6 @@ def gamma_center_mask(g: GroupTable, n: int) -> SubgroupMask:
 # the extended group generated by Gamma_n and the twist
 
 
-@dataclass(frozen=True)
-class HatElem:
-    """Pair (translation part, twist power) of the extended group."""
-
-    g: HeisElem
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k < 6:
-            raise ValueError("twist power must be reduced mod 6")
-
-    def __str__(self) -> str:
-        return f"{self.g}h^{self.k}"
-
-
-def hat_mul(a: HatElem, b: HatElem) -> HatElem:
-    """(g, k)(g', k') = (g * h^k(g'), k + k')."""
-    if a.g.n != b.g.n:
-        raise ModulusMismatch(f"moduli differ: {a.g.n} vs {b.g.n}")
-    img = b.g
-    for _ in range(a.k):
-        img = h_auto(img)
-    return HatElem(heis_mul(a.g, img), (a.k + b.k) % 6)
-
-
 @dataclass
 class HatGroup:
     """Closure of the translation group and the twist, with its bookkeeping."""
@@ -239,15 +113,6 @@ class HatGroup:
     @property
     def order(self) -> int:
         return self.table.order
-
-    def index_of(self, e: HatElem) -> int:
-        if e.g.n != self.n:
-            raise ModulusMismatch(f"element modulus {e.g.n}, group modulus {self.n}")
-        return int(_hat_code(self.n, e.g.x, e.g.y, e.g.z2, e.k))
-
-    def element_at(self, idx: int) -> HatElem:
-        x, y, z2, k = (int(v) for v in self.coords[idx])
-        return HatElem(HeisElem(self.n, x, y, z2), k)
 
     @cached_property
     def gamma_image_normal(self) -> bool:
@@ -326,8 +191,8 @@ def chi_power(n: int, k: int) -> np.ndarray:
 
 
 def _bn_code(n: int, k, u, v):
-    """Index of t(u, v) chi^k in ``b_n_group(n)``, digits (k, u, v) of radices
-    (6, n, n); entries are ints or int arrays."""
+    """Index of t(u, v) chi^k in ``b_n_components(n).table``, digits (k, u, v)
+    of radices (6, n, n); entries are ints or int arrays."""
     return (k * n + u) * n + v
 
 
@@ -358,11 +223,6 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
     return BnData(n, table, translations, zeta, chi, ta, tb)
 
 
-def b_n_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """The order-6 extension of the n x n translation torus; order 6 n^2."""
-    return b_n_components(n, cap).table
-
-
 def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:
     """Fixed points of the k-th power of chi on (Z_n)^2.
 
@@ -373,7 +233,7 @@ def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:
         raise ValueError("k must be 1, 2 or 3")
     if n < 1:
         raise ValueError("n must be positive")
-    pts = np.array(code_digits((n, n)))
+    pts = np.indices((n, n)).reshape(2, -1)
     fixed = (chi_power(n, k) @ pts % n == pts).all(axis=0)
     return set(zip(*pts[:, fixed].tolist()))
 
@@ -444,10 +304,6 @@ class SL2Lift:
         lx, ly = self.lin2
         return (*self.F.apply(x, y),
                 z2 + qxx * x * x + qxy * x * y + qyy * y * y + lx * x + ly * y)
-
-    def __call__(self, e: HeisElem) -> HeisElem:
-        _require_integral_group(e, "a lift over SL(2,Z)")
-        return HeisElem(None, *self.law((e.x, e.y, e.z2)))
 
 
 def sl2_lift(F: SL2Matrix, lin=(0, 0)) -> SL2Lift:

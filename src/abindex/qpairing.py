@@ -188,11 +188,6 @@ def _require_dc_hypotheses(data: CentralData) -> SubgroupMask:
     return comm
 
 
-def commutator_order_dc(data: CentralData) -> int:
-    """|[G,G]| under the pairing hypotheses (2-generated quotient, cyclic center)."""
-    return _require_dc_hypotheses(data).size
-
-
 @dataclass
 class DcBoundReport:
     d_c: int

@@ -1,4 +1,5 @@
-"""Shared test helpers: reading word tables whole, and traced memory peaks."""
+"""Shared test helpers: reading word tables whole, seeded coordinate triples,
+and traced memory peaks."""
 
 import tracemalloc
 
@@ -30,6 +31,22 @@ def digit_tree(radices):
     parent = np.arange(len(via)) - digit_places(radices)[via]
     parent[0] = via[0] = -1
     return parent, via
+
+
+def seeded_triples(rng, count, span, z_high, z_scale=2):
+    """``count`` triples (x, y, z2) over Z as three int64 arrays, drawn one
+    element at a time: x and y in [-span, span], then z in [-z_high, z_high],
+    with z2 = z_scale * z (z_scale 1 makes z half-integral)."""
+    rows = []
+    for _ in range(count):
+        x, y = rng.integers(-span, span + 1, 2)
+        rows.append((x, y, z_scale * rng.integers(-z_high, z_high + 1)))
+    return tuple(np.array(rows, dtype=np.int64).T)
+
+
+def same(a, b):
+    """Whether two coordinate triples agree entry by entry, for ints or arrays."""
+    return all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
 
 
 def traced_peak(fn):

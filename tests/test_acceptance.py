@@ -18,6 +18,7 @@ from abindex import jordan_bounds as jb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
 from abindex.errors import OddModulus
+from helpers import same, seeded_triples
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -82,35 +83,27 @@ def test_criterion_3_twists_exact():
     for n in range(2, 13):
         if n % 2 == 1:
             with pytest.raises(OddModulus):
-                hb.h_auto(hb.HeisElem(n, 0, 1, 0))
+                hb.hat_gamma_n(n)
             continue
-        for x in range(n):
-            for y in range(n):
-                for z2 in range(2 * n):
-                    e = hb.HeisElem(n, x, y, z2)
-                    cur = e
-                    for _ in range(6):
-                        cur = hb.h_auto(cur)
-                    if cur != e:
-                        problems.append(f"twist^6 != id at n={n} {e}")
-    rng = np.random.default_rng(0)
-    for _ in range(10_000):
-        x, y = (int(v) for v in rng.integers(-40, 41, 2))
-        e = hb.heis_elem(None, x, y, Fraction(int(rng.integers(-80, 81))))
-        out = hb.h_prime_auto(e)
-        if out.z.denominator != 1:
-            problems.append(f"integral twist broke integrality at {e}")
+        e = tuple(np.indices((n, n, 2 * n)).reshape(3, -1))
         cur = e
         for _ in range(6):
-            cur = hb.h_prime_auto(cur)
-        if cur != e:
-            problems.append(f"integral twist^6 != id at {e}")
-    lift = hb.sl2_lift(hb.SL2Matrix(0, -1, 1, 1))
-    for _ in range(1000):
-        x, y = (int(v) for v in rng.integers(-40, 41, 2))
-        e = hb.heis_elem(None, x, y, Fraction(int(rng.integers(-40, 41)), 2))
-        if lift(e) != hb.h_auto(e):
-            problems.append(f"lift disagrees with twist at {e}")
+            cur = hb._twist(n, cur)
+        if not same(cur, e):
+            problems.append(f"twist^6 != id at n={n}")
+    rng = np.random.default_rng(0)
+    e = seeded_triples(rng, 10_000, 40, 80)
+    integral = hb.sl2_lift(hb.SL2Matrix(0, -1, 1, 1), (0, Fraction(1, 2))).law
+    if (integral(e)[2] % 2).any():
+        problems.append("integral twist broke integrality")
+    cur = e
+    for _ in range(6):
+        cur = integral(cur)
+    if not same(cur, e):
+        problems.append("integral twist^6 != id")
+    e = seeded_triples(rng, 1000, 40, 40, z_scale=1)
+    if not same(hb.sl2_lift(hb.SL2Matrix(0, -1, 1, 1)).law(e), hb._twist(None, e)):
+        problems.append("lift disagrees with twist")
     _verdict(3, "order-6 twists, exact", not problems,
              "" if not problems else problems[0])
     assert not problems, problems

@@ -641,8 +641,8 @@ def test_min_abelian_index_cross_checked_on_diverse_groups():
         a4(),
         hb.gamma_n(2),
         hb.gamma_n(3),
-        hb.b_n_group(2),
-        hb.b_n_group(3),
+        hb.b_n_components(2).table,
+        hb.b_n_components(3).table,
         hb.hat_gamma_n(2).table,
         gc.direct_product(s3()[0], gc.cyclic_table(4)),
     ]
@@ -666,7 +666,7 @@ def test_min_abelian_index_against_full_subgroup_lattice():
     rotations = [sg.rotation_group(k) for k in
                  (sg.dihedral_kind(5), sg.TETRA, sg.OCTA, sg.ICOSA)]
     for g in (s3()[0], a4(), s4(), dihedral(6), quaternion_group(),
-              hb.gamma_n(2), hb.b_n_group(2), hb.hat_gamma_n(2).table,
+              hb.gamma_n(2), hb.b_n_components(2).table, hb.hat_gamma_n(2).table,
               hb.b_n_components(3).table, *rotations):
         subgroups = all_subgroup_masks(g)
         best = max(m.size for m in subgroups if m.is_abelian())
@@ -703,7 +703,7 @@ def test_min_abelian_index_timeout_is_distinct():
 
 def test_searched_table_is_freed_without_cyclic_gc():
     # the search leaves nothing on the table that refers back to it
-    g = hb.b_n_group(3)
+    g = hb.b_n_components(3).table
     res = gc.min_abelian_index(g)
     ref = weakref.ref(g)
     garbage.disable()

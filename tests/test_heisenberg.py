@@ -11,60 +11,52 @@ import pytest
 
 from abindex import group_core as gc
 from abindex import heisenberg as hb
-from abindex.errors import (
-    CapExceeded,
-    DetNotOne,
-    ModulusMismatch,
-    NonIntegralInput,
-    OddModulus,
-)
-from helpers import dense, digit_tree, traced_peak
+from abindex.errors import CapExceeded, DetNotOne, OddModulus
+from helpers import dense, digit_tree, same, seeded_triples, traced_peak
+
+FH = hb.SL2Matrix(0, -1, 1, 1)  # the matrix of the twist
+IDENTITY = (0, 0, 0)
 
 
-def rand_int_elem(rng, span=50):
-    x, y = (int(v) for v in rng.integers(-span, span + 1, 2))
-    return hb.heis_elem(None, x, y, Fraction(int(rng.integers(-2 * span, 2 * span + 1))))
+def all_triples(n):
+    """Every (x, y, z2) mod (n, n, 2n), as three int arrays."""
+    return tuple(np.indices((n, n, 2 * n)).reshape(3, -1))
+
+
+def twist_power(n, g, k):
+    for _ in range(k):
+        g = hb._twist(n, g)
+    return g
 
 
 # ---------------------------------------------------------------------------
-# element arithmetic
+# the law on coordinate triples
 
 
 def test_heis_mul_basic_products():
-    a = hb.heis_elem(4, 1, 0, 0)
-    b = hb.heis_elem(4, 0, 1, 0)
-    assert hb.heis_mul(a, b) == hb.heis_elem(4, 1, 1, 1)
-    assert hb.heis_mul(b, a) == hb.heis_elem(4, 1, 1, 0)
+    a, b = (1, 0, 0), (0, 1, 0)
+    assert hb._heis_law(4, a, b) == (1, 1, 2)
+    assert hb._heis_law(4, b, a) == (1, 1, 0)
 
 
 def test_heis_commutator_is_central_generator():
-    a = hb.heis_elem(6, 1, 0, 0)
-    b = hb.heis_elem(6, 0, 1, 0)
-    ab = hb.heis_mul(a, b)
-    ba = hb.heis_mul(b, a)
-    comm = hb.heis_mul(ab, hb.heis_inv(ba))
-    assert comm == hb.heis_elem(6, 0, 0, 1)
-
-
-def test_heis_mul_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
-        hb.heis_mul(hb.heis_elem(4, 0, 0, 0), hb.heis_elem(6, 0, 0, 0))
+    a, b, a_inv, b_inv = (1, 0, 0), (0, 1, 0), (5, 0, 0), (0, 5, 0)
+    assert hb._heis_law(6, a, a_inv) == hb._heis_law(6, b, b_inv) == IDENTITY
+    comm = hb._heis_law(6, hb._heis_law(6, hb._heis_law(6, a, b), a_inv), b_inv)
+    assert comm == (0, 0, 2)
 
 
 def test_heis_mul_associative_small_moduli():
     # the table constructor proves the composed table associative on all
-    # (2n^3)^3 triples; that it equals heis_mul on every pair carries the
+    # (2n^3)^3 triples; that it equals the law on every pair carries the
     # proof over to the law, for every n up to 6
     for n in (2, 3, 4, 5, 6):
         table, index = gc.build_from_generators(
-            hb.heis_identity(n),
-            [hb.heis_elem(n, 1, 0, 0), hb.heis_elem(n, 0, 1, 0), hb.HeisElem(n, 0, 0, 1)],
-            hb.heis_mul,
-        )
+            IDENTITY, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], lambda a, b: hb._heis_law(n, a, b))
         assert table.order == 2 * n**3
         elems = list(index)
         for i, a in enumerate(elems):
-            row = [index[hb.heis_mul(a, b)] for b in elems]
+            row = [index[hb._heis_law(n, a, b)] for b in elems]
             assert np.array_equal(table.mul[i], row), (n, i)
     # plus a seeded spot check above that range
     rng = np.random.default_rng(8)
@@ -72,28 +64,18 @@ def test_heis_mul_associative_small_moduli():
         for _ in range(300):
             xs = rng.integers(0, n, 6)
             zs = rng.integers(0, 2 * n, 3)
-            a = hb.HeisElem(n, int(xs[0]), int(xs[1]), int(zs[0]))
-            b = hb.HeisElem(n, int(xs[2]), int(xs[3]), int(zs[1]))
-            c = hb.HeisElem(n, int(xs[4]), int(xs[5]), int(zs[2]))
-            assert hb.heis_mul(hb.heis_mul(a, b), c) == hb.heis_mul(a, hb.heis_mul(b, c))
+            a, b, c = ((int(xs[2 * i]), int(xs[2 * i + 1]), int(zs[i])) for i in range(3))
+            assert (hb._heis_law(n, hb._heis_law(n, a, b), c)
+                    == hb._heis_law(n, a, hb._heis_law(n, b, c)))
 
 
 def test_heis_inverse():
+    # the inverse of A(x, y, z) is A(-x, -y, -z + xy), in the table and under the law
     for n in (2, 5, 8):
-        for x in range(n):
-            for y in range(n):
-                e = hb.HeisElem(n, x, y, (x + 3 * y) % (2 * n))
-                assert hb.heis_mul(e, hb.heis_inv(e)) == hb.heis_identity(n)
-
-
-def test_parse_heis_literal():
-    assert hb.parse_heis_literal("A(1,0,0)", 4) == hb.heis_elem(4, 1, 0, 0)
-    assert hb.parse_heis_literal("A(2,3,5/2)", 4) == hb.HeisElem(4, 2, 3, 5)
-    assert hb.parse_heis_literal("A(-1,1,-1/2)", 4) == hb.HeisElem(4, 3, 1, 7)
-    with pytest.raises(ValueError):
-        hb.parse_heis_literal("B(1,0,0)", 4)
-    with pytest.raises(ValueError):
-        hb.parse_heis_literal("A(1,0,1/3)", 4)
+        g = hb.gamma_n(n)
+        x, y, z = gc.code_digits((n, n, n))
+        assert np.array_equal(g.inv, hb.gamma_elem_index(n, -x, -y, -z + x * y))
+        assert not np.any(hb._heis_law(n, (x, y, 2 * z), (-x, -y, -2 * z + 2 * x * y)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +89,6 @@ def test_gamma_2_is_dihedral_of_order_8():
     orders = gc.all_element_orders(g)
     profile = {int(o): int(np.count_nonzero(orders == o)) for o in np.unique(orders)}
     assert profile == {1: 1, 2: 5, 4: 2}  # dihedral, not quaternion
-
-
-def test_gamma_table_multiplies_like_heis_mul():
-    # the table stores integral z; heis_mul works on z2 = 2z
-    n = 3
-    g = hb.gamma_n(n)
-    elems = [hb.HeisElem(n, x, y, 2 * z) for x in range(n) for y in range(n) for z in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            p = hb.heis_mul(a, b)
-            assert p.is_integral()
-            assert hb.gamma_elem_index(n, p.x, p.y, p.z2 // 2) == g.mul_idx(i, j)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -188,92 +158,71 @@ def test_gamma_cap():
 
 def test_twist_fixes_center_elementwise():
     for n in (2, 4, 6):
-        for z2 in range(2 * n):
-            e = hb.HeisElem(n, 0, 0, z2)
-            assert hb.h_auto(e) == e
+        center = (0, 0, np.arange(2 * n))
+        assert same(hb._twist(n, center), center)
 
 
 def test_twist_basic_values():
-    assert hb.h_auto(hb.heis_elem(4, 1, 0, 0)) == hb.heis_elem(4, 0, 1, 0)
-    # y = 1 drops the doubled coordinate by one: half-integral output
-    out = hb.h_auto(hb.heis_elem(4, 0, 1, 0))
-    assert (out.x, out.y, out.z2) == (3, 1, 7)
-    assert out.z == Fraction(-1, 2) + 4
+    assert hb._twist(4, (1, 0, 0)) == (0, 1, 0)
+    # y = 1 drops the doubled coordinate by one: half-integral output, z = -1/2 + 4
+    assert hb._twist(4, (0, 1, 0)) == (3, 1, 7)
 
 
 def test_twist_requires_even_modulus():
-    with pytest.raises(OddModulus):
-        hb.h_auto(hb.HeisElem(3, 1, 0, 0))
+    # the twist is defined mod n only for even n: the extended group refuses odd moduli
+    for n in range(3, 12, 2):
+        with pytest.raises(OddModulus):
+            hb.hat_gamma_n(n)
 
 
 @pytest.mark.parametrize("n", list(range(2, 13, 2)))
 def test_twist_order_six_exhaustive(n):
-    for x in range(n):
-        for y in range(n):
-            for z2 in range(2 * n):
-                e = hb.HeisElem(n, x, y, z2)
-                cur = e
-                for _ in range(6):
-                    cur = hb.h_auto(cur)
-                assert cur == e
+    e = all_triples(n)
+    assert same(twist_power(n, e, 6), e)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_twist_is_homomorphism_all_pairs(n):
-    elems = [
-        hb.HeisElem(n, x, y, z2)
-        for x in range(n)
-        for y in range(n)
-        for z2 in range(2 * n)
-    ]
-    for a in elems:
-        ha = hb.h_auto(a)
-        for b in elems:
-            assert hb.h_auto(hb.heis_mul(a, b)) == hb.heis_mul(ha, hb.h_auto(b))
+    # one broadcast over all (2n^3)^2 pairs
+    x, y, z2 = all_triples(n)
+    a, b = (x[:, None], y[:, None], z2[:, None]), (x, y, z2)
+    assert same(hb._twist(n, hb._heis_law(n, a, b)),
+                hb._heis_law(n, hb._twist(n, a), hb._twist(n, b)))
 
 
 def test_int_twist_random_sweep():
     rng = np.random.default_rng(0)
-    for _ in range(10_000):
-        e = rand_int_elem(rng)
-        cur = e
-        for _ in range(6):
-            cur = hb.h_auto(cur)
-        assert cur == e
-        b = rand_int_elem(rng)
-        assert hb.h_auto(hb.heis_mul(e, b)) == hb.heis_mul(
-            hb.h_auto(e), hb.h_auto(b)
-        )
+    drawn = seeded_triples(rng, 20_000, 50, 100)
+    e, b = tuple(c[0::2] for c in drawn), tuple(c[1::2] for c in drawn)
+    assert same(twist_power(None, e, 6), e)
+    assert same(hb._twist(None, hb._heis_law(None, e, b)),
+                hb._heis_law(None, hb._twist(None, e), hb._twist(None, b)))
 
 
 def test_integral_twist_random_sweep():
-    rng = np.random.default_rng(1)
-    for _ in range(10_000):
-        e = rand_int_elem(rng)
-        out = hb.h_prime_auto(e)
-        assert out.z.denominator == 1
-        cur = e
-        for _ in range(6):
-            cur = hb.h_prime_auto(cur)
-        assert cur == e
+    # the integral twist z - xy - (y^2 - y)/2 is the lift of the twist matrix with lin (0, 1/2)
+    integral = hb.sl2_lift(FH, (0, Fraction(1, 2))).law
+    e = seeded_triples(np.random.default_rng(1), 10_000, 50, 100)
+    assert (integral(e)[2] % 2 == 0).all()
+    cur = e
+    for _ in range(6):
+        cur = integral(cur)
+    assert same(cur, e)
 
 
 def test_integral_twist_values_and_errors():
-    assert hb.h_prime_auto(hb.heis_elem(None, 0, 1, Fraction(0))) == hb.heis_elem(
-        None, -1, 1, Fraction(0)
-    )
-    with pytest.raises(NonIntegralInput):
-        hb.h_prime_auto(hb.heis_elem(None, 0, 1, Fraction(1, 2)))
+    integral = hb.sl2_lift(FH, (0, Fraction(1, 2))).law
+    assert integral((0, 1, 0)) == (-1, 1, 0)
+    assert integral((0, 1, 1)) == (-1, 1, 1)  # a half-integral z stays half-integral
 
 
 def test_twists_differ_by_half_y():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        x, y = (int(v) for v in rng.integers(-20, 21, 2))
-        e = hb.heis_elem(None, x, y, Fraction(3))
-        a, b = hb.h_auto(e), hb.h_prime_auto(e)
-        assert (a.x, a.y) == (b.x, b.y)
-        assert b.z - a.z == Fraction(y, 2)
+    x, y = rng.integers(-20, 21, (200, 2)).T
+    e = (x, y, np.full(200, 6))
+    a, b = hb._twist(None, e), hb.sl2_lift(FH, (0, Fraction(1, 2))).law(e)
+    assert same(a[:2], b[:2])
+    assert np.array_equal(b[2] - a[2], y)  # doubled: z differs by y/2
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +249,6 @@ def test_hat_structure(n):
     # conjugating by the twist generator moves integral translations to
     # half-integral ones, so the translation image itself is not normal
     assert hat.gamma_image_normal is False
-
-
-def test_hat_elements_multiply_like_the_table():
-    n = 2
-    hat = hb.hat_gamma_n(n)
-    for i in range(hat.order):
-        for j in range(hat.order):
-            a, b = hat.element_at(i), hat.element_at(j)
-            assert hat.index_of(hb.hat_mul(a, b)) == hat.table.mul_idx(i, j)
-    with pytest.raises(ModulusMismatch):
-        hb.hat_mul(
-            hb.HatElem(hb.heis_identity(2), 1), hb.HatElem(hb.heis_identity(4), 1)
-        )
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -345,8 +281,8 @@ def test_hat_conjugation_by_twist_realizes_it():
     for x, y, z in [(1, 0, 0), (0, 1, 0), (2, 3, 1), (1, 1, 2)]:
         g_idx = lab[f"A({x},{y},{z})h^0"]
         conj = t.mul_idx(t.mul_idx(hgen, g_idx), t.inv_idx(hgen))
-        img = hb.h_auto(hb.heis_elem(n, x, y, z))
-        assert t.labels[conj] == f"{img}h^0"
+        ix, iy, iz2 = hb._twist(n, (x, y, 2 * z))
+        assert t.labels[conj] == f"A({ix},{iy},{hb._format_half(iz2)})h^0"
 
 
 def test_hat_gamma_image_is_normal_inside_kernel():
@@ -412,7 +348,7 @@ def test_bn_table_equals_the_law_on_all_pairs(n):
 
 
 def test_bn_tables_are_not_cached():
-    for build in (lambda: hb.b_n_group(5), lambda: hb.gamma_n(5),
+    for build in (lambda: hb.b_n_components(5).table, lambda: hb.gamma_n(5),
                   lambda: hb.hat_gamma_n(4).table):
         ref = weakref.ref(build())
         garbage.collect()
@@ -444,7 +380,7 @@ def _word_and_composed(monkeypatch, build):
     *[pytest.param(hb.gamma_n, n, id=f"Gamma{n}") for n in range(2, 13)],
     *[pytest.param(lambda n: hb.hat_gamma_n(n, cap=12 * n**3).table, n, id=f"HatGamma{n}")
       for n in range(2, 13, 2)],
-    *[pytest.param(hb.b_n_group, n, id=f"B{n}") for n in range(1, 11)],
+    *[pytest.param(lambda n: hb.b_n_components(n).table, n, id=f"B{n}") for n in range(1, 11)],
 ])
 def test_word_table_equals_its_dense_composition(monkeypatch, build, n):
     word, composed = _word_and_composed(monkeypatch, lambda: build(n))
@@ -463,7 +399,7 @@ def test_word_table_equals_its_dense_composition(monkeypatch, build, n):
 
 
 @pytest.mark.parametrize("build", [lambda: hb.gamma_n(4), lambda: hb.hat_gamma_n(2).table,
-                                   lambda: hb.b_n_group(4)], ids=["Gamma4", "HatGamma2", "B4"])
+                                   lambda: hb.b_n_components(4).table], ids=["Gamma4", "HatGamma2", "B4"])
 def test_small_family_tables_are_dense(monkeypatch, build):
     # orders 64, 96 and 96: each kept as its int16 Cayley table, read out of its word table
     small = build()
@@ -596,6 +532,8 @@ def test_fixed_points_third_turn():
     assert hb.fixed_points_chi_power(9, 2) == {(0, 0), (3, 3), (6, 6)}
     assert hb.fixed_points_chi_power(6, 2) == {(0, 0), (2, 2), (4, 4)}
     assert hb.fixed_points_chi_power(8, 2) == {(0, 0)}
+    # past n = 644 a word table of 2n columns would exceed the byte guard; the grid does not
+    assert hb.fixed_points_chi_power(702, 2) == {(0, 0), (234, 234), (468, 468)}
 
 
 @pytest.mark.parametrize("n", range(1, 31))
@@ -641,20 +579,16 @@ def test_sl2_det_check():
 
 def test_identity_lift_is_identity():
     lift = hb.sl2_lift(hb.SL2Matrix(1, 0, 0, 1))
-    e = hb.heis_elem(None, 3, -2, Fraction(5, 2))
-    assert lift(e) == e
+    assert lift.law((3, -2, 5)) == (3, -2, 5)
 
 
 def test_lift_reproduces_both_twists():
-    Fh = hb.SL2Matrix(0, -1, 1, 1)
-    lift = hb.sl2_lift(Fh)
-    lift_prime = hb.sl2_lift(Fh, (0, Fraction(1, 2)))
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        e = rand_int_elem(rng)
-        assert lift(e) == hb.h_auto(e)
-        if e.z.denominator == 1:
-            assert lift_prime(e) == hb.h_prime_auto(e)
+    lift = hb.sl2_lift(FH)
+    lift_prime = hb.sl2_lift(FH, (0, Fraction(1, 2)))
+    e = seeded_triples(np.random.default_rng(3), 1000, 50, 100)
+    x, y, z2 = hb._twist(None, e)
+    assert same(lift.law(e), (x, y, z2))
+    assert same(lift_prime.law(e), (x, y, z2 + e[1]))
 
 
 def test_lift_is_homomorphism_random_matrices():
@@ -662,14 +596,13 @@ def test_lift_is_homomorphism_random_matrices():
     rng, walk = np.random.default_rng(4), random.Random(4)
     for _ in range(100):
         F = hb.random_sl2(walk, entry_bound=20)
-        lift = hb.sl2_lift(F)
-        coords = rng.integers(-50, 51, (1000, 4))
-        zs = rng.integers(-99, 100, (1000, 2))
-        for (x1, y1, x2, y2), (z1, z2) in zip(coords, zs):
-            a = hb.heis_elem(None, int(x1), int(y1), Fraction(int(z1)))
-            b = hb.heis_elem(None, int(x2), int(y2), Fraction(int(z2)))
-            assert lift(hb.heis_mul(a, b)) == hb.heis_mul(lift(a), lift(b))
-        assert lift(hb.heis_elem(None, 0, 0, Fraction(7))).z == Fraction(7)  # fixes center
+        law = hb.sl2_lift(F).law
+        x1, y1, x2, y2 = rng.integers(-50, 51, (1000, 4)).T
+        z1, z2 = 2 * rng.integers(-99, 100, (1000, 2)).T
+        a, b = (x1, y1, z1), (x2, y2, z2)
+        assert same(law(hb._heis_law(None, a, b)),
+                    hb._heis_law(None, law(a), law(b)))
+        assert law((0, 0, 14))[2] == 14  # fixes center
 
 
 def test_cocycle_identity_cases():
@@ -706,11 +639,10 @@ def test_lift_identities_hold_symbolically():
     class SymbolicMatrix(SimpleNamespace):
         apply = hb.SL2Matrix.apply
 
-    lift = hb.SL2Lift(SymbolicMatrix(a=a, b=b, c=c, d=d), (l1, l2))
-    e1, e2 = hb.HeisElem(None, x1, y1, z1), hb.HeisElem(None, x2, y2, z2)
-    lhs, rhs = lift(hb.heis_mul(e1, e2)), hb.heis_mul(lift(e1), lift(e2))
-    dx, dy, dz2 = (sympy.expand(u - v) for u, v in
-                   zip((lhs.x, lhs.y, lhs.z2), (rhs.x, rhs.y, rhs.z2)))
+    law = hb.SL2Lift(SymbolicMatrix(a=a, b=b, c=c, d=d), (l1, l2)).law
+    e1, e2 = (x1, y1, z1), (x2, y2, z2)
+    lhs, rhs = law(hb._heis_law(None, e1, e2)), hb._heis_law(None, law(e1), law(e2))
+    dx, dy, dz2 = (sympy.expand(u - v) for u, v in zip(lhs, rhs))
     det_rel = a * d - b * c - 1
     assert dx == 0 and dy == 0
     # every determinant-one matrix lifts to a morphism of the group over Z
@@ -719,6 +651,5 @@ def test_lift_identities_hold_symbolically():
 
     x, y, z = sympy.symbols("x y z2")
     chi = hb.sl2_lift(hb.SL2Matrix(*hb.CHI_MATRIX[0], *hb.CHI_MATRIX[1]))
-    out = chi(hb.HeisElem(None, x, y, z))
-    twisted = hb._twist(None, (x, y, z))
-    assert [sympy.expand(u - v) for u, v in zip((out.x, out.y, out.z2), twisted)] == [0, 0, 0]
+    out, twisted = chi.law((x, y, z)), hb._twist(None, (x, y, z))
+    assert [sympy.expand(u - v) for u, v in zip(out, twisted)] == [0, 0, 0]
