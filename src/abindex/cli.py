@@ -469,6 +469,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if getattr(args, "n", 1) < 1 or getattr(args, "max_n", 1) < 1:
         parser.error("n must be positive")
     try:
+        if not getattr(args, "budget_s", 0) >= 0:  # also false for NaN
+            raise InvalidInput("budget must be a non-negative number of seconds")
         return args.func(args)
     except (CapExceeded, SearchTimeout, MemoryError) as exc:
         doc = {"command": args.command, "error": str(exc) or "out of memory"}

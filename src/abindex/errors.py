@@ -57,9 +57,5 @@ class PrimeTooSmall(EngineError):
     """The admissibility criterion is only defined for primes above three."""
 
 
-class LambdaTooSmall(EngineError):
-    """The sharpness construction needs a shape invariant of at least eight."""
-
-
 class ZeroArea(EngineError):
     """Both areas of a symplectic shape must be nonzero."""

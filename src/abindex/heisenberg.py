@@ -108,7 +108,6 @@ class HatGroup:
     theta: Homomorphism          # projection onto the order-6 quotient
     gamma_image: SubgroupMask    # image of the integral translation group
     theta_kernel: SubgroupMask
-    coords: np.ndarray           # (order, 4) rows (x, y, z2, k)
 
     @property
     def order(self) -> int:
@@ -167,7 +166,7 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     theta = Homomorphism(table, cyclic_table(6, name="C6"), k)
     gamma_image = SubgroupMask(table, (k == 0) & (z2 % 2 == 0))
     theta_kernel = SubgroupMask(table, k == 0)
-    return HatGroup(n, table, theta, gamma_image, theta_kernel, np.stack([x, y, z2, k], axis=1))
+    return HatGroup(n, table, theta, gamma_image, theta_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,6 @@ def sl2_lift(F: SL2Matrix, lin=(0, 0)) -> SL2Lift:
 @dataclass(frozen=True)
 class CocycleCheck:
     is_cocycle_mod_linear: bool
-    linear_defect: tuple[int, int]
     quadratic_defect: tuple[int, int, int]
 
 
@@ -324,9 +322,11 @@ def q_form_cocycle_check(F: SL2Matrix, G: SL2Matrix) -> CocycleCheck:
     """Expand 2 (q_FG - q_F(G(x,y)) - q_G) symbolically and report its defect.
 
     The difference is a quadratic form in x, y; its three doubled (integer)
-    coefficients are returned together with the (identically vanishing)
-    linear part, so a nonzero quadratic defect would show the lift family
-    failing to compose.
+    coefficients are returned.  They vanish identically, for any two 2 x 2
+    matrices and with no use of the determinant: 2 q_F(x,y) =
+    (ax + by)(cx + dy) - xy, so with v = (x, y) the defect
+    [(FGv)_1 (FGv)_2 - v_1 v_2] - [(FGv)_1 (FGv)_2 - (Gv)_1 (Gv)_2]
+    - [(Gv)_1 (Gv)_2 - v_1 v_2] telescopes to 0.
     """
     txx, txy, tyy = q_form_coeffs(F @ G)
     fxx, fxy, fyy = q_form_coeffs(F)
@@ -338,7 +338,7 @@ def q_form_cocycle_check(F: SL2Matrix, G: SL2Matrix) -> CocycleCheck:
     syy = fxx * b * b + fxy * b * d + fyy * d * d
     dxx, dxy, dyy = txx - sxx - gxx, txy - sxy - gxy, tyy - syy - gyy
     ok = dxx == 0 and dxy == 0 and dyy == 0
-    return CocycleCheck(ok, (0, 0), (dxx, dxy, dyy))
+    return CocycleCheck(ok, (dxx, dxy, dyy))
 
 
 def random_sl2(rng: random.Random, entry_bound: int = 20) -> SL2Matrix:

@@ -110,13 +110,6 @@ class QProperty:
     passed: bool
     counterexample: Optional[tuple] = None
 
-    def as_dict(self) -> dict:
-        out = {"property": self.name, "pass": self.passed}
-        out["counterexample"] = (
-            list(self.counterexample) if self.counterexample else []
-        )
-        return out
-
 
 def _property(name: str, law: str, holds: np.ndarray) -> QProperty:
     """The law holds where ``holds`` is true; its first false index is the counterexample."""

@@ -44,14 +44,6 @@ class RotationGroupKind:
     def __str__(self) -> str:
         return f"{self.tag}:{self.n}" if self.n is not None else self.tag
 
-    @staticmethod
-    def parse(text: str) -> "RotationGroupKind":
-        s = text.strip().lower()
-        if ":" in s:
-            tag, num = s.split(":", 1)
-            return RotationGroupKind(tag, int(num))
-        return RotationGroupKind(s)
-
 
 TETRA = RotationGroupKind("tetra")
 OCTA = RotationGroupKind("octa")

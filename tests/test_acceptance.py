@@ -288,8 +288,6 @@ def test_criterion_9_cocycle_property():
         res = hb.q_form_cocycle_check(F, G)
         if not res.is_cocycle_mod_linear:
             problems.append(f"pair {i}: quadratic defect {res.quadratic_defect}")
-        if res.linear_defect != (0, 0):
-            problems.append(f"pair {i}: linear defect {res.linear_defect}")
     _verdict(9, "lift composition cocycle", not problems,
              "" if not problems else problems[0])
     assert not problems, problems

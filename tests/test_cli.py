@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface (fresh process per run)."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from abindex import group_core as gc
 from abindex import heisenberg as hb
@@ -95,6 +97,8 @@ def test_bad_input_is_a_usage_error():
         ("bound", "--alpha", "5", "--beta", "1", "--p", "4"),
         ("verify", "--suite", "sl2", "--seed", "-1"),
         ("gamma", "--n", "2", "--dump-group", "/nonexistent/x.json"),
+        ("gamma", "--n", "4", "--budget-s", "nan"),
+        ("gamma", "--n", "4", "--budget-s", "-1"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
@@ -317,3 +321,15 @@ print(sorted({"numpy.ma", "numpy.random", "secrets"} & set(sys.modules) - before
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-3:] == ["[]", "abindex.qpairing", "[]"]
+
+
+def test_every_traced_span_names_a_live_attribute():
+    # bench/traced.py wraps each SPANS entry with getattr(owner, attr); a
+    # deleted or renamed name would break the traced bench run
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert traced.SPANS
+    for owner, attr, *_ in traced.SPANS:
+        assert callable(getattr(owner, attr, None)), (owner, attr)

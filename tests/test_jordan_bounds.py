@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abindex import jordan_bounds as jb
-from abindex.errors import LambdaTooSmall, PrimeTooSmall, ZeroArea
+from abindex.errors import PrimeTooSmall, ZeroArea
 
 
 def lam(a, b):
@@ -109,48 +109,3 @@ def test_degrees_symmetric_and_contain_zero():
         ds = jb.admissible_fixed_surface_degrees(s)
         assert 0 in ds
         assert sorted(-d for d in ds) == ds
-
-
-def test_sharpness_witness_guard():
-    with pytest.raises(LambdaTooSmall):
-        jb.sharpness_witness(jb.shape(1, 1))
-
-
-def test_sharpness_witness_at_eight():
-    s = jb.shape(Fraction(9, 2), 1)  # lambda exactly 8
-    rep = jb.sharpness_witness(s, budget_s=300)
-    assert rep.n == 8
-    assert rep.claimed_lower_bound == 48
-    assert rep.computed_min_index >= 48
-    assert rep.passed
-    assert rep.group_order == 12 * 8**3
-    assert rep.theta_kernel_order == 2 * 8**3
-
-
-def test_interval_partition_groups():
-    shapes = [jb.shape(1, 1), jb.shape(Fraction(3, 2), 1), jb.shape(1, 1)]
-    rep = jb.interval_partition(shapes)
-    assert [g.lam for g in rep.groups] == [1, 2]
-    assert rep.groups[0].shapes == ["(1,1)", "(1,1)"]
-    assert rep.separations == []  # both below the witness threshold
-
-
-def test_interval_partition_separations():
-    shapes = [jb.shape(100, 1), jb.shape(101, 1)]
-    rep = jb.interval_partition(shapes)
-    assert [g.lam for g in rep.groups] == [198, 200]
-    assert len(rep.separations) == 1
-    sep = rep.separations[0]
-    assert (sep.lower_lam, sep.higher_lam) == (198, 200)
-    assert sep.witness_index_floor == 1200
-    assert sep.excluded_by_bound == 1188
-
-
-def test_interval_partition_threshold_cases():
-    # higher value below 8, or floor not exceeding the lower bound: no claim
-    rep = jb.interval_partition([jb.shape(1, 1), jb.shape(3, 1)])  # lambdas 1, 4
-    assert rep.separations == []
-    rep = jb.interval_partition([jb.shape(20, 1), jb.shape(21, 1)])  # 38, 40
-    assert len(rep.separations) == 1  # 240 > max(144, 228)
-    rep = jb.interval_partition([jb.shape(5, 1), jb.shape(6, 1)])  # 8, 10
-    assert rep.separations == []  # 60 is not above 144

@@ -19,12 +19,11 @@ def perm_parity(p):
 
 
 def test_kind_parsing_and_validation():
-    assert str(sg.RotationGroupKind.parse("cyclic:5")) == "cyclic:5"
-    assert sg.RotationGroupKind.parse("tetra") == sg.TETRA
+    assert str(sg.cyclic_kind(5)) == "cyclic:5"
     with pytest.raises(ValueError):
-        sg.RotationGroupKind.parse("dihedral:2")
+        sg.RotationGroupKind("dihedral", 2)
     with pytest.raises(ValueError):
-        sg.RotationGroupKind.parse("cube")
+        sg.RotationGroupKind("cube")
 
 
 def test_rotation_group_orders():
