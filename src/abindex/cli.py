@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -290,6 +291,7 @@ def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
         rep.check(f"point-orders-bound{bound}",
                   "finite-order torus symmetries have order 1, 2, 3, 4 or 6",
                   [1, 2, 3, 4, 6], sorted(sg.torus_point_orders(bound)), "enumeration")
+    tor_index = {}  # reported after the fixed-point claims, from the same table
     for n in range(2, max_n + 1):
         data = hb.b_n_components(n, cap=cap)
         t = data.table
@@ -303,22 +305,22 @@ def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
                   True, rel1, "enumeration")
         rep.check(f"bn-relation-b-n{n}", "conjugating the second translation gives t_a",
                   True, rel2, "enumeration")
+        if n >= 3:
+            tor_index[n] = sg.tor_index_bound_check(sg.b_n_affine(data)).index
     for n in (6, 8, 9, 12):
         for k in (1, 2, 3):
             rep.check(f"fixed-points-n{n}-k{k}",
                       "fixed points of the twist power match the documented set",
                       sorted(_documented_fixed_points(n, k)),
                       sorted(hb.fixed_points_chi_power(n, k)), "documented")
-    for n in range(3, max_n + 1):
+    for n, index in tor_index.items():
         rep.check(f"tor-index-bn-n{n}", "translation subgroup of the full extension has index 6",
-                  6, sg.tor_index_bound_check(sg.b_n_affine(n, cap=cap)).index, "enumeration")
-    ident, neg = ((1, 0), (0, 1)), ((-1, 0), (0, -1))
-    shifts = [(ident, (1, 0)), (ident, (0, 1))]
-    for name, law, want, gens in (
-            ("translations", "pure translations have index 1", 1, shifts),
-            ("halfturn", "translations plus the half turn have index 2", 2,
-             shifts + [(neg, (0, 0))])):
-        res = sg.tor_index_bound_check(sg.affine_torus_group(5, gens, cap=cap))
+                  6, index, "enumeration")
+    b5 = hb.b_n_components(5, cap=cap)
+    for name, law, want, step in (
+            ("translations", "pure translations have index 1", 1, 6),
+            ("halfturn", "translations plus the half turn have index 2", 2, 3)):
+        res = sg.tor_index_bound_check(sg.affine_torus_group(b5, step))
         rep.check(f"tor-index-{name}", law, want, res.index, "enumeration")
 
 
@@ -339,18 +341,19 @@ def _documented_fixed_points(n: int, k: int) -> set:
 
 def _suite_sl2(rep: VerificationReport, seed: int) -> None:
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(100):
-        F, G = hb.random_sl2(rng), hb.random_sl2(rng)
-        if not hb.q_form_cocycle_check(F, G).is_cocycle_mod_linear:
-            bad += 1
+    # Each quadratic defect is a polynomial of degree <= 2 in each of the 8
+    # matrix entries, and for a fixed lift each lift defect below is of
+    # degree <= 2 in every x and y and <= 1 in every z2.  So vanishing on a
+    # grid with 3 values per entry, x and y and 2 per z2 proves it for all
+    # integer matrices and elements (Alon, Combinatorial Nullstellensatz,
+    # 1999, Lemma 2.1).  Each grid is one array per coordinate.
+    F, G = (SimpleNamespace(a=a, b=b, c=c, d=d)
+            for a, b, c, d in np.indices((3,) * 8).reshape(2, 4, -1))
     rep.check("cocycle-quadratic-defect",
-              "lift corrections compose with vanishing quadratic defect", 0, bad, "enumeration")
-    # For a fixed lift, each defect below is a polynomial of degree <= 2 in
-    # every x and y and <= 1 in every z2, so vanishing on a grid with 3 values
-    # per x, y and 2 per z2 proves it for all integer elements (Alon,
-    # Combinatorial Nullstellensatz, 1999, Lemma 2.1).  Each grid is one
-    # array per coordinate.
+              "lift corrections compose with vanishing quadratic defect "
+              "(exact on all matrix pairs with entries in {0,1,2})",
+              0, int(np.count_nonzero(~hb.q_form_cocycle_check(F, G).is_cocycle_mod_linear)),
+              "enumeration")
     x1, y1, x2, y2, z1, z2 = np.indices((3, 3, 3, 3, 2, 2)).reshape(6, -1)
     a, b = (x1, y1, z1), (x2, y2, z2)
     hom_bad = 0
@@ -471,6 +474,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if not getattr(args, "budget_s", 0) >= 0:  # also false for NaN
             raise InvalidInput("budget must be a non-negative number of seconds")
+        if getattr(args, "cap", 1) < 1:
+            raise InvalidInput("cap must be a positive group order")
         return args.func(args)
     except (CapExceeded, SearchTimeout, MemoryError) as exc:
         doc = {"command": args.command, "error": str(exc) or "out of memory"}

@@ -177,8 +177,6 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
 class BnData:
     n: int
     table: GroupTable
-    translations: SubgroupMask
-    zeta: Homomorphism           # projection onto the order-6 point part
     chi_idx: int
     ta_idx: int
     tb_idx: int
@@ -216,10 +214,8 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
     ]
     table = word_table(gen_rows, (6, n, n), name=f"B_{n}", labels=lambda: [
         f"t({p},{q})chi^{r}" for p, q, r in zip(u.tolist(), v.tolist(), k.tolist())])
-    translations = SubgroupMask(table, k == 0)
-    zeta = Homomorphism(table, cyclic_table(6, name="C6"), k)
     chi, ta, tb = (int(r[0]) for r in gen_rows)
-    return BnData(n, table, translations, zeta, chi, ta, tb)
+    return BnData(n, table, chi, ta, tb)
 
 
 def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:
@@ -279,9 +275,10 @@ class SL2Matrix:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
-def q_form_coeffs(F: SL2Matrix) -> tuple[int, int, int]:
-    """Coefficients (x^2, xy, y^2) of the doubled quadratic correction 2 q_F."""
-    return F.a * F.c, F.a * F.d + F.b * F.c - 1, F.b * F.d
+def q_form_coeffs(a, b, c, d) -> tuple:
+    """Coefficients (x^2, xy, y^2) of the doubled quadratic correction 2 q_F
+    of F = [[a, b], [c, d]]; entries are ints or int arrays."""
+    return a * c, a * d + b * c - 1, b * d
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,7 @@ class SL2Lift:
     def law(self, g: tuple) -> tuple:
         """The lift on a coordinate triple (x, y, z2) over Z; entries are ints or int arrays."""
         x, y, z2 = g
-        qxx, qxy, qyy = q_form_coeffs(self.F)
+        qxx, qxy, qyy = q_form_coeffs(self.F.a, self.F.b, self.F.c, self.F.d)
         lx, ly = self.lin2
         return (*self.F.apply(x, y),
                 z2 + qxx * x * x + qxy * x * y + qyy * y * y + lx * x + ly * y)
@@ -318,7 +315,7 @@ class CocycleCheck:
     quadratic_defect: tuple[int, int, int]
 
 
-def q_form_cocycle_check(F: SL2Matrix, G: SL2Matrix) -> CocycleCheck:
+def q_form_cocycle_check(F, G) -> CocycleCheck:
     """Expand 2 (q_FG - q_F(G(x,y)) - q_G) symbolically and report its defect.
 
     The difference is a quadratic form in x, y; its three doubled (integer)
@@ -326,19 +323,22 @@ def q_form_cocycle_check(F: SL2Matrix, G: SL2Matrix) -> CocycleCheck:
     matrices and with no use of the determinant: 2 q_F(x,y) =
     (ax + by)(cx + dy) - xy, so with v = (x, y) the defect
     [(FGv)_1 (FGv)_2 - v_1 v_2] - [(FGv)_1 (FGv)_2 - (Gv)_1 (Gv)_2]
-    - [(Gv)_1 (Gv)_2 - v_1 v_2] telescopes to 0.
+    - [(Gv)_1 (Gv)_2 - v_1 v_2] telescopes to 0.  F and G need only entries
+    a, b, c, d, ints or int arrays (a grid of pairs is one evaluation), so
+    the entries of FG are formed here rather than by ``SL2Matrix.__matmul__``.
     """
-    txx, txy, tyy = q_form_coeffs(F @ G)
-    fxx, fxy, fyy = q_form_coeffs(F)
-    gxx, gxy, gyy = q_form_coeffs(G)
-    # substitute (x,y) -> (a x + b y, c x + d y) into 2 q_F
+    fa, fb, fc, fd = F.a, F.b, F.c, F.d
     a, b, c, d = G.a, G.b, G.c, G.d
+    txx, txy, tyy = q_form_coeffs(
+        fa * a + fb * c, fa * b + fb * d, fc * a + fd * c, fc * b + fd * d)
+    fxx, fxy, fyy = q_form_coeffs(fa, fb, fc, fd)
+    gxx, gxy, gyy = q_form_coeffs(a, b, c, d)
+    # substitute (x,y) -> (a x + b y, c x + d y) into 2 q_F
     sxx = fxx * a * a + fxy * a * c + fyy * c * c
     sxy = 2 * fxx * a * b + fxy * (a * d + b * c) + 2 * fyy * c * d
     syy = fxx * b * b + fxy * b * d + fyy * d * d
     dxx, dxy, dyy = txx - sxx - gxx, txy - sxy - gxy, tyy - syy - gyy
-    ok = dxx == 0 and dxy == 0 and dyy == 0
-    return CocycleCheck(ok, (dxx, dxy, dyy))
+    return CocycleCheck((dxx == 0) & (dxy == 0) & (dyy == 0), (dxx, dxy, dyy))
 
 
 def random_sl2(rng: random.Random, entry_bound: int = 20) -> SL2Matrix:

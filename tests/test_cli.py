@@ -99,6 +99,8 @@ def test_bad_input_is_a_usage_error():
         ("gamma", "--n", "2", "--dump-group", "/nonexistent/x.json"),
         ("gamma", "--n", "4", "--budget-s", "nan"),
         ("gamma", "--n", "4", "--budget-s", "-1"),
+        ("gamma", "--n", "4", "--cap", "-5"),
+        ("gamma", "--n", "4", "--cap", "0"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args

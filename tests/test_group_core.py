@@ -349,7 +349,7 @@ def test_closures_return_their_discovery_tree(monkeypatch):
 
     monkeypatch.setattr(gc, "close_under", recording)
     sg.rotation_group(sg.TETRA)
-    sg.b_n_affine(3)
+    sg.rotation_group(sg.dihedral_kind(5))
     gc.automorphisms(gc.cyclic_table(6))
     assert len(closures) == 3
     for gens, product, (elements, index, parent, via, rows) in closures:
@@ -840,8 +840,7 @@ def _differential_groups():
     out = [pytest.param(sg.rotation_group(k), [], id=str(k)) for k in kinds]
     for n in range(1, 6):
         bn = hb.b_n_components(n)
-        out.append(pytest.param(bn.table, [bn.zeta], id=f"B{n}"))
-    out += [pytest.param(sg.b_n_affine(n).table, [], id=f"B{n}-affine") for n in range(3, 6)]
+        out.append(pytest.param(bn.table, [], id=f"B{n}"))
     for n in range(2, 7):
         data = qp.gamma_central_data(n)
         out.append(pytest.param(data.g, [data.eta], id=f"Gamma{n}"))

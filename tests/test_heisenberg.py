@@ -506,15 +506,18 @@ def test_word_tables_are_refused_before_their_digits_are_built():
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_bn_translation_subgroup(n):
     data = hb.b_n_components(n)
-    assert data.translations.size == n * n
-    assert gc.is_normal(data.table, data.translations)
-    sub, _ = gc.subgroup_table(data.table, data.translations)
+    k = gc.code_digits((6, n, n))[0]
+    translations = gc.SubgroupMask(data.table, k == 0)
+    zeta = gc.Homomorphism(data.table, gc.cyclic_table(6), k)  # onto the point part
+    assert translations.size == n * n
+    assert gc.is_normal(data.table, translations)
+    sub, _ = gc.subgroup_table(data.table, translations)
     assert sub.is_abelian()
     if n > 1:
         assert gc.abelian_invariant_factors(sub) == [n, n]
-    assert data.zeta.verify()
-    assert data.zeta.is_surjective()
-    assert data.zeta.kernel_mask() == data.translations
+    assert zeta.verify()
+    assert zeta.is_surjective()
+    assert zeta.kernel_mask() == translations
 
 
 def test_fixed_points_identity_power():

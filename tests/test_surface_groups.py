@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abindex import group_core as gc
+from abindex import heisenberg as hb
 from abindex import surface_groups as sg
 from abindex.errors import HypothesisViolation, IndexExceedsSix
 from helpers import traced_peak
@@ -213,8 +214,7 @@ def test_matrix_orders_match_a_scalar_power_loop():
 
 
 def test_affine_group_of_pure_translations():
-    ident = ((1, 0), (0, 1))
-    act = sg.affine_torus_group(4, [(ident, (1, 0)), (ident, (0, 1))])
+    act = sg.affine_torus_group(hb.b_n_components(4), 6)
     assert act.table.order == 16
     res = sg.tor_index_bound_check(act)
     assert res.index == 1
@@ -223,7 +223,7 @@ def test_affine_group_of_pure_translations():
 
 def test_affine_bn_model_has_index_six():
     for n in (3, 4, 5, 8):
-        act = sg.b_n_affine(n)
+        act = sg.b_n_affine(hb.b_n_components(n))
         assert act.table.order == 6 * n * n
         res = sg.tor_index_bound_check(act)
         assert res.index == 6
@@ -231,25 +231,25 @@ def test_affine_bn_model_has_index_six():
 
 
 def test_affine_half_turn_extension_has_index_two():
-    ident = ((1, 0), (0, 1))
-    neg = ((-1, 0), (0, -1))
-    act = sg.affine_torus_group(5, [(ident, (1, 0)), (ident, (0, 1)), (neg, (0, 0))])
+    act = sg.affine_torus_group(hb.b_n_components(5), 3)
     assert act.table.order == 50
     res = sg.tor_index_bound_check(act)
     assert res.index == 2
 
 
 def test_affine_action_with_large_point_group_rejected():
-    # dihedral point group of order 8 on the 5x5 torus, no translations
-    r = ((0, -1), (1, 0))
-    s = ((0, 1), (1, 0))
-    act = sg.affine_torus_group(5, [(r, (0, 0)), (s, (0, 0))])
-    assert act.table.order == 8
+    # a cyclic point group of order 8 on the 5x5 torus, no translations:
+    # M^2 = 2I, and 2 has order 4 mod 5
+    m = np.array([[0, 2], [1, 0]])
+    mats = np.stack([np.linalg.matrix_power(m, k) % 5 for k in range(8)])
+    act = sg.AffineTorusAction(5, gc.cyclic_table(8), mats, np.zeros((8, 2), dtype=np.int64))
     with pytest.raises(IndexExceedsSix):
         sg.tor_index_bound_check(act)
 
 
 def test_bn_affine_degenerates_below_three():
-    # mod 2 the order-6 matrix has order 3, so the faithful model shrinks
-    act = sg.b_n_affine(2)
-    assert act.table.order == 12
+    # mod 2 the half turn chi^3 = -I acts as the identity, and mod 1 every
+    # element does, so the action is not effective
+    for n in (1, 2):
+        with pytest.raises(HypothesisViolation, match="not effective"):
+            sg.b_n_affine(hb.b_n_components(n))
