@@ -130,8 +130,8 @@ def cmd_hat_gamma(args) -> int:
         gc.check_table_order(hat.order)  # refuse a table too large to write before the search
     res = gc.min_abelian_index(hat.table, budget_s=args.budget_s)
     rep.info("order", "computed order of the twisted closure", hat.order, "enumeration")
-    rep.check("theta-onto", "projection onto the order-6 quotient is surjective",
-              True, hat.theta_surjective, "enumeration")
+    rep.check("theta-onto", "projection onto the order-6 quotient is a surjective homomorphism",
+              True, hat.theta.verify() and hat.theta_surjective, "enumeration")
     rep.info("theta-kernel-order", "computed kernel order of the order-6 projection",
              hat.theta_kernel_order, "enumeration")
     rep.add("gamma-image-index", "index of the translation image divides 12",

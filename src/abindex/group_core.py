@@ -78,7 +78,7 @@ class GroupTable:
         self.identity = self._find_identity()
         self.inv = self._build_inverse_table()
         self.gens = self._find_generators()
-        if not _certified:  # compose_rows certified it already
+        if not _certified:  # a WordMul, or a table read out of one, is certified when built
             self._check_associativity()
 
     def _find_identity(self) -> int:
@@ -238,21 +238,6 @@ class SubgroupMask:
         return f"SubgroupMask(size={self.size} of {self.owner.order})"
 
 
-@dataclass(frozen=True)
-class AutMap:
-    """A group automorphism as a permutation of element indices."""
-
-    perm: np.ndarray
-
-    def verify(self, g: GroupTable) -> bool:
-        return Homomorphism(g, g, self.perm).verify()
-
-    def apply_mask(self, mask: SubgroupMask) -> SubgroupMask:
-        bits = np.zeros(mask.owner.order, dtype=bool)
-        bits[self.perm[mask.indices()]] = True
-        return SubgroupMask(mask.owner, bits, _validated=True)
-
-
 @dataclass
 class Homomorphism:
     """A group homomorphism given by an index-to-index map."""
@@ -294,100 +279,11 @@ class Homomorphism:
 # construction
 
 
-def close_under(
-    identity, gens: Iterable, product: Callable, cap: int
-) -> tuple[list, dict, np.ndarray, np.ndarray, np.ndarray]:
-    """Breadth-first closure of a generating set under left multiplication.
-
-    Returns the elements in discovery order (identity first), the
-    element-to-index map, the discovery tree and the generator rows: element
-    ``i > 0`` was found as ``product(gens[via[i]], elements[parent[i]])``
-    with ``parent[i] < i`` (``parent[0]`` and ``via[0]`` are -1), and
-    ``rows[j][i]`` is the index of ``product(gens[j], elements[i])``, in the
-    table dtype.  Raises CapExceeded when the closure grows past ``cap``, or
-    past the largest order whose table ``compose_rows`` would allocate.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    limit = min(cap, _largest_table_order())
-    elements = [identity]
-    index = {identity: 0}
-    parent, via = [-1], [-1]
-    rows = [[] for _ in gens]
-    for i, a in enumerate(elements):  # a queue: the list grows while it is read
-        for j, s in enumerate(gens):
-            b = product(s, a)
-            k = index.get(b)
-            if k is None:
-                if len(elements) >= limit:
-                    raise CapExceeded(
-                        f"closure exceeded cap {cap}; generator set may be wrong"
-                        if limit == cap else f"closure exceeded order {limit}, "
-                        f"the largest whose table fits in {MAX_TABLE_BYTES} bytes"
-                    )
-                k = index[b] = len(elements)
-                elements.append(b)
-                parent.append(i)
-                via.append(j)
-            rows[j].append(k)
-    return (
-        elements,
-        index,
-        np.array(parent, dtype=np.intp),
-        np.array(via, dtype=np.intp),
-        np.array(rows, dtype=_index_dtype(len(elements))),
-    )
-
-
-def _largest_table_order() -> int:
-    """Largest order whose Cayley table fits in MAX_TABLE_BYTES.
-
-    Entries are 2 bytes up to order 32767 and 4 bytes above (``_index_dtype``).
-    """
-    narrow = min(int(np.iinfo(np.int16).max), math.isqrt(MAX_TABLE_BYTES // 2))
-    return max(narrow, math.isqrt(MAX_TABLE_BYTES // 4))
-
-
 def check_table_order(m: int) -> None:
     """The table-size guard: refuse order m, before anything of that size is
     allocated, when its Cayley table would not fit in MAX_TABLE_BYTES."""
-    if m > _largest_table_order():
+    if m * m * np.dtype(_index_dtype(m)).itemsize > MAX_TABLE_BYTES:
         raise CapExceeded(f"a table of order {m} would exceed {MAX_TABLE_BYTES} bytes")
-
-
-def compose_rows(gen_rows: Sequence[np.ndarray], parent: np.ndarray, via: np.ndarray,
-                 labels: Optional[Sequence[str]] = None, name: str = "") -> GroupTable:
-    """The group table composed from generator rows along a tree, certified.
-
-    Element t > 0 is e_t = s_via[t] e_parent[t], and by associativity
-    e_t b = s_via[t] (e_parent[t] b): row t is the row of ``parent[t]``
-    mapped through ``gen_rows[via[t]]``, the row L_s of left multiplication
-    by that generator.  Element 0 is the identity.
-
-    Each row is thus a product of the L_s.  Two checks, O(|S|^2 |G|), make
-    the table associative: column 0 is the identity map (row x sends 0 to
-    x), and each L_s commutes with each generator column R_t (right
-    multiplication by t = L_t(0)).  Then L_s1 ... L_sk(0) = R_sk ... R_s1(0),
-    so the R_t carry 0 everywhere and a product of the L_s is fixed by its
-    value at 0; row(x y) and row(x) row(y) both send 0 to x y.  (A transitive
-    group with a transitive centralizer is regular: Dixon and Mortimer,
-    Permutation Groups, 4.2.)
-    """
-    m = len(parent)
-    check_table_order(m)
-    gen_rows = np.asarray(gen_rows, dtype=_index_dtype(m)).reshape(-1, m)
-    mul = np.empty((m, m), dtype=gen_rows.dtype)
-    mul[0] = np.arange(m)
-    for t, p, v in zip(range(1, m), parent[1:].tolist(), via[1:].tolist()):
-        mul[t] = gen_rows[v].take(mul[p])
-    if not np.array_equal(mul[:, 0], mul[0]):
-        raise ValueError("composed table is not a group: column 0 is not the identity map")
-    cols = mul[:, gen_rows[:, 0]].T
-    if not all(np.array_equal(left[right], right[left]) for left in gen_rows for right in cols):
-        raise ValueError("composed table not associative: a generator row and a "
-                         "generator column do not commute")
-    return GroupTable(mul, labels=labels, name=name, _certified=True)
 
 
 def _along_words(maps: np.ndarray, radices: Sequence[int], starts) -> np.ndarray:
@@ -432,11 +328,15 @@ class WordMul:
     negative indices included, and an index out of range raises IndexError.
     ``nbytes`` counts the columns and the digits.
 
-    Built only certified, by ``compose_rows``' certificate: column 0 is the
-    identity map and each generator row commutes with each generator column.
-    The generator columns x -> x s_j are the words evaluated at s_j, computed
-    along the codes in O(|S| |G|).  Then the words are the regular
-    representation of a group, and the columns give its product.
+    Built only certified.  The generator columns R_j, x -> x s_j, are the
+    words evaluated at s_j, computed along the codes in O(|S| |G|).  Two
+    checks in O(|S|^2 |G|) then make the words the regular representation of
+    a group, whose product the columns give: column 0 is the identity map
+    (the word of code x sends 0 to x), and each generator row commutes with
+    each R_j.  For then the R_j carry 0 to every element and commute with
+    every word, so a word is fixed by its value at 0.  (A transitive group
+    with a transitive centralizer is regular: Dixon and Mortimer,
+    Permutation Groups, 4.2.)
     """
 
     def __init__(self, gen_rows: Sequence[np.ndarray], radices: Sequence[int]):
@@ -511,27 +411,6 @@ def word_table(gen_rows: Sequence[np.ndarray], radices: Sequence[int],
         for lo, hi in _blocks(words.order):
             mul[lo:hi] = words[lo:hi]
     return GroupTable(mul, labels=labels, name=name, _certified=True)
-
-
-def build_from_generators(
-    identity,
-    gens: Iterable,
-    product: Callable,
-    cap: int = DEFAULT_ORDER_CAP,
-    labeler: Optional[Callable] = None,
-    name: str = "",
-) -> tuple[GroupTable, dict]:
-    """Close a generating set under an associative product and tabulate it.
-
-    ``identity`` and the generators must be hashable values of a common
-    domain; ``product`` is the domain's associative operation.  Returns the
-    table (identity at index 0, elements in discovery order) together with
-    the element-to-index map.  Raises CapExceeded when the closure grows past
-    ``cap``.
-    """
-    elements, index, parent, via, rows = close_under(identity, gens, product, cap)
-    labels = [labeler(x) for x in elements] if labeler is not None else None
-    return compose_rows(rows, parent, via, labels=labels, name=name), index
 
 
 def table_to_json(g: GroupTable) -> dict:
@@ -910,8 +789,9 @@ def _element_fingerprints(g: GroupTable) -> np.ndarray:
     return orders * (g.order + 1) + cent_sizes
 
 
-def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[AutMap]:
-    """The full automorphism group, enumerated by generator images.
+def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]:
+    """The full automorphism group, as read-only permutations of the element
+    indices, enumerated by generator images.
 
     Candidate images are filtered by an order/centralizer fingerprint; each
     candidate tuple is extended to a total map along the Cayley graph and
@@ -923,12 +803,16 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[AutMap]:
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
     # every element as a word in the generators: b = gens[v] * p, p found before b
-    # (the trivial group has no generators; its identity closes to itself)
-    discovery, _, parent, via, _ = close_under(
-        g.identity, gens or [g.identity], lambda s, a: int(g.mul[s, a]), g.order
-    )
-    steps = list(zip(discovery[1:], [discovery[p] for p in parent[1:]], via[1:].tolist()))
-    out: list[AutMap] = []
+    steps, found = [], [g.identity]
+    seen = {g.identity}
+    for p in found:  # a queue: the list grows while it is read
+        for v, s in enumerate(gens):
+            b = int(g.mul[s, p])
+            if b not in seen:
+                seen.add(b)
+                found.append(b)
+                steps.append((b, p, v))
+    out: list[np.ndarray] = []
     img = np.full(g.order, -1, dtype=np.int64)
     img_of_gen = [0] * len(gens)
 
@@ -939,16 +823,17 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[AutMap]:
                 img[b] = g.mul[img_of_gen[v], img[p]]
             if (np.bincount(img, minlength=g.order) != 1).any():
                 return
-            cand = AutMap(img.copy())
-            if cand.verify(g):
-                out.append(cand)
+            if Homomorphism(g, g, img).verify():
+                perm = img.copy()
+                perm.flags.writeable = False
+                out.append(perm)
             return
         for y in candidates[depth]:
             img_of_gen[depth] = int(y)
             assign(depth + 1)
 
     assign(0)
-    out.sort(key=lambda a: a.perm.tolist())
+    out.sort(key=lambda perm: perm.tolist())
     return out
 
 
@@ -956,11 +841,13 @@ def sigma_orbit(
     g: GroupTable, h_prime: SubgroupMask, cap: int = DEFAULT_AUT_CAP
 ) -> list[SubgroupMask]:
     """Distinct images of a subgroup under the full automorphism group."""
-    seen: dict[bytes, SubgroupMask] = {}
-    for phi in automorphisms(g, cap=cap):
-        m = phi.apply_mask(h_prime)
-        seen.setdefault(m.bits.tobytes(), m)
-    return [seen[k] for k in sorted(seen)]
+    idx = h_prime.indices()
+    seen: dict[bytes, np.ndarray] = {}
+    for perm in automorphisms(g, cap=cap):
+        bits = np.zeros(g.order, dtype=bool)
+        bits[perm[idx]] = True
+        seen.setdefault(bits.tobytes(), bits)
+    return [SubgroupMask(g, seen[k], _validated=True) for k in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,6 @@ class DcBoundReport:
     d_c: int
     gamma_b_order: int
     bound_holds: bool
-    generator_pair: Optional[tuple[int, int]]
     generator_attains: bool
 
 
@@ -198,15 +197,10 @@ def check_dc_bound(data: CentralData) -> DcBoundReport:
     Q = q_table(data)
     ordQ = all_element_orders(data.g)[Q]
     top = int(ordQ.max()) if Q.size else 1
-    pair = None
-    if Q.size:
-        a, b = np.argwhere(ordQ == top)[0]
-        pair = (int(a), int(b))
     return DcBoundReport(
         d_c=d_c,
         gamma_b_order=nb,
         bound_holds=d_c * d_c <= nb,
-        generator_pair=pair,
         generator_attains=top == d_c,
     )
 

@@ -12,9 +12,10 @@ from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     SubgroupMask,
+    _index_dtype,
     abelian_invariant_factors,
     all_element_orders,
-    build_from_generators,
+    check_table_order,
     closure,
     code_digits,
     cyclic_table,
@@ -59,17 +60,37 @@ def dihedral_kind(n: int) -> RotationGroupKind:
     return RotationGroupKind("dihedral", n)
 
 
-def _perm_mul(a: tuple, b: tuple) -> tuple:
-    # right-to-left composition: (a b)(i) = a[b[i]]
-    return tuple(a[b[i]] for i in range(len(b)))
-
-
 def _perm_group(points: int, gens: Iterable[tuple], name: str, cap: int) -> GroupTable:
-    ident = tuple(range(points))
-    table, _ = build_from_generators(
-        ident, list(gens), _perm_mul, cap=cap, labeler=str, name=name
-    )
-    return table
+    """The group generated by permutations of ``range(points)``, its elements
+    labelled and listed in breadth-first order under left multiplication
+    (identity first), its table proved by ``GroupTable``.  Raises CapExceeded
+    when the closure grows past ``cap``."""
+    gens = list(gens)
+    elements = [tuple(range(points))]
+    index = {elements[0]: 0}
+    parent, via = [-1], [-1]
+    rows = [[] for _ in gens]  # rows[j][i]: the index of gens[j] elements[i]
+    for i, a in enumerate(elements):  # a queue: the list grows while it is read
+        for j, s in enumerate(gens):
+            b = tuple(s[x] for x in a)  # right-to-left: (s a)(x) = s[a[x]]
+            k = index.get(b)
+            if k is None:
+                if len(elements) >= cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}; generator set may be wrong")
+                k = index[b] = len(elements)
+                elements.append(b)
+                parent.append(i)
+                via.append(j)
+            rows[j].append(k)
+    m = len(elements)
+    check_table_order(m)
+    rows = np.array(rows, dtype=_index_dtype(m))
+    mul = np.empty((m, m), dtype=rows.dtype)
+    mul[0] = np.arange(m)
+    # (s a) b = s (a b): row t is its parent's row mapped through its generator's row
+    for t in range(1, m):
+        mul[t] = rows[via[t]].take(mul[parent[t]])
+    return GroupTable(mul, labels=[str(e) for e in elements], name=name)
 
 
 def rotation_group(kind: RotationGroupKind, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:

@@ -22,9 +22,10 @@ def digit_places(radices):
 
 
 def digit_tree(radices):
-    """The tree ``compose_rows`` composes a word table along: the parent of a
-    code is the code with its lowest nonzero digit lowered by one, reached
-    through that digit's generator (``via``)."""
+    """The tree of a word table's words: the parent of a code is the code
+    with its lowest nonzero digit lowered by one, and the code is the
+    parent's word times that digit's generator (``via``) on the left, so a
+    dense table composes along it, row from parent row."""
     digits = gc.code_digits(radices)
     lowest = np.stack(digits[::-1]) != 0
     via = len(radices) - 1 - np.argmax(lowest, axis=0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex.cli import main
@@ -54,6 +56,21 @@ def test_hat_gamma_small_n_is_informational():
     assert claims["order"]["computed"] == 96
     assert claims["theta-kernel-order"]["computed"] == 16
     assert claims["min-abelian-index"]["pass"] is None
+
+
+def test_theta_onto_needs_a_homomorphism(monkeypatch, capsys):
+    # swapping the images 1 and 2 keeps the projection onto C6 but breaks the morphism
+    real = hb.hat_gamma_n
+
+    def swapped(*args, **kwargs):
+        hat = real(*args, **kwargs)
+        hat.theta.map = np.array([0, 2, 1, 3, 4, 5])[hat.theta.map]
+        return hat
+
+    monkeypatch.setattr(hb, "hat_gamma_n", swapped)
+    assert main(["hat-gamma", "--n", "2"]) == 1
+    claim = claims_by_name(json.loads(capsys.readouterr().out))["theta-onto"]
+    assert (claim["expected"], claim["computed"], claim["pass"]) == (True, False, False)
 
 
 def test_bound_command_table():

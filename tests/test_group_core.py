@@ -1,5 +1,6 @@
 """Tests for the generic finite-group engine."""
 
+import ast
 import gc as garbage
 import itertools
 import weakref
@@ -17,36 +18,36 @@ from abindex.errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTim
 from helpers import dense, digit_places, digit_tree
 
 
-def perm_mul(a, b):
-    return tuple(a[b[i]] for i in range(len(b)))
+def perm_group(points, gens, name="", cap=gc.DEFAULT_ORDER_CAP):
+    return sg._perm_group(points, [tuple(p) for p in gens], name, cap)
+
+
+def perm_index(g):
+    """Each permutation of ``g`` to its index, read back from the labels."""
+    return {ast.literal_eval(lab): i for i, lab in enumerate(g.labels)}
 
 
 def s3():
-    g, idx = gc.build_from_generators(
-        (0, 1, 2), [(1, 0, 2), (1, 2, 0)], perm_mul, name="S3"
-    )
-    return g, idx
+    g = perm_group(3, [(1, 0, 2), (1, 2, 0)], "S3")
+    return g, perm_index(g)
 
 
 def a4():
-    g, _ = gc.build_from_generators(
-        (0, 1, 2, 3), [(1, 0, 3, 2), (1, 2, 0, 3)], perm_mul, name="A4"
-    )
-    return g
+    return perm_group(4, [(1, 0, 3, 2), (1, 2, 0, 3)], "A4")
 
 
 def a5():
-    g, _ = gc.build_from_generators(
-        (0, 1, 2, 3, 4), [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], perm_mul, name="A5"
-    )
-    return g
+    return perm_group(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], "A5")
+
+
+def s4():
+    return perm_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)], "S4")
 
 
 def dihedral(n):
     rot = tuple((i + 1) % n for i in range(n))
     refl = tuple((-i) % n for i in range(n))
-    g, _ = gc.build_from_generators(tuple(range(n)), [rot, refl], perm_mul)
-    return g
+    return perm_group(n, [rot, refl])
 
 
 def brute_force_max_abelian(g):
@@ -153,8 +154,7 @@ def brute_force_automorphism_count(g):
 
 
 def test_build_identity_only():
-    g, _ = gc.build_from_generators(0, [0], lambda a, b: a + b)
-    assert g.order == 1
+    assert perm_group(1, [(0,)]).order == 1
 
 
 def test_build_s3_from_transposition_and_cycle():
@@ -166,32 +166,25 @@ def test_build_s3_from_transposition_and_cycle():
 
 def test_build_cyclic_closure():
     for n in (2, 5, 12):
-        g, _ = gc.build_from_generators(
-            tuple(range(n)), [tuple((i + 1) % n for i in range(n))], perm_mul
-        )
+        g = perm_group(n, [tuple((i + 1) % n for i in range(n))])
         assert g.order == n
 
 
-def test_build_evaluates_only_the_generator_rows():
-    # the closure evaluates each generator row once; every other row is
-    # composed, so the product runs |S| |G| times, not |G|^2
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return perm_mul(a, b)
-
-    g, idx = gc.build_from_generators((0, 1, 2), [(1, 0, 2), (1, 2, 0)], counted)
-    assert g.order == 6
-    assert len(calls) == 2 * 6
-    for a, i in idx.items():
-        for b, j in idx.items():
-            assert g.mul_idx(i, j) == idx[perm_mul(a, b)]
-
-
 def test_build_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        gc.build_from_generators((0, 1, 2), [(1, 2, 0), (1, 0, 2)], perm_mul, cap=3)
+    assert perm_group(3, [(1, 2, 0), (1, 0, 2)], cap=6).order == 6
+    with pytest.raises(CapExceeded, match="closure exceeded cap 5"):
+        perm_group(3, [(1, 2, 0), (1, 0, 2)], cap=5)
+
+
+def test_table_order_guard(monkeypatch):
+    # 2 bytes x 32,767^2 fits in 2 GiB; order 32,768 needs int32 entries and does not
+    gc.check_table_order(32_767)
+    with pytest.raises(CapExceeded, match="would exceed"):
+        gc.check_table_order(32_768)
+    # the permutation closure checks its order before it fills the table
+    monkeypatch.setattr(gc, "MAX_TABLE_BYTES", 8 * 8 * 2 - 1)
+    with pytest.raises(CapExceeded, match="would exceed"):
+        perm_group(8, [(1, 2, 3, 4, 5, 6, 7, 0)])
 
 
 def test_table_rejects_broken_associativity():
@@ -207,13 +200,6 @@ def test_table_rejects_nonassociative_loop():
     )
     with pytest.raises(ValueError, match="not associative"):
         gc.GroupTable(mul)
-
-
-def test_compose_rows_refuses_an_oversized_table():
-    # an int32 table of order 40000 would take 6.4 GB; nothing is allocated
-    parent = np.zeros(40_000, dtype=np.intp)
-    with pytest.raises(CapExceeded):
-        gc.compose_rows([], parent, parent)
 
 
 def _corrupted_gamma_9():
@@ -268,26 +254,6 @@ def _is_group(mul):
     return associative and identity and bool((mul == 0).any(axis=1).all())
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(_small_tables(), st.data())
-def test_compose_rows_accepts_exactly_the_groups(mul, data):
-    """The certificate against brute force: the table composed along the
-    closure of random generators is accepted exactly when it is a group."""
-    gens = data.draw(st.lists(st.sampled_from(range(len(mul))), min_size=1, unique=True))
-    _, _, parent, via, rows = gc.close_under(0, gens, lambda s, a: int(mul[s, a]), cap=64)
-    composed = np.empty((len(parent), len(parent)), dtype=np.int64)
-    composed[0] = np.arange(len(parent))
-    for t in range(1, len(parent)):
-        composed[t] = rows[via[t]][composed[parent[t]]]
-    try:
-        g = gc.compose_rows(rows, parent, via)
-    except ValueError:
-        g = None
-    assert (g is not None) == _is_group(composed)
-    if g is not None:
-        assert np.array_equal(dense(g), composed)
-
-
 def _factorizations(m):
     """Ordered factorizations of m into factors >= 2; (1,) for m = 1."""
     if m == 1:
@@ -323,60 +289,29 @@ def test_word_table_accepts_exactly_the_groups(mul, data):
 
 
 def test_compose_rows_refuses_a_tree_whose_words_miss_their_codes():
-    # Gamma_3's rows along its digit tree, with the a and b edges swapped:
-    # the word of code t no longer sends 0 to t
+    # Gamma_3's generator rows make its word table; with the a and b rows
+    # swapped the words are c^z a^y b^x, and the word of code t no longer
+    # sends 0 to t
     x, y, z = gc.code_digits((3, 3, 3))
-    parent, via = digit_tree((3, 3, 3))
     rows = [(x + 1) % 3 * 9 + y * 3 + (z + y) % 3, x * 9 + (y + 1) % 3 * 3 + z,
             x * 9 + y * 3 + (z + 1) % 3]
-    assert np.array_equal(dense(gc.compose_rows(rows, parent, via)), dense(hb.gamma_n(3)))
-    with pytest.raises(ValueError, match="column 0"):
-        gc.compose_rows(rows, parent, np.where(via == 2, 2, 1 - via))
-    # the same swap in a word table: its words are c^z a^y b^x
+    assert np.array_equal(dense(gc.GroupTable(gc.WordMul(rows, (3, 3, 3)))),
+                          dense(hb.gamma_n(3)))
     with pytest.raises(ValueError, match="column 0"):
         gc.WordMul([rows[1], rows[0], rows[2]], (3, 3, 3))
 
 
-def test_closures_return_their_discovery_tree(monkeypatch):
-    closures = []
-    real = gc.close_under
-
-    def recording(identity, gens, product, cap):
-        gens = list(gens)
-        out = real(identity, gens, product, cap)
-        closures.append((gens, product, out))
-        return out
-
-    monkeypatch.setattr(gc, "close_under", recording)
-    sg.rotation_group(sg.TETRA)
-    sg.rotation_group(sg.dihedral_kind(5))
-    gc.automorphisms(gc.cyclic_table(6))
-    assert len(closures) == 3
-    for gens, product, (elements, index, parent, via, rows) in closures:
-        assert parent[0] == -1 and via[0] == -1
-        assert len(parent) == len(via) == len(elements) == len(index)
-        assert rows.shape == (len(gens), len(elements))
-        assert rows.dtype == gc._index_dtype(len(elements))
-        for i in range(1, len(elements)):
-            assert parent[i] < i
-            assert elements[i] == product(gens[via[i]], elements[parent[i]])
-            assert index[elements[i]] == i
-        for j, s in enumerate(gens):
-            for i, a in enumerate(elements):
-                assert rows[j][i] == index[product(s, a)]
-
-
-def test_closure_stops_at_the_largest_table_order():
-    # a cyclic group of order 40,000 is within the cap, but its table is not
-    products = []
-
-    def add(a, b):
-        products.append(a)
-        return (a + b) % 40_000
-
-    with pytest.raises(CapExceeded, match="largest whose table fits"):
-        gc.close_under(0, [1], add, cap=10**6)
-    assert len(products) == 32_767
+def test_rotation_tables_compose_their_labelled_permutations():
+    """Every entry of each permutation-built rotation table, on all pairs, is
+    the composition (a b)(x) = a[b[x]] of the permutations its labels name,
+    and the labels are distinct."""
+    kinds = [sg.dihedral_kind(k) for k in (3, 4, 5, 6, 9)] + [sg.TETRA, sg.OCTA, sg.ICOSA]
+    for kind in kinds:
+        g = sg.rotation_group(kind)
+        perms = np.array([ast.literal_eval(lab) for lab in g.labels])
+        assert len(set(g.labels)) == g.order, kind
+        composed = perms[np.arange(g.order)[:, None, None], perms[None, :, :]]
+        assert np.array_equal(perms[dense(g)], composed), kind
 
 
 def test_table_accepts_identity_off_zero():
@@ -656,12 +591,6 @@ def test_min_abelian_index_against_full_subgroup_lattice():
     # the lattice oracle is exhaustive, no generation-size assumption at all
     from abindex import heisenberg as hb
 
-    def s4():
-        g, _ = gc.build_from_generators(
-            (0, 1, 2, 3), [(1, 0, 2, 3), (1, 2, 3, 0)], perm_mul, name="S4"
-        )
-        return g
-
     # the root branches on one element per noncentral conjugacy class
     rotations = [sg.rotation_group(k) for k in
                  (sg.dihedral_kind(5), sg.TETRA, sg.OCTA, sg.ICOSA)]
@@ -728,8 +657,8 @@ def test_automorphisms_s3_matches_brute_force():
     auts = gc.automorphisms(g)
     assert len(auts) == 6
     assert len(auts) == brute_force_automorphism_count(g)
-    for phi in auts:
-        assert phi.verify(g)
+    for perm in auts:
+        assert gc.Homomorphism(g, g, perm).verify()
 
 
 def test_automorphisms_klein_four():
@@ -979,8 +908,7 @@ def _perm_groups():
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_perm_groups())
 def test_min_abelian_index_property_on_permutation_groups(perms):
-    d = len(perms[0])
-    g, _ = gc.build_from_generators(tuple(range(d)), [tuple(p) for p in perms], perm_mul)
+    g = perm_group(len(perms[0]), perms)
     best = max(m.size for m in abelian_subgroups(g))
     res = gc.min_abelian_index(g)
     assert res.index == g.order // best
@@ -1070,8 +998,7 @@ def test_class_orders_and_center_match_direct_definitions(make):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_perm_groups())
 def test_class_orders_and_center_on_permutation_groups(perms):
-    d = len(perms[0])
-    g, _ = gc.build_from_generators(tuple(range(d)), [tuple(p) for p in perms], perm_mul)
+    g = perm_group(len(perms[0]), perms)
     _check_class_structure(g)
 
 

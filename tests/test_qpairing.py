@@ -6,16 +6,13 @@ import pytest
 from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex import qpairing as qp
+from abindex import surface_groups as sg
 from abindex.errors import HypothesisViolation, NotCentral, QuotientNotAbelian
 from helpers import traced_peak
 
 
 def s3():
-    def pm(a, b):
-        return tuple(a[b[i]] for i in range(len(b)))
-
-    g, _ = gc.build_from_generators((0, 1, 2), [(1, 0, 2), (1, 2, 0)], pm, name="S3")
-    return g
+    return sg._perm_group(3, [(1, 0, 2), (1, 2, 0)], "S3", gc.DEFAULT_ORDER_CAP)
 
 
 def abelian_data(n=12, k=4):

@@ -49,8 +49,8 @@ def test_automorphisms_of_the_esfera_groups():
         g = sg.rotation_group(kind)
         auts = gc.automorphisms(g)
         assert len(auts) == count, kind
-        assert len({a.perm.tobytes() for a in auts}) == count
-        assert all(a.verify(g) for a in auts)
+        assert len({perm.tobytes() for perm in auts}) == count
+        assert all(gc.Homomorphism(g, g, perm).verify() for perm in auts)
 
 
 def test_tetra_icosa_are_even_permutations():
