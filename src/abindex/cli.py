@@ -17,6 +17,12 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Optional
 
+# Every product here is an integer gather and the few matrix calls work on
+# int64 data, so no path calls BLAS: one OpenBLAS thread, not an idle pool of
+# one worker per CPU, unless the caller chose otherwise.  Set before numpy is
+# first imported, which the package __init__ does not do.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import group_core as gc

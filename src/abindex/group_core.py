@@ -17,6 +17,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # Windows: no resource module, no address-space limit to read
+    resource = None
+
 from .errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
 
 DEFAULT_ORDER_CAP = 20_000
@@ -279,11 +284,24 @@ class Homomorphism:
 # construction
 
 
+def _table_bytes_bound() -> tuple[int, str]:
+    """The most bytes one table may take, and its description: MAX_TABLE_BYTES,
+    or the process's soft address-space limit when that is smaller.  The limit
+    is only read: a table larger than the whole address space can never be
+    built, so it is refused at the guard rather than by a MemoryError."""
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY and soft < MAX_TABLE_BYTES:
+            return soft, f"the address-space limit (RLIMIT_AS) of {soft} bytes"
+    return MAX_TABLE_BYTES, f"{MAX_TABLE_BYTES} bytes"
+
+
 def check_table_order(m: int) -> None:
     """The table-size guard: refuse order m, before anything of that size is
-    allocated, when its Cayley table would not fit in MAX_TABLE_BYTES."""
-    if m * m * np.dtype(_index_dtype(m)).itemsize > MAX_TABLE_BYTES:
-        raise CapExceeded(f"a table of order {m} would exceed {MAX_TABLE_BYTES} bytes")
+    allocated, when its Cayley table would not fit in ``_table_bytes_bound``."""
+    bound, what = _table_bytes_bound()
+    if m * m * np.dtype(_index_dtype(m)).itemsize > bound:
+        raise CapExceeded(f"a table of order {m} would exceed {what}")
 
 
 def _along_words(maps: np.ndarray, radices: Sequence[int], starts) -> np.ndarray:
@@ -304,12 +322,13 @@ def _along_words(maps: np.ndarray, radices: Sequence[int], starts) -> np.ndarray
 def code_digits(radices: Sequence[int]) -> list[np.ndarray]:
     """The digits of the mixed-radix codes 0 .. prod(radices) - 1, most
     significant first.  The word-table guard: radices whose ``WordMul``
-    columns and digits would exceed MAX_TABLE_BYTES are refused first,
+    columns and digits would exceed ``_table_bytes_bound`` are refused first,
     before any array is built."""
     order = math.prod(radices)
     itemsize = np.dtype(_index_dtype(order)).itemsize
-    if (sum(radices) * itemsize + 8 * len(radices)) * order > MAX_TABLE_BYTES:
-        raise CapExceeded(f"a word table of order {order} would exceed {MAX_TABLE_BYTES} bytes")
+    bound, what = _table_bytes_bound()
+    if (sum(radices) * itemsize + 8 * len(radices)) * order > bound:
+        raise CapExceeded(f"a word table of order {order} would exceed {what}")
     places = np.cumprod([1, *radices[:0:-1]])[::-1]
     codes = np.arange(order)
     return [codes // p % r for p, r in zip(places, radices)]
@@ -387,13 +406,14 @@ class WordMul:
             key = (key, slice(None))
         if len(key) != 2:
             raise IndexError(f"a table takes two indices, not {len(key)}")
-        # numpy checks each index against the codes and resolves negative ones
-        a, b = self._codes[key[0]], self._codes[key[1]]
+        # numpy checks each index against the codes and resolves negative
+        # ones; a slice of y reads the digit offsets as a view, not a copy
+        a, steps = self._codes[key[0]], self._steps[::-1, key[1]]
         if isinstance(key[0], slice):  # a slice indexes an outer axis, as in numpy
-            a = a.reshape(a.shape + (1,) * b.ndim)
+            a = a.reshape(a.shape + (1,) * (steps.ndim - 1))
         elif isinstance(key[1], slice):
             a = a[..., None]
-        for step in self._steps[::-1, b]:
+        for step in steps:
             a = self._cols[step + a]
         return a
 

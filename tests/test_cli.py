@@ -2,11 +2,14 @@
 
 import importlib.util
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from abindex import group_core as gc
 from abindex import heisenberg as hb
@@ -258,6 +261,43 @@ def test_running_out_of_memory_exits_3(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert json.loads(out) == {"command": "hat-gamma", "error": "out of memory"}
     assert out.count("\n") == 1  # one JSON document
+
+
+def test_a_word_table_over_the_address_space_limit_is_refused_at_the_guard():
+    # hat-gamma at n = 48 needs 1,093,533,696 bytes of columns and digits: in a
+    # 1 GB address space it stops at the guard, not in a MemoryError mid-build
+    limit, hard = 1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < limit:
+        pytest.skip("the hard address-space limit is below 1 GB")
+    proc = subprocess.run(
+        [sys.executable, "-m", "abindex.cli", "hat-gamma", "--n", "48", "--cap", "1400000"],
+        capture_output=True, text=True, timeout=600,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": "hat-gamma", "error": "a word table of order 1327104 would exceed the "
+        f"address-space limit (RLIMIT_AS) of {limit} bytes"}
+
+
+def test_the_cli_runs_one_blas_thread():
+    # no path calls BLAS, so the CLI starts no OpenBLAS worker per CPU; a
+    # caller's own OPENBLAS_NUM_THREADS is kept
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    code = ("import os, abindex.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+
+    def threads_and_setting():
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert threads_and_setting() == ["1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert threads_and_setting()[1] == "2"
 
 
 def test_verify_obeys_cap_in_every_suite():

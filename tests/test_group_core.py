@@ -187,6 +187,28 @@ def test_table_order_guard(monkeypatch):
         perm_group(8, [(1, 2, 3, 4, 5, 6, 7, 0)])
 
 
+def test_table_guards_respect_the_address_space_limit(monkeypatch):
+    # order 96 takes 96^2 x 2 = 18,432 bytes dense, and (14 x 2 + 4 x 8) x 96 = 5,760
+    # as a word table of radices (6, 2, 2, 4); a soft RLIMIT_AS below them is refused
+    def limit(soft):
+        monkeypatch.setattr(gc.resource, "getrlimit",
+                            lambda which: (soft, gc.resource.RLIM_INFINITY))
+
+    limit(18_432)
+    gc.check_table_order(96)
+    limit(18_431)
+    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 18431 bytes"):
+        gc.check_table_order(96)
+    limit(5_760)
+    gc.code_digits((6, 2, 2, 4))
+    limit(5_759)
+    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 5759 bytes"):
+        gc.code_digits((6, 2, 2, 4))
+    limit(4 << 30)  # above MAX_TABLE_BYTES, the guard is as it was
+    with pytest.raises(CapExceeded, match=f"would exceed {gc.MAX_TABLE_BYTES} bytes"):
+        gc.check_table_order(32_768)
+
+
 def test_table_rejects_broken_associativity():
     mul = np.array([[0, 1], [1, 1]])
     with pytest.raises(ValueError):

@@ -421,6 +421,41 @@ def test_dense_read_out_stays_below_twice_the_table():
     assert peak < 2 * g.mul.nbytes, peak
 
 
+def test_a_word_table_row_read_stays_below_three_rows_of_offsets():
+    # one gather offset and one gathered row per digit at a time; the digit
+    # offsets of the sliced column key are read as a view, since a copy of
+    # them (4 x |G| intp, 384 KB) alone would break the budget
+    g = hb.hat_gamma_n(10).table
+    assert isinstance(g.mul, gc.WordMul)
+    row, peak = traced_peak(lambda: g.mul[7])
+    assert row.shape == (g.order,)
+    assert peak < 3 * g.order * 8, peak
+
+
+@pytest.mark.parametrize("build", [lambda: hb.gamma_n(5), lambda: hb.hat_gamma_n(2).table,
+                                   lambda: hb.b_n_components(4).table],
+                         ids=["Gamma5", "HatGamma2", "B4"])
+def test_word_table_key_forms_match_the_dense_read_out(monkeypatch, build):
+    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
+    g = build()
+    assert isinstance(g.mul, gc.WordMul)
+    m = g.order
+    full = dense(g)
+    mask = np.arange(m) % 3 == 1
+    rows, cols = np.array([[0], [m - 1], [5]]), np.array([2, -3, 7, 0])
+    for key in [4, -2, (m - 1, slice(None)), (3, slice(2, None, 5)), (slice(None), 6),
+                (slice(None), -m), (slice(m - 1, None, -4), 1), (slice(1, 40, 3), slice(None, 9, 2)),
+                (slice(None), slice(None)), (slice(None, None, -1), slice(5, 2, -1)), mask,
+                (mask, 2), (3, mask), (slice(2, 20), mask), (rows, cols), (rows, slice(1, 4))]:
+        assert np.array_equal(g.mul[key], full[key]), key
+    for key in [m, -m - 1, (0, m), (np.array([1, m]), 0), (0, np.array([-m - 1])),
+                mask[1:], (0, mask[1:]), (slice(None), m)]:
+        with pytest.raises(IndexError):
+            full[key]
+        with pytest.raises(IndexError):
+            g.mul[key]
+
+
 def test_family_labels_are_made_on_first_read(monkeypatch):
     calls = []
     real = hb._format_half
