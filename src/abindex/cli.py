@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Optional
 
 # Every product here is an integer gather and the few matrix calls work on
@@ -345,34 +343,32 @@ def _documented_fixed_points(n: int, k: int) -> set:
     return {(u, v) for u in (0, n // 2) for v in (0, n // 2)} if n % 2 == 0 else {(0, 0)}
 
 
-def _suite_sl2(rep: VerificationReport, seed: int) -> None:
-    rng = random.Random(seed)
-    # Each quadratic defect is a polynomial of degree <= 2 in each of the 8
-    # matrix entries, and for a fixed lift each lift defect below is of
-    # degree <= 2 in every x and y and <= 1 in every z2.  So vanishing on a
-    # grid with 3 values per entry, x and y and 2 per z2 proves it for all
-    # integer matrices and elements (Alon, Combinatorial Nullstellensatz,
-    # 1999, Lemma 2.1).  Each grid is one array per coordinate.
-    F, G = (SimpleNamespace(a=a, b=b, c=c, d=d)
-            for a, b, c, d in np.indices((3,) * 8).reshape(2, 4, -1))
+def _suite_sl2(rep: VerificationReport) -> None:
+    # Each identity below is polynomial, and one of degree <= t in a variable
+    # that vanishes on a grid of t + 1 values of it vanishes on all integers
+    # (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1).  The quadratic
+    # defect has degree <= 2 in each of the 8 matrix entries; the lift defect
+    # <= 1 in each matrix entry, z2 and linear term and <= 2 in every x and y.
+    # Each grid is one stack of matrices and one array per coordinate; no
+    # value of the lift grid exceeds 100 in magnitude, so int16 is exact there.
+    F, G = np.moveaxis(np.indices((3,) * 8).reshape(2, 2, 2, -1), -1, 1)
     rep.check("cocycle-quadratic-defect",
               "lift corrections compose with vanishing quadratic defect "
               "(exact on all matrix pairs with entries in {0,1,2})",
-              0, int(np.count_nonzero(~hb.q_form_cocycle_check(F, G).is_cocycle_mod_linear)),
-              "enumeration")
-    x1, y1, x2, y2, z1, z2 = np.indices((3, 3, 3, 3, 2, 2)).reshape(6, -1)
-    a, b = (x1, y1, z1), (x2, y2, z2)
-    hom_bad = 0
-    for _ in range(20):
-        F = hb.random_sl2(rng)
-        lift = hb.SL2Lift(F, (rng.randrange(-1, 2), rng.randrange(-1, 2)))
-        hom_bad += _mismatches(lift.law(hb._heis_law(None, a, b)),
-                               hb._heis_law(None, lift.law(a), lift.law(b)))
+              0, _mismatches(hb.q_form_cocycle_defect(F, G), (0, 0, 0)), "enumeration")
+    grid = np.indices((2,) * 8 + (3,) * 4, dtype=np.int16).reshape(12, -1)
+    (a, b, c, d), (z1, z2, l1, l2, x1, y1, x2, y2) = grid[:4], grid[4:]
+    lift = hb.SL2Lift(np.moveaxis(grid[:4], 0, -1).reshape(-1, 2, 2), (l1, l2))
+    g, h = (x1, y1, z1), (x2, y2, z2)
+    rx, ry, rz2 = hb._heis_law(None, lift.law(g), lift.law(h))
+    det_defect = (a * d - b * c - 1) * (x2 * y1 - x1 * y2)
     rep.check("lift-homomorphism",
-              "every determinant-one lift respects the group law "
-              "(20 sampled lifts, each exact on the grid {0,1,2}^4 x {0,1}^2)",
-              0, hom_bad, "enumeration")
-    lift = hb.sl2_lift(hb.SL2Matrix(*hb.CHI_MATRIX[0], *hb.CHI_MATRIX[1]))
+              "every determinant-one lift respects the group law (exact: any lift's "
+              "z2 defect is (det F - 1)(x2 y1 - x1 y2) on the grid {0,1}^8 x {0,1,2}^4 "
+              "of entries, z2, linear terms, x and y)",
+              0, _mismatches(lift.law(hb._heis_law(None, g, h)), (rx, ry, rz2 + det_defect)),
+              "enumeration")
+    lift = hb.sl2_lift(hb.CHI_MATRIX)
     g = tuple(np.indices((3, 3, 2)).reshape(3, -1))
     rep.check("lift-reproduces-twist",
               "the lift over [[0,-1],[1,1]] equals the order-6 twist coordinatewise "
@@ -418,7 +414,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("tor", "all"):
         _suite_tor(rep, args.max_n, args.cap)
     if args.suite in ("sl2", "all"):
-        _suite_sl2(rep, args.seed)
+        _suite_sl2(rep)
     if args.suite in ("doubling", "all"):
         _suite_doubling(rep, args.cap)
     return _emit(rep, t0)

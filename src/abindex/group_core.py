@@ -284,15 +284,27 @@ class Homomorphism:
 # construction
 
 
+def _mapped_bytes() -> int:
+    """Bytes of address space the process maps now (/proc/self/statm), or 0."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[0]) * resource.getpagesize()
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def _table_bytes_bound() -> tuple[int, str]:
     """The most bytes one table may take, and its description: MAX_TABLE_BYTES,
-    or the process's soft address-space limit when that is smaller.  The limit
-    is only read: a table larger than the whole address space can never be
-    built, so it is refused at the guard rather than by a MemoryError."""
+    or what the process's soft address-space limit leaves beside the space
+    already mapped, when that is smaller.  The limit is only read: a table
+    that cannot fit is refused at the guard rather than by a MemoryError."""
     if resource is not None:
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY and soft < MAX_TABLE_BYTES:
-            return soft, f"the address-space limit (RLIMIT_AS) of {soft} bytes"
+        if soft != resource.RLIM_INFINITY:
+            mapped = _mapped_bytes()
+            if soft - mapped < MAX_TABLE_BYTES:
+                return soft - mapped, (f"the address-space limit (RLIMIT_AS) of {soft} "
+                                       f"bytes, less {mapped} bytes already mapped")
     return MAX_TABLE_BYTES, f"{MAX_TABLE_BYTES} bytes"
 
 

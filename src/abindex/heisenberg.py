@@ -10,7 +10,6 @@ None) and its reductions mod (n, n, 2n).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -247,37 +246,10 @@ def doubling_embed(p: int, cap: int = DEFAULT_ORDER_CAP) -> Homomorphism:
     return Homomorphism(src, tgt, gamma_elem_index(2 * p, 2 * x, 2 * y, 4 * z))
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
-    """Integer matrix [[a, b], [c, d]] with determinant one."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise DetNotOne(f"det is {self.a * self.d - self.b * self.c}, not 1")
-
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        return self.a * x + self.b * y, self.c * x + self.d * y
-
-    def __matmul__(self, other: "SL2Matrix") -> "SL2Matrix":
-        return SL2Matrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def entry_bound(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-
-def q_form_coeffs(a, b, c, d) -> tuple:
+def q_form_coeffs(F) -> tuple:
     """Coefficients (x^2, xy, y^2) of the doubled quadratic correction 2 q_F
-    of F = [[a, b], [c, d]]; entries are ints or int arrays."""
+    of F = [[a, b], [c, d]], a (..., 2, 2) array: a matrix or a stack of them."""
+    (a, b), (c, d) = np.moveaxis(F, (-2, -1), (0, 1))
     return a * c, a * d + b * c - 1, b * d
 
 
@@ -287,68 +259,46 @@ class SL2Lift:
 
     Sends A(x,y,z) to A(F(x,y), z + q_F(x,y) + lin . (x,y)), kept doubled:
     z2 gains 2 q_F(x,y) + lin2 . (x,y) with lin2 = 2 lin.  It fixes the
-    center, and is a group morphism exactly because det F = 1.
+    center, and is a group morphism exactly because det F = 1.  F may be a
+    stack of matrices whose stack axes broadcast with the coordinates; only
+    ``sl2_lift`` checks its determinant, so that a grid may hold any matrix.
     """
 
-    F: SL2Matrix
-    lin2: tuple[int, int]
+    F: np.ndarray
+    lin2: tuple = (0, 0)
 
     def law(self, g: tuple) -> tuple:
         """The lift on a coordinate triple (x, y, z2) over Z; entries are ints or int arrays."""
         x, y, z2 = g
-        qxx, qxy, qyy = q_form_coeffs(self.F.a, self.F.b, self.F.c, self.F.d)
+        (a, b), (c, d) = np.moveaxis(self.F, (-2, -1), (0, 1))
+        qxx, qxy, qyy = q_form_coeffs(self.F)
         lx, ly = self.lin2
-        return (*self.F.apply(x, y),
+        return (a * x + b * y, c * x + d * y,
                 z2 + qxx * x * x + qxy * x * y + qyy * y * y + lx * x + ly * y)
 
 
-def sl2_lift(F: SL2Matrix, lin=(0, 0)) -> SL2Lift:
+def sl2_lift(F, lin=(0, 0)) -> SL2Lift:
+    """The lift over an integer matrix F of determinant one, or a stack of
+    them, with a linear correction lin of denominator 1 or 2."""
+    (a, b), (c, d) = np.moveaxis(F, (-2, -1), (0, 1))
+    det = np.ravel(a * d - b * c)
+    if (det != 1).any():
+        raise DetNotOne(f"det is {det[det != 1][0]}, not 1")
     lx, ly = Fraction(lin[0]), Fraction(lin[1])
     if lx.denominator not in (1, 2) or ly.denominator not in (1, 2):
         raise ValueError("linear corrections must have denominator 1 or 2")
-    return SL2Lift(F, (int(2 * lx), int(2 * ly)))
+    return SL2Lift(np.asarray(F), (int(2 * lx), int(2 * ly)))
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
-    is_cocycle_mod_linear: bool
-    quadratic_defect: tuple[int, int, int]
+def q_form_cocycle_defect(F, G) -> tuple:
+    """The doubled coefficients (x^2, xy, y^2) of 2 (q_FG - q_F(G(x,y)) - q_G):
+    the z2 the lift over FG adds at (x, y, 0), less what the lift over F after
+    the lift over G adds, read at (1, 0), (0, 1) and (1, 1).  For matrices or
+    stacks F and G, with no use of the determinant, they vanish identically:
+    2 q_F(v) = (Fv)_1 (Fv)_2 - v_1 v_2, so the defect telescopes to 0."""
+    def defect(x, y):
+        e = (x, y, 0)
+        return SL2Lift(np.matmul(F, G)).law(e)[2] - SL2Lift(F).law(SL2Lift(G).law(e))[2]
 
-
-def q_form_cocycle_check(F, G) -> CocycleCheck:
-    """Expand 2 (q_FG - q_F(G(x,y)) - q_G) symbolically and report its defect.
-
-    The difference is a quadratic form in x, y; its three doubled (integer)
-    coefficients are returned.  They vanish identically, for any two 2 x 2
-    matrices and with no use of the determinant: 2 q_F(x,y) =
-    (ax + by)(cx + dy) - xy, so with v = (x, y) the defect
-    [(FGv)_1 (FGv)_2 - v_1 v_2] - [(FGv)_1 (FGv)_2 - (Gv)_1 (Gv)_2]
-    - [(Gv)_1 (Gv)_2 - v_1 v_2] telescopes to 0.  F and G need only entries
-    a, b, c, d, ints or int arrays (a grid of pairs is one evaluation), so
-    the entries of FG are formed here rather than by ``SL2Matrix.__matmul__``.
-    """
-    fa, fb, fc, fd = F.a, F.b, F.c, F.d
-    a, b, c, d = G.a, G.b, G.c, G.d
-    txx, txy, tyy = q_form_coeffs(
-        fa * a + fb * c, fa * b + fb * d, fc * a + fd * c, fc * b + fd * d)
-    fxx, fxy, fyy = q_form_coeffs(fa, fb, fc, fd)
-    gxx, gxy, gyy = q_form_coeffs(a, b, c, d)
-    # substitute (x,y) -> (a x + b y, c x + d y) into 2 q_F
-    sxx = fxx * a * a + fxy * a * c + fyy * c * c
-    sxy = 2 * fxx * a * b + fxy * (a * d + b * c) + 2 * fyy * c * d
-    syy = fxx * b * b + fxy * b * d + fyy * d * d
-    dxx, dxy, dyy = txx - sxx - gxx, txy - sxy - gxy, tyy - syy - gyy
-    return CocycleCheck((dxx == 0) & (dxy == 0) & (dyy == 0), (dxx, dxy, dyy))
-
-
-def random_sl2(rng: random.Random, entry_bound: int = 20) -> SL2Matrix:
-    """Seeded random walk on the standard generators, entries kept bounded."""
-    T = SL2Matrix(1, 1, 0, 1)
-    Ti = SL2Matrix(1, -1, 0, 1)
-    S = SL2Matrix(0, -1, 1, 0)
-    cur = SL2Matrix(1, 0, 0, 1)
-    for _ in range(rng.randrange(1, 12)):
-        nxt = cur @ [T, Ti, S][rng.randrange(3)]
-        if nxt.entry_bound() <= entry_bound:
-            cur = nxt
-    return cur
+    dxx, dyy = defect(1, 0), defect(0, 1)
+    return dxx, defect(1, 1) - dxx - dyy, dyy

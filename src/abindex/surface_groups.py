@@ -203,7 +203,7 @@ def _matrix_orders(mats: np.ndarray) -> np.ndarray:
 
 def det_one_matrices(entry_bound: int) -> np.ndarray:
     """The integer matrices of determinant one with entries in [-B, B], for
-    B the bound, as rows (a, b, c, d), found in O(B^3) by solving
+    B the bound, as an (m, 2, 2) stack, found in O(B^3) by solving
     a d - b c = 1 for d: when a != 0, d = (1 + b c) / a where a divides
     1 + b c and |d| <= B; when a = 0, b c = -1 and d is free."""
     span = np.arange(-entry_bound, entry_bound + 1)
@@ -212,14 +212,15 @@ def det_one_matrices(entry_bound: int) -> np.ndarray:
     d = num // den
     ia, ib, ic = np.nonzero((a != 0) & (num % den == 0) & (np.abs(d) <= entry_bound))
     solved = np.stack([span[ia], span[ib], span[ic], d[ia, ib, ic]], axis=1)
-    return np.concatenate([solved, [(0, s, -s, x) for s in (1, -1) for x in span]])
+    free = [(0, s, -s, x) for s in (1, -1) for x in span]
+    return np.concatenate([solved, free]).reshape(-1, 2, 2)
 
 
 def torus_point_orders(entry_bound: int) -> set[int]:
     """Orders of finite-order SL(2,Z) matrices with entries up to the bound."""
     if entry_bound < 1:
         raise ValueError("entry bound must be positive")
-    orders = _matrix_orders(det_one_matrices(entry_bound).reshape(-1, 2, 2))
+    orders = _matrix_orders(det_one_matrices(entry_bound))
     return set(orders[orders > 0].tolist())
 
 

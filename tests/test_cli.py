@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from abindex import cli
 from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex.cli import main
@@ -158,6 +160,29 @@ def test_verify_sl2_deterministic_given_seed():
     assert a == b
 
 
+def test_verify_sl2_claims_do_not_depend_on_the_seed():
+    # every sl2 claim is exact on a fixed grid: --seed is accepted and echoed, never read
+    a, b = (json.loads(run_cli("verify", "--suite", "sl2", "--seed", s).stdout)
+            for s in ("0", "7"))
+    assert (a["inputs"]["seed"], b["inputs"]["seed"]) == (0, 7)
+    assert a["claims"] == b["claims"] and all(c["pass"] for c in a["claims"])
+
+
+def test_lift_homomorphism_fails_when_the_xy_coefficient_is_shifted(monkeypatch):
+    # the grid must catch a lift whose correction is off by xy
+    coeffs = hb.q_form_coeffs
+
+    def shifted(F):
+        xx, xy, yy = coeffs(F)
+        return xx, xy + 1, yy
+
+    monkeypatch.setattr(hb, "q_form_coeffs", shifted)
+    rep = cli.VerificationReport("verify", {})
+    cli._suite_sl2(rep)
+    claim = {c.name: c for c in rep.claims}["lift-homomorphism"]
+    assert claim.passed is False and claim.computed > 0
+
+
 def test_verify_doubling_suite():
     proc = run_cli("verify", "--suite", "doubling")
     assert proc.returncode == 0
@@ -264,19 +289,25 @@ def test_running_out_of_memory_exits_3(monkeypatch, capsys):
 
 
 def test_a_word_table_over_the_address_space_limit_is_refused_at_the_guard():
-    # hat-gamma at n = 48 needs 1,093,533,696 bytes of columns and digits: in a
-    # 1 GB address space it stops at the guard, not in a MemoryError mid-build
+    # hat-gamma at n = 46 and n = 48 needs 925,081,344 and 1,093,533,696 bytes of
+    # columns and digits: in a 1 GB address space, of which the interpreter and
+    # numpy already map about 100 MB, each stops at the guard, not in a
+    # MemoryError mid-build
     limit, hard = 1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]
     if hard != resource.RLIM_INFINITY and hard < limit:
         pytest.skip("the hard address-space limit is below 1 GB")
-    proc = subprocess.run(
-        [sys.executable, "-m", "abindex.cli", "hat-gamma", "--n", "48", "--cap", "1400000"],
-        capture_output=True, text=True, timeout=600,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
-    assert proc.returncode == 3, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "command": "hat-gamma", "error": "a word table of order 1327104 would exceed the "
-        f"address-space limit (RLIMIT_AS) of {limit} bytes"}
+    for n, order in ((46, 1_168_032), (48, 1_327_104)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "abindex.cli", "hat-gamma", "--n", str(n),
+             "--cap", "1400000"], capture_output=True, text=True, timeout=600,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+        assert proc.returncode == 3, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert set(doc) == {"command", "error"} and doc["command"] == "hat-gamma"
+        assert re.fullmatch(
+            f"a word table of order {order} would exceed the address-space limit "
+            rf"\(RLIMIT_AS\) of {limit} bytes, less \d+ bytes already mapped",
+            doc["error"]), doc
 
 
 def test_the_cli_runs_one_blas_thread():
@@ -369,9 +400,9 @@ print(sorted({"numpy.ma", "abindex.qpairing", "abindex.surface_groups",
               "abindex.jordan_bounds"} & set(sys.modules) - before))
 from abindex import qpairing
 print(qpairing.__name__)
-# the whole suite exits 1 on the tor suite's three documented failures; its
-# seeded draws come from the standard library, without numpy.random and the
-# OpenSSL hashing that numpy.random loads through secrets
+# the whole suite exits 1 on the tor suite's three documented failures; it
+# draws nothing at random, so it loads neither numpy.random nor the OpenSSL
+# hashing that numpy.random loads through secrets
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--suite", "all"]) == 1
 print(sorted({"numpy.ma", "numpy.random", "secrets"} & set(sys.modules) - before))

@@ -3,6 +3,7 @@
 import ast
 import gc as garbage
 import itertools
+import os
 import weakref
 
 import numpy as np
@@ -189,24 +190,36 @@ def test_table_order_guard(monkeypatch):
 
 def test_table_guards_respect_the_address_space_limit(monkeypatch):
     # order 96 takes 96^2 x 2 = 18,432 bytes dense, and (14 x 2 + 4 x 8) x 96 = 5,760
-    # as a word table of radices (6, 2, 2, 4); a soft RLIMIT_AS below them is refused
+    # as a word table of radices (6, 2, 2, 4); a soft RLIMIT_AS that leaves less than
+    # that beside the 1,000 bytes already mapped is refused
+    monkeypatch.setattr(gc, "_mapped_bytes", lambda: 1_000)
+
     def limit(soft):
         monkeypatch.setattr(gc.resource, "getrlimit",
                             lambda which: (soft, gc.resource.RLIM_INFINITY))
 
-    limit(18_432)
+    limit(19_432)
     gc.check_table_order(96)
-    limit(18_431)
-    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 18431 bytes"):
+    limit(19_431)
+    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 19431 bytes, "
+                                          r"less 1000 bytes already mapped"):
         gc.check_table_order(96)
-    limit(5_760)
+    limit(6_760)
     gc.code_digits((6, 2, 2, 4))
-    limit(5_759)
-    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 5759 bytes"):
+    limit(6_759)
+    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 6759 bytes"):
         gc.code_digits((6, 2, 2, 4))
-    limit(4 << 30)  # above MAX_TABLE_BYTES, the guard is as it was
+    limit(4 << 30)  # with MAX_TABLE_BYTES left beside the mapped bytes, the guard is as it was
     with pytest.raises(CapExceeded, match=f"would exceed {gc.MAX_TABLE_BYTES} bytes"):
         gc.check_table_order(32_768)
+
+
+def test_mapped_bytes_reads_the_process_size():
+    # the address space mapped now, at least the interpreter's; 0 where /proc is missing
+    if os.path.exists("/proc/self/statm"):
+        assert gc._mapped_bytes() > 1 << 20
+    else:
+        assert gc._mapped_bytes() == 0
 
 
 def test_table_rejects_broken_associativity():

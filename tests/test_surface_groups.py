@@ -172,7 +172,9 @@ def test_det_one_matrices_match_the_four_loop(bound):
     span = range(-bound, bound + 1)
     loop = sorted((a, b, c, d) for a in span for b in span for c in span for d in span
                   if a * d - b * c == 1)
-    got = sg.det_one_matrices(bound).tolist()
+    mats = sg.det_one_matrices(bound)
+    assert mats.shape[1:] == (2, 2)
+    got = mats.reshape(-1, 4).tolist()
     assert len(got) == len(loop) and sorted(map(tuple, got)) == loop
 
 
