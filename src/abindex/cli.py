@@ -158,8 +158,9 @@ def cmd_hat_gamma(args) -> int:
 
 
 def _search_stats(res: gc.AbelianIndexResult) -> dict:
-    return {"nodes_explored": res.nodes_explored, "root_classes": res.root_classes,
-            "centralizers": res.centralizers}
+    return {"quotient_order": res.quotient_order, "nodes_explored": res.nodes_explored,
+            "root_classes": res.root_classes, "centralizers": res.centralizers,
+            "runtime_s": round(res.runtime_s, 4)}
 
 
 def _check_dump_target(path: Optional[str]) -> None:

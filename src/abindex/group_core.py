@@ -2,9 +2,10 @@
 
 Elements of a group of order ``n`` are the integers ``0..n-1``; index 0 is
 always the identity in every construction of this package.  A table's
-product is a dense Cayley table or a word table (``WordMul``), indexed
-alike.  Subgroups are boolean masks over the index range, and the heavy
-loops are vectorized with numpy.
+product is a dense Cayley table, a word table (``WordMul``) or a quotient's
+product evaluated on its lifts (``QuotientMul``), indexed alike.  Subgroups
+are boolean masks over the index range, and the heavy loops are vectorized
+with numpy.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ def _blocks(n: int):
 class GroupTable:
     """A finite group as an indexed element set with its product ``mul``.
 
-    ``mul`` is a full Cayley table or a ``WordMul``, which is certified when
-    it is built.  The table memoizes exactly two derived arrays, both
-    read-only: its conjugacy classes, from which the center, ``is_abelian``
-    and the search root are read (``conjugacy_class_labels``), and its
-    element orders (``all_element_orders``).  ``labels`` is a list, or a
+    ``mul`` is a full Cayley table, a ``WordMul`` or a ``QuotientMul``; the
+    last two are certified when they are built.  The table memoizes exactly
+    two derived arrays, both read-only: its conjugacy classes, from which the
+    center, ``is_abelian`` and the search root are read
+    (``conjugacy_class_labels``), and its element orders
+    (``all_element_orders``).  ``labels`` is a list, or a
     function of no arguments that makes it on first read.
     """
 
@@ -60,7 +62,7 @@ class GroupTable:
         name: str = "",
         _certified: bool = False,
     ):
-        if isinstance(mul, WordMul):
+        if isinstance(mul, (WordMul, QuotientMul)):
             order, _certified = mul.order, True
         else:
             mul = np.asarray(mul)
@@ -83,7 +85,7 @@ class GroupTable:
         self.identity = self._find_identity()
         self.inv = self._build_inverse_table()
         self.gens = self._find_generators()
-        if not _certified:  # a WordMul, or a table read out of one, is certified when built
+        if not _certified:  # a WordMul or QuotientMul, or a table read out of one, is certified
             self._check_associativity()
 
     def _find_identity(self) -> int:
@@ -98,7 +100,7 @@ class GroupTable:
 
     def _build_inverse_table(self) -> np.ndarray:
         n = self.order
-        if isinstance(self.mul, WordMul):
+        if isinstance(self.mul, (WordMul, QuotientMul)):
             inv = self.mul.inverses()
         else:
             inv = np.empty(n, dtype=np.int64)
@@ -245,22 +247,26 @@ class SubgroupMask:
 
 @dataclass
 class Homomorphism:
-    """A group homomorphism given by an index-to-index map."""
+    """A group homomorphism given by an index-to-index map.  A projection
+    built by ``quotient_by_normal`` also carries ``lifts``, the smallest
+    element over each element of the target."""
 
     source: GroupTable
     target: GroupTable
     map: np.ndarray
+    lifts: Optional[np.ndarray] = None
 
     def verify(self) -> bool:
         """Exact: m(r x) = m(r) m(x) for r the identity or a generator and every x.
 
         The r passing form a set closed under the product, and the identity
-        row forces m(1) = 1, so the set is the whole source group.
+        row forces m(1) = 1, so the set is the whole source group.  One row
+        r is compared at a time, and the target's row at m(r) is read once.
         """
         m = np.asarray(self.map, dtype=np.int64)
         s, t = self.source, self.target
-        rows = np.concatenate([[s.identity], s.gens])
-        return bool(np.array_equal(m[s.mul[rows]], t.mul[np.ix_(m[rows], m)]))
+        return all(np.array_equal(m[s.mul[r]], t.mul[m[r]][m])
+                   for r in [s.identity, *s.gens.tolist()])
 
     def _image_bits(self) -> np.ndarray:
         bits = np.zeros(self.target.order, dtype=bool)
@@ -331,15 +337,31 @@ def _along_words(maps: np.ndarray, radices: Sequence[int], starts) -> np.ndarray
     return cur
 
 
+def _word_build_bytes(radices: Sequence[int]) -> int:
+    """Bytes a word-table build over ``radices`` holds at its peak: the
+    caller's digits and generator rows (int64) and the ``WordMul`` (columns,
+    intp digit offsets, int64 codes) throughout, and on top the larger
+    transient: the rows' index-dtype copy and the words (one row more than
+    the generators) while the ``WordMul`` is built, or, while its table
+    checks its inverses, five int64 rows (inverses, indices, identity, codes,
+    sums), one gather's digit offsets and the gathered row.  This matches
+    tracemalloc on hat_gamma_n at n = 20 and 30."""
+    order, places = math.prod(radices), len(radices)
+    itemsize = np.dtype(_index_dtype(order)).itemsize
+    held = 8 * places + 8 * places + itemsize * sum(radices) + 8 * places + 8
+    building = itemsize * places + itemsize * (places + 1)
+    checking = 8 * 5 + 8 * places + itemsize
+    return order * (held + max(building, checking))
+
+
 def code_digits(radices: Sequence[int]) -> list[np.ndarray]:
     """The digits of the mixed-radix codes 0 .. prod(radices) - 1, most
-    significant first.  The word-table guard: radices whose ``WordMul``
-    columns and digits would exceed ``_table_bytes_bound`` are refused first,
-    before any array is built."""
+    significant first.  The word-table guard: radices whose word-table build
+    (``_word_build_bytes``) would exceed ``_table_bytes_bound`` are refused
+    first, before any array is built."""
     order = math.prod(radices)
-    itemsize = np.dtype(_index_dtype(order)).itemsize
     bound, what = _table_bytes_bound()
-    if (sum(radices) * itemsize + 8 * len(radices)) * order > bound:
+    if _word_build_bytes(radices) > bound:
         raise CapExceeded(f"a word table of order {order} would exceed {what}")
     places = np.cumprod([1, *radices[:0:-1]])[::-1]
     codes = np.arange(order)
@@ -357,7 +379,8 @@ class WordMul:
     lowest digit first.  ``mul[a, b]`` on broadcast index arrays, ``mul[x]``,
     ``mul[:, y]``, boolean masks and slices read as they read a dense table,
     negative indices included, and an index out of range raises IndexError.
-    ``nbytes`` counts the columns and the digits.
+    ``nbytes`` counts the columns and their digit offsets.  ``digits`` are
+    the codes' digits, as the caller has them from ``code_digits``.
 
     Built only certified.  The generator columns R_j, x -> x s_j, are the
     words evaluated at s_j, computed along the codes in O(|S| |G|).  Two
@@ -370,14 +393,18 @@ class WordMul:
     Permutation Groups, 4.2.)
     """
 
-    def __init__(self, gen_rows: Sequence[np.ndarray], radices: Sequence[int]):
+    def __init__(self, gen_rows: Sequence[np.ndarray], radices: Sequence[int],
+                 digits: Sequence[np.ndarray]):
         radices = list(radices)
-        digits = code_digits(radices)
         self.order = order = math.prod(radices)
-        rows = np.asarray(gen_rows, dtype=np.int64).reshape(len(radices), order)
-        if rows.min() < 0 or rows.max() >= order:
-            raise ValueError("generator row entry out of range")
-        rows = rows.astype(_index_dtype(order))
+        if len(gen_rows) != len(radices):
+            raise ValueError("one generator row per radix is needed")
+        rows = np.empty((len(radices), order), dtype=_index_dtype(order))
+        for row, given in zip(rows, gen_rows):
+            given = np.asarray(given)
+            if given.shape != (order,) or given.min() < 0 or given.max() >= order:
+                raise ValueError("generator row entry out of range")
+            row[:] = given
         words = _along_words(rows, radices, [0, *rows[:, 0]])
         if not np.array_equal(words[0], np.arange(order)):
             raise ValueError("word table is not a group: column 0 is not the identity map")
@@ -431,13 +458,15 @@ class WordMul:
 
 
 def word_table(gen_rows: Sequence[np.ndarray], radices: Sequence[int],
-               labels: Optional[Callable[[], list[str]]] = None, name: str = "") -> GroupTable:
-    """The group of the certified ``WordMul`` on these generator rows.  Up to
+               digits: Sequence[np.ndarray], labels: Optional[Callable[[], list[str]]] = None,
+               name: str = "") -> GroupTable:
+    """The group of the certified ``WordMul`` on these generator rows, over
+    the ``digits`` of the codes that ``code_digits(radices)`` gave.  Up to
     order _DENSE_WORD_ORDER its Cayley table is read out and kept instead:
     it is small, and one lookup per product beats one gather per digit.  It
     is read out in ``_blocks`` of rows, so the gather offsets of one block
     are alive at a time."""
-    mul = words = WordMul(gen_rows, radices)
+    mul = words = WordMul(gen_rows, radices, digits)
     if words.order <= _DENSE_WORD_ORDER:
         mul = np.empty((words.order, words.order), dtype=_index_dtype(words.order))
         for lo, hi in _blocks(words.order):
@@ -536,27 +565,33 @@ def _conjugation_orbits(g: GroupTable, gens: Sequence[int], bits: np.ndarray) ->
     themselves.
 
     ``bits`` must be a union of orbits (a subgroup holding the generators, or
-    the whole group).  The orbits are found by propagating the smaller label
-    along each map in both directions, with pointer jumping, until nothing
-    changes.
+    the whole group); the orbits are ``_orbit_minima`` of the conjugation maps.
     """
     idx = np.flatnonzero(bits)
     gens = np.asarray(gens, dtype=np.intp)
     pos = np.zeros(g.order, dtype=np.intp)
     pos[idx] = np.arange(len(idx))
-    conj = pos[g.mul[g.mul[np.ix_(gens, idx)], g.inv[gens][:, None]]]
-    labels = np.arange(len(idx))
-    while True:
-        prev = labels
-        for p in conj:
-            labels = np.minimum(labels, labels[p])
-            labels[p] = np.minimum(labels[p], labels)
-        labels = labels[labels]
-        if np.array_equal(labels, prev):
-            break
+    labels = _orbit_minima(pos[g.mul[g.mul[np.ix_(gens, idx)], g.inv[gens][:, None]]], len(idx))
     out = np.arange(g.order)
     out[idx] = idx[labels]  # idx is ascending, so the smallest position is the smallest index
     return out
+
+
+def _orbit_minima(maps: Iterable[np.ndarray], size: int) -> np.ndarray:
+    """Map from each of 0 .. size-1 to the smallest member of its orbit under
+    the permutations ``maps``.  Each map in turn takes every label to the
+    smaller of it and the label one step along, with the step doubled each
+    time (p, p^2, p^4, ...) until nothing changes; the maps are swept until
+    a whole sweep changes nothing.  Labels then do not rise along any map,
+    so they are constant on its cycles and on the orbits."""
+    labels = np.arange(size)
+    changed = True
+    while changed:
+        changed = False
+        for p in maps:
+            while not np.array_equal(step := np.minimum(labels, labels[p]), labels):
+                labels, p, changed = step, p[p], True
+    return labels
 
 
 def conjugacy_class_labels(g: GroupTable) -> np.ndarray:
@@ -618,25 +653,120 @@ def is_normal(g: GroupTable, s: SubgroupMask) -> bool:
     return bool(s.bits[conj].all())
 
 
+class QuotientMul:
+    """The product of a quotient G/N on its coset indices, evaluated on
+    demand: entry (a, b) is the coset of ``lifts[a] lifts[b]``, one product
+    in G, projected by ``proj``.  Indexed like a dense Cayley table, as
+    ``WordMul`` is; no |G/N|^2 array is built."""
+
+    def __init__(self, g: GroupTable, lifts: np.ndarray, proj: np.ndarray):
+        self.g, self.lifts, self.proj = g, lifts, proj
+        self.order = len(lifts)
+
+    def inverses(self) -> np.ndarray:
+        """The coset of each lift's inverse; the caller checks x x^-1 = 1."""
+        return self.proj[self.g.inv[self.lifts]]
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            key = (key, slice(None))
+        if len(key) != 2:
+            raise IndexError(f"a table takes two indices, not {len(key)}")
+        a, b = self.lifts[key[0]], self.lifts[key[1]]
+        if isinstance(key[0], slice):  # a slice indexes an outer axis, as in numpy
+            a = a.reshape(a.shape + (1,) * b.ndim)
+        elif isinstance(key[1], slice):
+            a = a[..., None]
+        return self.proj[self.g.mul[a, b]]
+
+
+def _composed_table(seed_rows: np.ndarray) -> np.ndarray:
+    """The Cayley table of a group with the identity at 0, from the rows of
+    elements that generate it.  The rows are filled breadth first from the
+    identity's: row s f is row s gathered at row f, one gather of |G|
+    entries.  Left multiplication by one s is injective, so the elements
+    one s finds in one round are distinct."""
+    order = seed_rows.shape[1]
+    table = np.empty((order, order), dtype=_index_dtype(order))
+    seed_rows = seed_rows.astype(table.dtype)  # so each gathered block is in the table's dtype
+    table[0] = np.arange(order)
+    seen = np.zeros(order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        found = []
+        for row in seed_rows:
+            prods = row[frontier]
+            fresh = ~seen[prods]
+            seen[prods[fresh]] = True
+            table[prods[fresh]] = row[table[frontier[fresh]]]
+            found.append(prods[fresh])
+        frontier = np.concatenate(found)
+    if not seen.all():
+        raise ValueError("the rows do not generate the group")
+    return table
+
+
+def _cosets(g: GroupTable, s: SubgroupMask) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest element of each coset x N, the identity's first and then
+    ascending, and the map from each element to its coset's position."""
+    labels = _orbit_minima([g.mul[:, x] for x in _greedy_generators(g, s.bits)], g.order)
+    reps = np.flatnonzero(labels == np.arange(g.order))
+    e_rep = labels[g.identity]
+    reps = np.concatenate([[e_rep], reps[reps != e_rep]])
+    pos = np.empty(g.order, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    return reps, pos[labels]
+
+
 def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homomorphism]:
-    """Quotient table plus the projection homomorphism; raises NotNormal."""
+    """The quotient Q = G/N by a normal subgroup N = ``s``, and the
+    projection, whose ``lifts`` are the cosets' smallest elements; raises
+    NotNormal.
+
+    The cosets x N are the orbits of right multiplication by generators of
+    N, each labelled by its smallest element; Q numbers them in the order of
+    those minima, the identity's coset first.  Q's product is G's product on
+    the lifts, projected.  Up to order _DENSE_WORD_ORDER it is read out
+    dense, as ``word_table`` does: entry by entry when G's product is a
+    table, else by ``_composed_table`` from the rows of the images of G's
+    generators.  Above that order it is a ``QuotientMul``, evaluated on
+    demand.  The trivial N gives Q = G, with the identity lift.
+
+    Certified exactly in O(|S| |G|), trusting neither the labels nor the
+    lifts: N is normal (``is_normal``), its elements are exactly those over
+    Q's identity, each lift lies over its own coset, and the projection
+    respects left multiplication by each generator of G
+    (``Homomorphism.verify``).  The last makes x ~ y (same projection) a
+    left congruence, whose classes are the left cosets of the identity's
+    class N; N normal makes it a congruence, so Q is G/N, and the rows the
+    check reads, those of the generators' images, are G/N's.  So is every
+    row: read on the lifts it is G/N's product, and composed, row s f is
+    row s after row f, by induction along the composition.  Light's test
+    on Q is not run: it would check the associativity of a group already
+    proven one.
+    """
     if not is_normal(g, s):
         raise NotNormal("subgroup is not normal, cannot form the quotient")
-    idx = s.indices()
-    coset_min = g.mul[:, idx].min(axis=1)
-    reps = np.flatnonzero(coset_min == np.arange(g.order))  # each coset's smallest element
-    e_rep = coset_min[g.identity]
-    reps = np.concatenate([[e_rep], reps[reps != e_rep]])
-    q = len(reps)
-    pos = np.empty(g.order, dtype=np.int64)
-    pos[reps] = np.arange(q)
-    proj = pos[coset_min]
-    qmul = proj[g.mul[np.ix_(reps, reps)]].astype(_index_dtype(q))
-    labels = None
-    if g.labels is not None:
-        labels = [f"[{g.labels[int(r)]}]" for r in reps]
-    qt = GroupTable(qmul, labels=labels, name=f"{g.name}/N" if g.name else "")
-    return qt, Homomorphism(g, qt, proj)
+    if s.size == 1:
+        every = np.arange(g.order)
+        return g, Homomorphism(g, g, every, every)
+    reps, proj = _cosets(g, s)
+    mul = QuotientMul(g, reps, proj)
+    if mul.order <= _DENSE_WORD_ORDER:
+        # one lookup in G per entry when G's product is a table, else one gather per row
+        mul = mul[:, :] if isinstance(g.mul, np.ndarray) else _composed_table(mul[proj[g.gens]])
+
+    def coset_labels() -> list[str]:
+        return [f"[{g.labels[int(r)]}]" for r in reps]
+
+    qt = GroupTable(mul, labels=coset_labels if g._labels is not None else None,
+                    name=f"{g.name}/N" if g.name else "", _certified=True)
+    hom = Homomorphism(g, qt, proj, reps)
+    if not (np.array_equal(proj == qt.identity, s.bits)
+            and np.array_equal(proj[reps], np.arange(qt.order)) and hom.verify()):
+        raise ValueError("the projection onto the cosets is not a homomorphism")
+    return qt, hom
 
 
 def subgroup_table(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, np.ndarray]:
@@ -662,8 +792,9 @@ class AbelianIndexResult:
     witness: SubgroupMask
     nodes_explored: int = 0
     runtime_s: float = 0.0
-    root_classes: int = 0  # conjugacy classes branched on at the root
-    centralizers: int = 0  # centralizer masks the search computed
+    root_classes: int = 0  # conjugacy classes of the quotient branched on at the root
+    centralizers: int = 0  # commutation rows the search read for candidate children
+    quotient_order: int = 0  # order of the quotient G/Z the search ran on
 
 
 def _divisors(n: int) -> list[int]:
@@ -673,40 +804,67 @@ def _divisors(n: int) -> list[int]:
 
 
 class _AbelianSearch:
-    """Branch and bound for the largest abelian subgroup.
+    """Branch and bound for the largest abelian subgroup, run on the quotient
+    Q = G/Z by a central subgroup Z: the center, unless ``central`` is given
+    (the tests' reference runs it on G itself, modulo the trivial subgroup).
 
-    A node is the centralizer C = C_G(H) of the current abelian candidate H.
-    Every abelian subgroup through H lies in C, and every inclusion-maximal
-    one contains Z(C), which commutes with C; so H is taken to be Z(C) in one
-    step and recorded when it beats the incumbent (the root records Z(G)).
-    C fixes H pointwise and maps the excluded set E into itself, so an
-    abelian subgroup through H and x is C-conjugate to one through the
-    smallest element of x's orbit under C acting by conjugation.  A node
-    branches only on those orbit minima and, after exploring one, excludes
-    its whole orbit; E stays a union of orbits of every deeper centralizer,
-    since each lies in C.  The child's centralizer C cap C_G(x) has order
-    |C| / |orbit of x|, so it is compared with the incumbent before it is
-    computed.  Pruning is Lagrange: an abelian subgroup of C through H has
-    an order that |H| divides, that divides |C| and that is at most the
-    number of elements of C outside E, so a node stops once the largest
-    such order no longer beats the incumbent.  Branching order: ascending
-    element order, then index, so the explored tree is deterministic.
+    Every maximal abelian subgroup of G contains Z(G) and so Z; whether two
+    elements commute depends only on their cosets mod Z, since Z is central.
+    So the largest abelian order is |Z| times that of the largest subgroup of
+    Q whose lifts commute pairwise in G.  Below, elements of Q commute when
+    their lifts do, and centralizers and centers are taken in that sense.
+
+    A node is the centralizer C = C_Q(H) of the current candidate H.  Every
+    candidate through H lies in C, and every inclusion-maximal one contains
+    the center of C, the elements of C commuting with C's greedy generators;
+    so H is taken to be that center in one step and recorded when it beats
+    the incumbent (the root records Z(G)/Z).  C fixes H pointwise and maps
+    the excluded set E into itself, both under conjugation in Q, so a
+    candidate through H and x is C-conjugate to one through the smallest
+    element of x's orbit under C.  A node branches only on those orbit
+    minima and, after exploring one, excludes its whole orbit; E stays a
+    union of orbits of every deeper centralizer, since each lies in C.  The
+    child's centralizer C cap C_Q(x) has order at most |C| / |orbit of x|,
+    with equality in G but not always in Q (in Gamma_n, b has n conjugates
+    b c^i, all in one coset), so that bound is compared with the incumbent
+    first, and the child's order is then read exactly from x's commutation
+    row before the child is entered.  Pruning is Lagrange: a candidate in C
+    through H has an order that |H| divides, that divides |C| and that is at
+    most the number of elements of C outside E, so a node stops once the
+    largest such order no longer beats the incumbent.  Branching order:
+    ascending element order in Q, then index, so the explored tree is
+    deterministic.
     """
 
-    def __init__(self, g: GroupTable, deadline: Optional[float]):
-        self.g = g
-        self.n = g.order
+    def __init__(self, g: GroupTable, deadline: Optional[float],
+                 central: Optional[SubgroupMask] = None):
+        z = center(g) if central is None else central
+        self.q, proj = quotient_by_normal(g, z)
+        self.g, self.lifts, self.proj = g, proj.lifts, proj.map
+        self.z_order = z.size
+        self.n = self.q.order
         self.deadline = deadline
-        self.orders = all_element_orders(g)
+        self.orders = all_element_orders(self.q)
         self.best_size = 0
         self.best_mask: Optional[np.ndarray] = None
         self.nodes = 0
         self.root_classes = 0
         self.centralizers = 0
 
+    def commute_bits(self, xs: Iterable[int]) -> np.ndarray:
+        """Mask of the elements of Q whose lifts commute in G with the lift of
+        every x in ``xs``: one row and one column of G at the lifts per x."""
+        g, lifts = self.g, self.lifts
+        bits = np.ones(self.n, dtype=bool)
+        for x in xs:
+            lx = int(lifts[x])
+            bits &= g.mul[lx, lifts] == g.mul[lifts, lx]
+        return bits
+
     def centralizer_bits(self, x: int) -> np.ndarray:
+        """The commutation row of a candidate child's x, counted."""
         self.centralizers += 1
-        return _centralizer_bits(self.g, [x])
+        return self.commute_bits([x])
 
     def meets_excluded(self, h_bits: np.ndarray, h_idx: np.ndarray, x: int,
                        excluded: np.ndarray) -> bool:
@@ -714,30 +872,32 @@ class _AbelianSearch:
         cosets H x^k until x^k is in H."""
         p = int(x)
         while not h_bits[p]:
-            if excluded[self.g.mul[h_idx, p]].any():
+            if excluded[self.q.mul[h_idx, p]].any():
                 return True
-            p = int(self.g.mul[p, x])
+            p = int(self.q.mul[p, x])
         return False
 
-    def local_orbits(self, c_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Orbits of the subgroup C given by ``c_bits`` acting on itself by
-        conjugation: the smallest element of each element's orbit, and each
-        element's orbit size (0 outside C).
+    def local_structure(self, c_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For the subgroup C of Q given by ``c_bits``: the smallest element of
+        each element's orbit under conjugation by C, each element's orbit
+        size (0 outside C), and the mask of C's center.
 
-        The orbits come from the conjugation maps of a greedy generating set
-        of C; at the root, C = G, they are the table's conjugacy classes.
+        All three come from a greedy generating set of C; at the root, C = Q,
+        from the table's generators and its conjugacy classes.
         """
         if c_bits.all():
-            labels = self.g._classes
+            gens, labels = self.q.gens, self.q._classes
         else:
-            labels = _conjugation_orbits(self.g, _greedy_generators(self.g, c_bits), c_bits)
-        return labels, np.bincount(labels[c_bits], minlength=self.n)[labels]
+            gens = _greedy_generators(self.q, c_bits)
+            labels = _conjugation_orbits(self.q, gens, c_bits)
+        sizes = np.bincount(labels[c_bits], minlength=self.n)[labels]
+        return labels, sizes, c_bits & self.commute_bits(gens)
 
     def check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(
                 "abelian subgroup search exceeded its time budget",
-                best_order_found=self.best_size,
+                best_order_found=self.best_size * self.z_order,
             )
 
     def run(self) -> None:
@@ -747,10 +907,9 @@ class _AbelianSearch:
         """Search below C = ``c_bits``; the caller checked that |C| beats the incumbent."""
         self.nodes += 1
         c_size = int(np.count_nonzero(c_bits))
-        labels, sizes = self.local_orbits(c_bits)
-        h_bits = sizes == 1  # H := Z(C)
+        labels, sizes, h_bits = self.local_structure(c_bits)
         if (h_bits & excluded).any():
-            # every maximal abelian subgroup here needs an excluded element
+            # every maximal candidate here needs an excluded element
             return
         h_idx = np.flatnonzero(h_bits)
         h_size = len(h_idx)
@@ -765,7 +924,7 @@ class _AbelianSearch:
         # the orbit of x is members[start:start + sizes[x]]
         members = np.argsort(labels, kind="stable")
         starts = np.searchsorted(labels[members], cand)
-        # orders an abelian subgroup of C through H may have; H misses E, so avail >= |H|
+        # orders a candidate in C through H may have; H misses E, so avail >= |H|
         bounds = [h_size * k for k in _divisors(c_size // h_size)]
         for x, start in zip(cand.tolist(), starts.tolist()):
             self.check_time()
@@ -773,9 +932,12 @@ class _AbelianSearch:
                 bounds.pop()
             if bounds[-1] <= self.best_size:
                 return
-            enter = c_size // int(sizes[x]) > self.best_size  # |C cap C_G(x)|
-            if enter and not self.meets_excluded(h_bits, h_idx, x, excluded):
-                self.descend(c_bits & self.centralizer_bits(x), excluded)
+            # |C cap C_Q(x)| <= |C| / |orbit of x|; the commutation row gives it exactly
+            if (c_size // int(sizes[x]) > self.best_size
+                    and not self.meets_excluded(h_bits, h_idx, x, excluded)):
+                child = c_bits & self.centralizer_bits(x)
+                if np.count_nonzero(child) > self.best_size:
+                    self.descend(child, excluded)
             excluded[members[start:start + sizes[x]]] = True
             avail -= int(sizes[x])
             if root:
@@ -785,16 +947,19 @@ class _AbelianSearch:
 def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> AbelianIndexResult:
     """Exact minimal index of an abelian subgroup, with a maximal witness.
 
-    Deterministic branch and bound over commuting extensions.  When
-    ``budget_s`` is given and exceeded, SearchTimeout is raised instead of
-    returning a partial answer; it carries the order of the incumbent, at
+    Deterministic branch and bound over commuting extensions, run on the
+    central quotient G/Z(G) (``_AbelianSearch``).  The witness is the
+    preimage of the best subgroup of the quotient, checked abelian on G.
+    When ``budget_s`` is given and exceeded, SearchTimeout is raised instead
+    of returning a partial answer; it carries the order of the incumbent, at
     least that of the center.
     """
     t0 = time.monotonic()
     search = _AbelianSearch(g, None if budget_s is None else t0 + float(budget_s))
     search.run()
-    witness = SubgroupMask(g, search.best_mask)
-    if not witness.is_abelian() or g.order % witness.size != 0:
+    witness = SubgroupMask(g, search.best_mask[search.proj])
+    if (not witness.is_abelian() or witness.size != search.z_order * search.best_size
+            or g.order % witness.size != 0):
         raise RuntimeError("abelian search produced an invalid witness")
     return AbelianIndexResult(
         g.order // witness.size,
@@ -803,6 +968,7 @@ def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> Abelia
         runtime_s=time.monotonic() - t0,
         root_classes=search.root_classes,
         centralizers=search.centralizers,
+        quotient_order=search.n,
     )
 
 

@@ -36,7 +36,8 @@ from .heisenberg import gamma_center_mask, gamma_n
 
 @dataclass
 class CentralData:
-    """A group with a chosen central subgroup and its abelian quotient."""
+    """A group with a chosen central subgroup and its abelian quotient, whose
+    projection ``eta`` is the one ``quotient_by_normal`` builds, lifts and all."""
 
     g: GroupTable
     gamma0: SubgroupMask
@@ -60,14 +61,6 @@ def gamma_central_data(n: int, cap: int = DEFAULT_ORDER_CAP) -> CentralData:
     return central_data_from(g, gamma_center_mask(g, n))
 
 
-def _first_lifts(data: CentralData) -> np.ndarray:
-    """The smallest lift of each quotient element, in quotient order."""
-    emap = np.asarray(data.eta.map)
-    first = np.full(data.gammaB.order, len(emap))
-    np.minimum.at(first, emap, np.arange(len(emap)))
-    return first
-
-
 def q_pair(data: CentralData, a: int, b: int) -> int:
     """Commutator of lifts of two quotient elements, as an element of G0.
 
@@ -87,8 +80,9 @@ def q_pair(data: CentralData, a: int, b: int) -> int:
 
 
 def q_table(data: CentralData) -> np.ndarray:
-    """The full pairing as a (|B|, |B|) array of G-element indices."""
-    lifts = _first_lifts(data)
+    """The full pairing as a (|B|, |B|) array of G-element indices, on the
+    smallest lift of each quotient element (``eta.lifts``)."""
+    lifts = data.eta.lifts
     return commutators(data.g, lifts[:, None], lifts[None, :]).astype(np.int64)
 
 

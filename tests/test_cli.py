@@ -137,11 +137,20 @@ def test_report_round_trip():
 
 
 def test_search_report_round_trip():
+    # the search runs on G/Z(G): its order times the center's is the group order
+    tables = {"gamma": lambda: hb.gamma_n(4), "hat-gamma": lambda: hb.hat_gamma_n(2).table}
     for args in (("gamma", "--n", "4"), ("hat-gamma", "--n", "2")):
         doc = json.loads(run_cli(*args).stdout)
         search = doc["search"]
-        assert set(search) == {"nodes_explored", "root_classes", "centralizers"}
+        assert set(search) == {"quotient_order", "nodes_explored", "root_classes",
+                               "centralizers", "runtime_s"}
         assert search["nodes_explored"] >= 1 and search["root_classes"] >= 1
+        assert isinstance(search["runtime_s"], float) and search["runtime_s"] >= 0
+        g = tables[args[0]]()
+        center = gc.center(g).size
+        claims = {c["name"]: c["computed"] for c in doc["claims"]}
+        assert search["quotient_order"] * center == g.order == claims["order"]
+        assert claims.get("center-order", center) == center
         assert set(doc) == {"command", "inputs", "claims", "search", "runtime_ms"}
         assert all(set(c) == CLAIM_KEYS for c in doc["claims"])
 
@@ -289,14 +298,14 @@ def test_running_out_of_memory_exits_3(monkeypatch, capsys):
 
 
 def test_a_word_table_over_the_address_space_limit_is_refused_at_the_guard():
-    # hat-gamma at n = 46 and n = 48 needs 925,081,344 and 1,093,533,696 bytes of
-    # columns and digits: in a 1 GB address space, of which the interpreter and
-    # numpy already map about 100 MB, each stops at the guard, not in a
-    # MemoryError mid-build
+    # hat-gamma at n = 44, 46 and 48 needs 928,164,864, 1,097,950,080 and
+    # 1,289,945,088 bytes for its word-table build (``_word_build_bytes``): in a
+    # 1 GB address space, of which the interpreter and numpy already map about
+    # 107 MB, each stops at the guard, not in a MemoryError mid-build
     limit, hard = 1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]
     if hard != resource.RLIM_INFINITY and hard < limit:
         pytest.skip("the hard address-space limit is below 1 GB")
-    for n, order in ((46, 1_168_032), (48, 1_327_104)):
+    for n, order in ((44, 1_022_208), (46, 1_168_032), (48, 1_327_104)):
         proc = subprocess.run(
             [sys.executable, "-m", "abindex.cli", "hat-gamma", "--n", str(n),
              "--cap", "1400000"], capture_output=True, text=True, timeout=600,

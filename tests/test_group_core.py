@@ -16,7 +16,7 @@ from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
 from abindex.errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
-from helpers import dense, digit_places, digit_tree
+from helpers import dense, digit_places, digit_tree, traced_peak
 
 
 def perm_group(points, gens, name="", cap=gc.DEFAULT_ORDER_CAP):
@@ -189,9 +189,10 @@ def test_table_order_guard(monkeypatch):
 
 
 def test_table_guards_respect_the_address_space_limit(monkeypatch):
-    # order 96 takes 96^2 x 2 = 18,432 bytes dense, and (14 x 2 + 4 x 8) x 96 = 5,760
-    # as a word table of radices (6, 2, 2, 4); a soft RLIMIT_AS that leaves less than
-    # that beside the 1,000 bytes already mapped is refused
+    # order 96 takes 96^2 x 2 = 18,432 bytes dense, and its word-table build over radices
+    # (6, 2, 2, 4) holds (4 x 8 digits + 4 x 8 rows + 14 x 2 columns + 4 x 8 offsets
+    # + 8 codes + the inverse check's 5 x 8 + 4 x 8 + 2) x 96 = 19,776; a soft
+    # RLIMIT_AS that leaves less than that beside the 1,000 bytes already mapped is refused
     monkeypatch.setattr(gc, "_mapped_bytes", lambda: 1_000)
 
     def limit(soft):
@@ -204,10 +205,11 @@ def test_table_guards_respect_the_address_space_limit(monkeypatch):
     with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 19431 bytes, "
                                           r"less 1000 bytes already mapped"):
         gc.check_table_order(96)
-    limit(6_760)
+    assert gc._word_build_bytes((6, 2, 2, 4)) == 19_776
+    limit(20_776)
     gc.code_digits((6, 2, 2, 4))
-    limit(6_759)
-    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 6759 bytes"):
+    limit(20_775)
+    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 20775 bytes"):
         gc.code_digits((6, 2, 2, 4))
     limit(4 << 30)  # with MAX_TABLE_BYTES left beside the mapped bytes, the guard is as it was
     with pytest.raises(CapExceeded, match=f"would exceed {gc.MAX_TABLE_BYTES} bytes"):
@@ -315,7 +317,7 @@ def test_word_table_accepts_exactly_the_groups(mul, data):
     for t in range(1, len(mul)):
         composed[t] = rows[via[t]][composed[parent[t]]]
     try:
-        g = gc.GroupTable(gc.WordMul(rows, radices))
+        g = gc.GroupTable(gc.WordMul(rows, radices, gc.code_digits(radices)))
     except ValueError:
         g = None
     assert (g is not None) == _is_group(composed)
@@ -330,10 +332,10 @@ def test_compose_rows_refuses_a_tree_whose_words_miss_their_codes():
     x, y, z = gc.code_digits((3, 3, 3))
     rows = [(x + 1) % 3 * 9 + y * 3 + (z + y) % 3, x * 9 + (y + 1) % 3 * 3 + z,
             x * 9 + y * 3 + (z + 1) % 3]
-    assert np.array_equal(dense(gc.GroupTable(gc.WordMul(rows, (3, 3, 3)))),
+    assert np.array_equal(dense(gc.GroupTable(gc.WordMul(rows, (3, 3, 3), (x, y, z)))),
                           dense(hb.gamma_n(3)))
     with pytest.raises(ValueError, match="column 0"):
-        gc.WordMul([rows[1], rows[0], rows[2]], (3, 3, 3))
+        gc.WordMul([rows[1], rows[0], rows[2]], (3, 3, 3), (x, y, z))
 
 
 def test_rotation_tables_compose_their_labelled_permutations():
@@ -491,6 +493,85 @@ def test_quotient_rejects_non_normal():
     assert not gc.is_normal(g, sub)
     with pytest.raises(NotNormal):
         gc.quotient_by_normal(g, sub)
+
+
+def _central_quotients():
+    """Central quotients of dense tables and of word tables."""
+    return [
+        pytest.param(lambda: hb.gamma_n(5), id="Gamma5"),
+        pytest.param(lambda: hb.gamma_n(11), id="Gamma11-word"),
+        pytest.param(lambda: hb.hat_gamma_n(4).table, id="HatGamma4"),
+        pytest.param(lambda: hb.hat_gamma_n(6).table, id="HatGamma6-word"),
+        pytest.param(lambda: hb.b_n_components(2).table, id="B2"),
+    ]
+
+
+def _coset_oracle(g, s):
+    """Oracle: each element's coset minimum, read off all of x N at once."""
+    return dense(g)[:, s.indices()].min(axis=1)
+
+
+@pytest.mark.parametrize("make", _central_quotients())
+def test_quotient_reads_as_the_coset_table(monkeypatch, make):
+    """Q's product is the coset of the lifts' product, on all pairs, whether it
+    is read out directly (G dense), composed from generator rows (G a word
+    table) or, with the dense order set to 0, evaluated on demand; the lifts
+    are the coset minima, numbered in ascending order."""
+    g = make()
+    z = gc.center(g)
+    coset_min = _coset_oracle(g, z)
+    reps = np.flatnonzero(coset_min == np.arange(g.order))
+    for dense_order in (gc._DENSE_WORD_ORDER, 0):
+        monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", dense_order)
+        q, hom = gc.quotient_by_normal(g, z)
+        assert isinstance(q.mul, gc.QuotientMul) == (dense_order == 0 or q.order > 1024)
+        assert np.array_equal(hom.lifts, reps) and np.array_equal(hom.lifts[hom.map], coset_min)
+        lifts = hom.lifts
+        assert np.array_equal(dense(q), hom.map[dense(g)[np.ix_(lifts, lifts)]])
+        assert hom.verify() and np.array_equal(q.inv, hom.map[g.inv[lifts]])
+
+
+def test_quotient_product_key_forms_match_the_dense_read_out(monkeypatch):
+    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
+    g = hb.hat_gamma_n(4).table
+    q, _ = gc.quotient_by_normal(g, gc.center(g))
+    assert isinstance(q.mul, gc.QuotientMul)
+    m, full = q.order, dense(q)
+    mask = np.arange(m) % 3 == 1
+    rows, cols = np.array([[0], [m - 1], [5]]), np.array([2, -3, 7, 0])
+    for key in [4, -2, (m - 1, slice(None)), (3, slice(2, None, 5)), (slice(None), 6),
+                (slice(None), -m), (slice(m - 1, None, -4), 1),
+                (slice(1, 40, 3), slice(None, 9, 2)), (slice(None), slice(None)),
+                (slice(None, None, -1), slice(5, 2, -1)), mask,
+                (mask, 2), (3, mask), (slice(2, 20), mask), (rows, cols), (rows, slice(1, 4))]:
+        assert np.array_equal(q.mul[key], full[key]), key
+    for key in [m, -m - 1, (0, m), (np.array([1, m]), 0), (0, np.array([-m - 1])),
+                mask[1:], (0, mask[1:]), (slice(None), m), (1, 2, 3)]:
+        with pytest.raises(IndexError):
+            q.mul[key]
+
+
+def test_quotient_certificate_rejects_wrong_cosets(monkeypatch):
+    """The certificate trusts neither the labels nor the lifts: two cosets of
+    the center merged into one, or one coset split in two, are refused."""
+    g = hb.gamma_n(4)
+    z = gc.center(g)
+    right = gc._orbit_minima
+
+    def merged(maps, size):
+        labels = right(maps, size).copy()
+        labels[labels == hb.gamma_elem_index(4, 0, 1, 0)] = 0  # A(0,1,0)'s coset joins the center
+        return labels
+
+    def split(maps, size):
+        labels = right(maps, size).copy()
+        labels[1] = 1  # A(0,0,1) leaves the center's coset
+        return labels
+
+    for wrong in (merged, split):
+        monkeypatch.setattr(gc, "_orbit_minima", wrong)
+        with pytest.raises(ValueError):
+            gc.quotient_by_normal(g, z)
 
 
 def test_subgroup_mask_validation():
@@ -863,49 +944,61 @@ def test_morphism_check_covers_every_generator():
     assert not _all_pairs_hom(m, g, g)
 
 
-@pytest.mark.parametrize("make", [
+def _searches(g):
+    """The search on G/Z(G) and the same search forced onto G itself."""
+    trivial = gc.closure(g, [g.identity])
+    return [gc._AbelianSearch(g, None), gc._AbelianSearch(g, None, trivial)]
+
+
+def _lifted_commuting(search):
+    """commute[a, b]: the lifts of a and b commute in G, on all pairs of the quotient."""
+    g, lifts = search.g, search.lifts
+    prods = g.mul[np.ix_(lifts, lifts)]
+    return prods == prods.T
+
+
+_SEARCHED = [
     lambda: hb.gamma_n(3),
     lambda: hb.hat_gamma_n(2).table,
     lambda: hb.b_n_components(3).table,
     lambda: sg.rotation_group(sg.OCTA),
     lambda: gc.direct_product(sg.rotation_group(sg.dihedral_kind(3)), gc.cyclic_table(3)),
-], ids=["Gamma3", "HatGamma2", "B3", "octa", "D6xC3"])
+]
+_SEARCHED_IDS = ["Gamma3", "HatGamma2", "B3", "octa", "D6xC3"]
+
+
+@pytest.mark.parametrize("make", _SEARCHED, ids=_SEARCHED_IDS)
 def test_local_center_matches_all_pairs_definition(make):
-    """Z(C) from generators of C equals the all-pairs center, for C = C_G(x), every x."""
-    g = make()
-    search = gc._AbelianSearch(g, None)
-    for x in range(g.order):
-        c_bits = search.centralizer_bits(x)
-        idx = np.flatnonzero(c_bits)
-        sub = g.mul[np.ix_(idx, idx)]
-        expected = np.zeros(g.order, dtype=bool)
-        expected[idx[(sub == sub.T).all(axis=1)]] = True
-        assert np.array_equal(search.local_orbits(c_bits)[1] == 1, expected), x
+    """The center of C from generators of C equals the all-pairs center, for
+    C = C_Q(x), every x, on Q = G/Z(G) and on Q = G: the elements of C whose
+    lifts commute in G with the lifts of all of C."""
+    for search in _searches(make()):
+        commute = _lifted_commuting(search)
+        for x in range(search.n):
+            c_bits = search.centralizer_bits(x)
+            assert np.array_equal(c_bits, commute[x]), x
+            idx = np.flatnonzero(c_bits)
+            expected = np.zeros(search.n, dtype=bool)
+            expected[idx[commute[np.ix_(idx, idx)].all(axis=1)]] = True
+            assert np.array_equal(search.local_structure(c_bits)[2], expected), x
 
 
-@pytest.mark.parametrize("make", [
-    lambda: hb.gamma_n(3),
-    lambda: hb.hat_gamma_n(2).table,
-    lambda: hb.b_n_components(3).table,
-    lambda: sg.rotation_group(sg.OCTA),
-    lambda: gc.direct_product(sg.rotation_group(sg.dihedral_kind(3)), gc.cyclic_table(3)),
-], ids=["Gamma3", "HatGamma2", "B3", "octa", "D6xC3"])
+@pytest.mark.parametrize("make", _SEARCHED, ids=_SEARCHED_IDS)
 def test_search_orbits_match_conjugation_by_c(make):
-    """For C = C_G(x), every x: the orbit labels and sizes of C acting on
-    itself are those of c y c^-1 over all c in C."""
-    g = make()
-    mul, inv = g.mul, g.inv
-    search = gc._AbelianSearch(g, None)
-    for x in range(g.order):
-        c_bits = search.centralizer_bits(x)
-        assert np.array_equal(c_bits, mul[x] == mul[:, x]), x
-        idx = np.flatnonzero(c_bits)
-        # conj[c, y] = c y c^-1 for c, y in C
-        conj = mul[mul[np.ix_(idx, idx)], inv[idx][:, None]]
-        labels, sizes = search.local_orbits(c_bits)
-        assert np.array_equal(labels[idx], conj.min(axis=0)), x
-        assert np.array_equal(sizes[idx], [len(np.unique(col)) for col in conj.T]), x
-        assert not sizes[~c_bits].any()
+    """For C = C_Q(x), every x, on Q = G/Z(G) and on Q = G: the orbit labels
+    and sizes of C acting on itself are those of c y c^-1 in Q over all c in C."""
+    for search in _searches(make()):
+        q = search.q
+        mul, inv = q.mul, q.inv
+        for x in range(q.order):
+            c_bits = search.centralizer_bits(x)
+            idx = np.flatnonzero(c_bits)
+            # conj[c, y] = c y c^-1 for c, y in C
+            conj = mul[mul[np.ix_(idx, idx)], inv[idx][:, None]]
+            labels, sizes, _ = search.local_structure(c_bits)
+            assert np.array_equal(labels[idx], conj.min(axis=0)), x
+            assert np.array_equal(sizes[idx], [len(np.unique(col)) for col in conj.T]), x
+            assert not sizes[~c_bits].any()
 
 
 def abelian_subgroups(g):
@@ -933,6 +1026,49 @@ def test_subgroup_is_abelian_matches_all_pairs(make):
     assert len(abelian_subgroups(g)) > 1
 
 
+def _check_quotient_search(g):
+    """The search on G/Z(G) against the same search forced onto G itself:
+    equal indices, and a witness that contains Z(G), is abelian on G and is
+    the preimage of its image in G/Z(G)."""
+    z = gc.center(g)
+    res = gc.min_abelian_index(g)
+    on_g = gc._AbelianSearch(g, None, gc.closure(g, [g.identity]))
+    on_g.run()
+    assert res.index == g.order // on_g.best_size
+    assert (res.quotient_order * z.size, on_g.n) == (g.order, g.order)
+    w = res.witness
+    assert w.bits[z.bits].all() and w.is_abelian()
+    proj = gc.quotient_by_normal(g, z)[1].map
+    assert w.size == z.size * len(np.unique(proj[w.bits]))
+
+
+def _quotient_differential_groups():
+    out = [pytest.param(lambda n=n: hb.gamma_n(n), id=f"Gamma{n}") for n in range(2, 21)]
+    out += [pytest.param(lambda n=n: hb.hat_gamma_n(n, cap=12 * n**3).table, id=f"HatGamma{n}")
+            for n in range(2, 17, 2)]
+    out += [pytest.param(lambda n=n: hb.b_n_components(n).table, id=f"B{n}") for n in range(1, 9)]
+    kinds = [sg.cyclic_kind(k) for k in (2, 3, 5, 6)]
+    kinds += [sg.dihedral_kind(k) for k in (3, 4, 5, 6)] + [sg.TETRA, sg.OCTA, sg.ICOSA]
+    out += [pytest.param(lambda k=k: sg.rotation_group(k), id=str(k)) for k in kinds]
+    return out
+
+
+@pytest.mark.parametrize("make", _quotient_differential_groups())
+def test_quotient_search_equals_the_search_on_g(make):
+    _check_quotient_search(make())
+
+
+def test_a_search_above_the_dense_order_builds_no_quotient_table():
+    # |Q| = 6 * 14^2 = 1,176 is above the dense order: the quotient's product is
+    # evaluated on the lifts, and the whole search traces less than one int16
+    # |Q|^2 table (2.77 MB)
+    g = hb.hat_gamma_n(14, cap=40_000).table
+    gc.center(g)  # the table's memoized classes, built before the trace
+    res, peak = traced_peak(lambda: gc.min_abelian_index(g))
+    assert (res.index, res.quotient_order) == (84, 1_176)
+    assert peak < res.quotient_order**2 * 2, peak
+
+
 def _perm_groups():
     """Groups generated by 1 to 3 random permutations of degree at most 5."""
     return st.integers(1, 5).flatmap(
@@ -952,6 +1088,12 @@ def test_min_abelian_index_property_on_permutation_groups(perms):
     assert gc.centralizer(g, res.witness) == res.witness
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_perm_groups())
+def test_quotient_search_equals_the_search_on_g_on_permutation_groups(perms):
+    _check_quotient_search(perm_group(len(perms[0]), perms))
+
+
 def test_greedy_generators_grow_the_closures_the_identity_gives():
     def from_identity(g, bits):
         gens = []
@@ -962,29 +1104,42 @@ def test_greedy_generators_grow_the_closures_the_identity_gives():
             outside = bits & ~gc.closure(g, gens).bits
         return gens
 
-    g = hb.gamma_n(20)
-    search = gc._AbelianSearch(g, None)
-    centralizers = []
-    orbits = search.local_orbits
-    search.local_orbits = lambda c_bits: centralizers.append(c_bits) or orbits(c_bits)
-    search.run()
-    assert len(centralizers) == search.nodes > 1
-    for bits in centralizers:
-        assert gc._greedy_generators(g, bits) == from_identity(g, bits)
+    for g in (hb.gamma_n(20), hb.hat_gamma_n(4).table):
+        for search in _searches(g):
+            centralizers = []
+            structure = search.local_structure
+            search.local_structure = lambda c_bits: centralizers.append(c_bits) or structure(c_bits)
+            search.run()
+            assert len(centralizers) == search.nodes > 1
+            for bits in centralizers:
+                assert gc._greedy_generators(search.q, bits) == from_identity(search.q, bits)
 
 
 def test_search_computes_a_centralizer_per_entered_node_only():
-    """Child sizes are |C| / |orbit|, so a centralizer is computed only for a
-    child the search enters: one per node below the root (searching without
-    orbit sizes made 484 centralizer calls on this group)."""
+    """|C| / |orbit| bounds a child's order from above, so a commutation row
+    is read for each candidate that passes that bound and the excluded test.
+    On G itself the bound is exact and every such child is entered: one row
+    per node below the root (searching without orbit sizes made 484
+    centralizer calls on this group).  On G/Z the orbit can be smaller than
+    in G, and a child is entered only when the order its row gives beats the
+    incumbent."""
     g = gc.GroupTable(hb.gamma_n(8).mul)
-    calls = []
-    search = gc._AbelianSearch(g, None)
-    fetch = search.centralizer_bits
-    search.centralizer_bits = lambda x: calls.append(x) or fetch(x)
-    search.run()
-    assert search.best_size == 64
-    assert search.centralizers == len(calls) == search.nodes - 1
+    for search in _searches(g):
+        calls, passed = [], []
+        fetch, excluded_test = search.centralizer_bits, search.meets_excluded
+
+        def meets(*args, test=excluded_test, passed=passed):
+            out = test(*args)
+            passed.append(not out)
+            return out
+
+        search.centralizer_bits = lambda x, fetch=fetch, calls=calls: calls.append(x) or fetch(x)
+        search.meets_excluded = meets
+        search.run()
+        assert search.best_size * search.z_order == 64
+        assert search.centralizers == len(calls) == sum(passed) >= search.nodes - 1
+        if search.z_order == 1:
+            assert len(calls) == search.nodes - 1
 
 
 # ---------------------------------------------------------------------------
@@ -1043,10 +1198,12 @@ def test_divisors_match_brute_force():
 
 
 @pytest.mark.parametrize("make,expected", [
-    (lambda: hb.gamma_n(20), (20, 36, 591, 35)),
-    (lambda: hb.hat_gamma_n(10).table, (60, 7, 158, 6)),
+    (lambda: hb.gamma_n(20), (20, 36, 376, 41, 400)),
+    (lambda: hb.hat_gamma_n(10).table, (60, 7, 22, 11, 600)),
 ], ids=["Gamma20", "HatGamma10"])
 def test_search_work_is_pinned(make, expected):
-    """Index, nodes, root classes and centralizers of two searches."""
+    """Index, nodes, root classes, commutation rows and quotient order of two
+    searches (on G itself they were (20, 36, 591, 35) and (60, 7, 158, 6))."""
     res = gc.min_abelian_index(make())
-    assert (res.index, res.nodes_explored, res.root_classes, res.centralizers) == expected
+    assert (res.index, res.nodes_explored, res.root_classes, res.centralizers,
+            res.quotient_order) == expected

@@ -584,7 +584,7 @@ def test_fixed_points_third_turn():
     assert hb.fixed_points_chi_power(9, 2) == {(0, 0), (3, 3), (6, 6)}
     assert hb.fixed_points_chi_power(6, 2) == {(0, 0), (2, 2), (4, 4)}
     assert hb.fixed_points_chi_power(8, 2) == {(0, 0)}
-    # past n = 644 a word table of 2n columns would exceed the byte guard; the grid does not
+    # past n = 347 the word-table build of B_n would exceed the byte guard; the grid does not
     assert hb.fixed_points_chi_power(702, 2) == {(0, 0), (234, 234), (468, 468)}
 
 

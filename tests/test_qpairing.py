@@ -114,8 +114,8 @@ def test_lift_independence_checks_blocks_of_rows():
     last = data.g.order - 1
     assert emap[1] != emap[last]
     emap[last] = emap[1]
-    moved = qp.CentralData(data.g, data.gamma0, gc.Homomorphism(data.g, data.gammaB, emap),
-                           data.gammaB)
+    moved = qp.CentralData(data.g, data.gamma0,
+                           gc.Homomorphism(data.g, data.gammaB, emap, data.eta.lifts), data.gammaB)
     assert not qp.verify_lift_independence(moved)
 
 
@@ -139,7 +139,8 @@ def test_biadditivity_counterexample_on_s3():
     # is checked and must fail
     g = s3()
     trivial = gc.SubgroupMask(g, np.arange(g.order) == g.identity)
-    data = qp.CentralData(g, trivial, gc.Homomorphism(g, g, np.arange(g.order)), g)
+    q, eta = gc.quotient_by_normal(g, trivial)  # g itself, with the identity lift
+    data = qp.CentralData(g, trivial, eta, q)
     prop = qp.verify_q_properties(data)[0]
     assert prop.name == "biadditive" and prop.passed is False
     a, b, c = prop.counterexample
@@ -152,7 +153,8 @@ def test_biadditivity_counterexample_on_s3():
 
 def pairing_on_itself(g):
     trivial = gc.SubgroupMask(g, np.arange(g.order) == g.identity)
-    return qp.CentralData(g, trivial, gc.Homomorphism(g, g, np.arange(g.order)), g)
+    q, eta = gc.quotient_by_normal(g, trivial)
+    return qp.CentralData(g, trivial, eta, q)
 
 
 @pytest.mark.parametrize("n", [*range(2, 9), "S3", "S3xC2"])
