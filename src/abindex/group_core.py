@@ -194,7 +194,9 @@ class GroupTable:
 
 
 class SubgroupMask:
-    """A subset of element indices closed under the group law."""
+    """A subset of element indices closed under the group law.  Its greedy
+    generators are computed once, on first use (validation, ``is_abelian``,
+    centralizers and cosets read them)."""
 
     def __init__(self, owner: GroupTable, bits: np.ndarray, _validated: bool = False):
         bits = np.asarray(bits, dtype=bool)
@@ -215,8 +217,12 @@ class SubgroupMask:
             raise ValueError("subgroup mask must contain the identity")
         if self.size == g.order:
             return
-        if not np.array_equal(closure(g, _greedy_generators(g, self.bits)).bits, self.bits):
+        if not np.array_equal(closure(g, self._gens).bits, self.bits):
             raise ValueError("mask not closed under multiplication")
+
+    @cached_property
+    def _gens(self) -> list[int]:
+        return _greedy_generators(self.owner, self.bits)
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
@@ -228,8 +234,7 @@ class SubgroupMask:
         """Exact in O(|S| |H|): a member commuting with each generator s of
         H centralizes H, so H is abelian when every member does."""
         g, idx = self.owner, self.indices()
-        return all(np.array_equal(g.mul[idx, s], g.mul[s, idx])
-                   for s in _greedy_generators(g, self.bits))
+        return all(np.array_equal(g.mul[idx, s], g.mul[s, idx]) for s in self._gens)
 
     def __eq__(self, other) -> bool:
         return (
@@ -521,17 +526,21 @@ def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
 
 def _grow(bits: np.ndarray, frontier: np.ndarray, images: Callable) -> None:
     """Add the frontier to ``bits`` in place, then ``images(f)`` of each
-    batch f of elements gained, until no new element appears.  A new element
-    found more than once is kept once, without sorting: of the positions
+    batch f of elements gained, until no new element appears; ``images``
+    gives one row per seed, each injective.  A new element found more than
+    once, by two seeds, is kept once, without sorting: of the positions
     that write it to ``slot``, exactly one reads itself back."""
     slot = np.empty(len(bits), dtype=np.intp)
     while len(frontier):
         bits[frontier] = True
         prods = images(frontier).ravel()
+        several = len(prods) > len(frontier)  # one seed's images are distinct
         prods = prods[~bits[prods]]
-        pos = np.arange(len(prods))
-        slot[prods] = pos
-        frontier = prods[slot[prods] == pos]
+        if several:
+            pos = np.arange(len(prods))
+            slot[prods] = pos
+            prods = prods[slot[prods] == pos]
+        frontier = prods
 
 
 def _centralizer_bits(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
@@ -611,7 +620,7 @@ def centralizer(g: GroupTable, s) -> SubgroupMask:
     """Elements commuting with every element of ``s`` (mask or index set), that
     is with the greedy generators of a mask; ValueError for an index outside G."""
     if isinstance(s, SubgroupMask):
-        xs = _greedy_generators(g, s.bits)
+        xs = s._gens
     else:
         xs = _checked_indices(g, s)
     return SubgroupMask(g, _centralizer_bits(g, xs), _validated=True)
@@ -710,7 +719,7 @@ def _composed_table(seed_rows: np.ndarray) -> np.ndarray:
 def _cosets(g: GroupTable, s: SubgroupMask) -> tuple[np.ndarray, np.ndarray]:
     """The smallest element of each coset x N, the identity's first and then
     ascending, and the map from each element to its coset's position."""
-    labels = _orbit_minima([g.mul[:, x] for x in _greedy_generators(g, s.bits)], g.order)
+    labels = _orbit_minima([g.mul[:, x] for x in s._gens], g.order)
     reps = np.flatnonzero(labels == np.arange(g.order))
     e_rep = labels[g.identity]
     reps = np.concatenate([[e_rep], reps[reps != e_rep]])
