@@ -194,9 +194,7 @@ class GroupTable:
 
 
 class SubgroupMask:
-    """A subset of element indices closed under the group law.  Its greedy
-    generators are computed once, on first use (validation, ``is_abelian``,
-    centralizers and cosets read them)."""
+    """A subset of element indices closed under the group law."""
 
     def __init__(self, owner: GroupTable, bits: np.ndarray, _validated: bool = False):
         bits = np.asarray(bits, dtype=bool)
@@ -217,12 +215,8 @@ class SubgroupMask:
             raise ValueError("subgroup mask must contain the identity")
         if self.size == g.order:
             return
-        if not np.array_equal(closure(g, self._gens).bits, self.bits):
+        if not np.array_equal(closure(g, _greedy_generators(g, self.bits)).bits, self.bits):
             raise ValueError("mask not closed under multiplication")
-
-    @cached_property
-    def _gens(self) -> list[int]:
-        return _greedy_generators(self.owner, self.bits)
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
@@ -234,7 +228,8 @@ class SubgroupMask:
         """Exact in O(|S| |H|): a member commuting with each generator s of
         H centralizes H, so H is abelian when every member does."""
         g, idx = self.owner, self.indices()
-        return all(np.array_equal(g.mul[idx, s], g.mul[s, idx]) for s in self._gens)
+        return all(np.array_equal(g.mul[idx, s], g.mul[s, idx])
+                   for s in _greedy_generators(g, self.bits))
 
     def __eq__(self, other) -> bool:
         return (
@@ -266,7 +261,10 @@ class Homomorphism:
 
         The r passing form a set closed under the product, and the identity
         row forces m(1) = 1, so the set is the whole source group.  One row
-        r is compared at a time, and the target's row at m(r) is read once.
+        r is compared at a time, and the target's row at m(r) is read once
+        and then gathered at m, so the check holds a few rows at a time: a
+        quotient's certificate reads its product on the lifts, and all rows
+        at once would hold more than a |Q|^2 table above the dense order.
         """
         m = np.asarray(self.map, dtype=np.int64)
         s, t = self.source, self.target
@@ -395,7 +393,10 @@ class WordMul:
     each R_j.  For then the R_j carry 0 to every element and commute with
     every word, so a word is fixed by its value at 0.  (A transitive group
     with a transitive centralizer is regular: Dixon and Mortimer,
-    Permutation Groups, 4.2.)
+    Permutation Groups, 4.2.)  The given digits are checked last, in
+    O(|S| |G|): each lies below its radix, and row 0, 0 y = y read through
+    them, is the identity map, which it is exactly when every code's digits
+    are its own, since the word of code x sends 0 to x.
     """
 
     def __init__(self, gen_rows: Sequence[np.ndarray], radices: Sequence[int],
@@ -404,6 +405,10 @@ class WordMul:
         self.order = order = math.prod(radices)
         if len(gen_rows) != len(radices):
             raise ValueError("one generator row per radix is needed")
+        if len(digits) != len(radices) or any(
+                np.shape(d) != (order,) or d.min() < 0 or d.max() >= r
+                for d, r in zip(digits, radices)):
+            raise ValueError("one digit array per radix, each below its radix, is needed")
         rows = np.empty((len(radices), order), dtype=_index_dtype(order))
         for row, given in zip(rows, gen_rows):
             given = np.asarray(given)
@@ -430,6 +435,8 @@ class WordMul:
                 cols[p] = right[j][cols[p - 1]]
             self._steps[j] = (col + d) * order
             col += r
+        if not np.array_equal(self[0], self._codes):
+            raise ValueError("the digits are not those of the codes")
 
     @property
     def nbytes(self) -> int:
@@ -468,15 +475,20 @@ def word_table(gen_rows: Sequence[np.ndarray], radices: Sequence[int],
     """The group of the certified ``WordMul`` on these generator rows, over
     the ``digits`` of the codes that ``code_digits(radices)`` gave.  Up to
     order _DENSE_WORD_ORDER its Cayley table is read out and kept instead:
-    it is small, and one lookup per product beats one gather per digit.  It
-    is read out in ``_blocks`` of rows, so the gather offsets of one block
-    are alive at a time."""
-    mul = words = WordMul(gen_rows, radices, digits)
-    if words.order <= _DENSE_WORD_ORDER:
-        mul = np.empty((words.order, words.order), dtype=_index_dtype(words.order))
-        for lo, hi in _blocks(words.order):
-            mul[lo:hi] = words[lo:hi]
+    it is small, and one lookup per product beats one gather per digit."""
+    mul = WordMul(gen_rows, radices, digits)
+    if mul.order <= _DENSE_WORD_ORDER:
+        mul = _read_out(mul)
     return GroupTable(mul, labels=labels, name=name, _certified=True)
+
+
+def _read_out(mul) -> np.ndarray:
+    """The dense Cayley table of a ``WordMul`` or ``QuotientMul``, read in
+    ``_blocks`` of rows, so the transients of one block are alive at a time."""
+    table = np.empty((mul.order, mul.order), dtype=_index_dtype(mul.order))
+    for lo, hi in _blocks(mul.order):
+        table[lo:hi] = mul[lo:hi]
+    return table
 
 
 def table_to_json(g: GroupTable) -> dict:
@@ -526,21 +538,17 @@ def closure(g: GroupTable, seed: Iterable[int]) -> SubgroupMask:
 
 def _grow(bits: np.ndarray, frontier: np.ndarray, images: Callable) -> None:
     """Add the frontier to ``bits`` in place, then ``images(f)`` of each
-    batch f of elements gained, until no new element appears; ``images``
-    gives one row per seed, each injective.  A new element found more than
-    once, by two seeds, is kept once, without sorting: of the positions
+    batch f of elements gained, until no new element appears.  A new element
+    found more than once is kept once, without sorting: of the positions
     that write it to ``slot``, exactly one reads itself back."""
     slot = np.empty(len(bits), dtype=np.intp)
     while len(frontier):
         bits[frontier] = True
         prods = images(frontier).ravel()
-        several = len(prods) > len(frontier)  # one seed's images are distinct
         prods = prods[~bits[prods]]
-        if several:
-            pos = np.arange(len(prods))
-            slot[prods] = pos
-            prods = prods[slot[prods] == pos]
-        frontier = prods
+        pos = np.arange(len(prods))
+        slot[prods] = pos
+        frontier = prods[slot[prods] == pos]
 
 
 def _centralizer_bits(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
@@ -620,7 +628,7 @@ def centralizer(g: GroupTable, s) -> SubgroupMask:
     """Elements commuting with every element of ``s`` (mask or index set), that
     is with the greedy generators of a mask; ValueError for an index outside G."""
     if isinstance(s, SubgroupMask):
-        xs = s._gens
+        xs = _greedy_generators(g, s.bits)
     else:
         xs = _checked_indices(g, s)
     return SubgroupMask(g, _centralizer_bits(g, xs), _validated=True)
@@ -689,37 +697,10 @@ class QuotientMul:
         return self.proj[self.g.mul[a, b]]
 
 
-def _composed_table(seed_rows: np.ndarray) -> np.ndarray:
-    """The Cayley table of a group with the identity at 0, from the rows of
-    elements that generate it.  The rows are filled breadth first from the
-    identity's: row s f is row s gathered at row f, one gather of |G|
-    entries.  Left multiplication by one s is injective, so the elements
-    one s finds in one round are distinct."""
-    order = seed_rows.shape[1]
-    table = np.empty((order, order), dtype=_index_dtype(order))
-    seed_rows = seed_rows.astype(table.dtype)  # so each gathered block is in the table's dtype
-    table[0] = np.arange(order)
-    seen = np.zeros(order, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while len(frontier):
-        found = []
-        for row in seed_rows:
-            prods = row[frontier]
-            fresh = ~seen[prods]
-            seen[prods[fresh]] = True
-            table[prods[fresh]] = row[table[frontier[fresh]]]
-            found.append(prods[fresh])
-        frontier = np.concatenate(found)
-    if not seen.all():
-        raise ValueError("the rows do not generate the group")
-    return table
-
-
 def _cosets(g: GroupTable, s: SubgroupMask) -> tuple[np.ndarray, np.ndarray]:
     """The smallest element of each coset x N, the identity's first and then
     ascending, and the map from each element to its coset's position."""
-    labels = _orbit_minima([g.mul[:, x] for x in s._gens], g.order)
+    labels = _orbit_minima([g.mul[:, x] for x in _greedy_generators(g, s.bits)], g.order)
     reps = np.flatnonzero(labels == np.arange(g.order))
     e_rep = labels[g.identity]
     reps = np.concatenate([[e_rep], reps[reps != e_rep]])
@@ -736,11 +717,10 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
     The cosets x N are the orbits of right multiplication by generators of
     N, each labelled by its smallest element; Q numbers them in the order of
     those minima, the identity's coset first.  Q's product is G's product on
-    the lifts, projected.  Up to order _DENSE_WORD_ORDER it is read out
-    dense, as ``word_table`` does: entry by entry when G's product is a
-    table, else by ``_composed_table`` from the rows of the images of G's
-    generators.  Above that order it is a ``QuotientMul``, evaluated on
-    demand.  The trivial N gives Q = G, with the identity lift.
+    the lifts, projected (``QuotientMul``).  Up to order _DENSE_WORD_ORDER
+    it is read out dense, as ``word_table`` does (``_read_out``); above that
+    order it is evaluated on demand.  The trivial N gives Q = G, with the
+    identity lift.
 
     Certified exactly in O(|S| |G|), trusting neither the labels nor the
     lifts: N is normal (``is_normal``), its elements are exactly those over
@@ -748,10 +728,8 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
     respects left multiplication by each generator of G
     (``Homomorphism.verify``).  The last makes x ~ y (same projection) a
     left congruence, whose classes are the left cosets of the identity's
-    class N; N normal makes it a congruence, so Q is G/N, and the rows the
-    check reads, those of the generators' images, are G/N's.  So is every
-    row: read on the lifts it is G/N's product, and composed, row s f is
-    row s after row f, by induction along the composition.  Light's test
+    class N.  So the projection's fibres are the cosets of N, and every
+    entry, read on the lifts, is G/N's product (N is normal).  Light's test
     on Q is not run: it would check the associativity of a group already
     proven one.
     """
@@ -763,8 +741,7 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
     reps, proj = _cosets(g, s)
     mul = QuotientMul(g, reps, proj)
     if mul.order <= _DENSE_WORD_ORDER:
-        # one lookup in G per entry when G's product is a table, else one gather per row
-        mul = mul[:, :] if isinstance(g.mul, np.ndarray) else _composed_table(mul[proj[g.gens]])
+        mul = _read_out(mul)
 
     def coset_labels() -> list[str]:
         return [f"[{g.labels[int(r)]}]" for r in reps]

@@ -301,7 +301,10 @@ def test_a_word_table_over_the_address_space_limit_is_refused_at_the_guard():
     # hat-gamma at n = 44, 46 and 48 needs 928,164,864, 1,097,950,080 and
     # 1,289,945,088 bytes for its word-table build (``_word_build_bytes``): in a
     # 1 GB address space, of which the interpreter and numpy already map about
-    # 107 MB, each stops at the guard, not in a MemoryError mid-build
+    # 107 MB, n = 46 and 48 stop at the guard, not in a MemoryError mid-build.
+    # n = 44 is refused at the guard with only about 12 MB to spare, so where
+    # the interpreter maps less at start-up it passes the guard and runs out of
+    # memory in the first pass after the build: exit 3 either way
     limit, hard = 1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]
     if hard != resource.RLIM_INFINITY and hard < limit:
         pytest.skip("the hard address-space limit is below 1 GB")
@@ -313,10 +316,13 @@ def test_a_word_table_over_the_address_space_limit_is_refused_at_the_guard():
         assert proc.returncode == 3, proc.stderr
         doc = json.loads(proc.stdout)
         assert set(doc) == {"command", "error"} and doc["command"] == "hat-gamma"
-        assert re.fullmatch(
+        at_guard = re.fullmatch(
             f"a word table of order {order} would exceed the address-space limit "
             rf"\(RLIMIT_AS\) of {limit} bytes, less \d+ bytes already mapped",
-            doc["error"]), doc
+            doc["error"])
+        out_of_memory = doc["error"] == "out of memory" or doc["error"].startswith(
+            "Unable to allocate")
+        assert at_guard or (n == 44 and out_of_memory), doc
 
 
 def test_the_cli_runs_one_blas_thread():

@@ -338,6 +338,20 @@ def test_compose_rows_refuses_a_tree_whose_words_miss_their_codes():
         gc.WordMul([rows[1], rows[0], rows[2]], (3, 3, 3), (x, y, z))
 
 
+def test_word_table_refuses_digits_that_are_not_the_codes():
+    # the products are read through the caller's digits, so digits of the
+    # wrong count, shape or range, or of other codes, are refused
+    x, y, z = gc.code_digits((3, 3, 3))
+    rows = [(x + 1) % 3 * 9 + y * 3 + (z + y) % 3, x * 9 + (y + 1) % 3 * 3 + z,
+            x * 9 + y * 3 + (z + 1) % 3]
+    swapped = z.copy()
+    swapped[[4, 5]] = swapped[[5, 4]]
+    for digits in [(x, y), (x, y, z, z), (x, y, z[:26]), (x, y, z + 1), (x, y - 1, z),
+                   (y, x, z), (x, y, swapped)]:
+        with pytest.raises(ValueError, match="digit"):
+            gc.WordMul(rows, (3, 3, 3), digits)
+
+
 def test_rotation_tables_compose_their_labelled_permutations():
     """Every entry of each permutation-built rotation table, on all pairs, is
     the composition (a b)(x) = a[b[x]] of the permutations its labels name,
@@ -514,9 +528,9 @@ def _coset_oracle(g, s):
 @pytest.mark.parametrize("make", _central_quotients())
 def test_quotient_reads_as_the_coset_table(monkeypatch, make):
     """Q's product is the coset of the lifts' product, on all pairs, whether it
-    is read out directly (G dense), composed from generator rows (G a word
-    table) or, with the dense order set to 0, evaluated on demand; the lifts
-    are the coset minima, numbered in ascending order."""
+    is read out dense (from a dense G or a word table G) or, with the dense
+    order set to 0, evaluated on demand; the lifts are the coset minima,
+    numbered in ascending order."""
     g = make()
     z = gc.center(g)
     coset_min = _coset_oracle(g, z)
