@@ -2,10 +2,10 @@
 
 Elements of a group of order ``n`` are the integers ``0..n-1``; index 0 is
 always the identity in every construction of this package.  A table's
-product is a dense Cayley table, a word table (``WordMul``) or a quotient's
-product evaluated on its lifts (``QuotientMul``), indexed alike.  Subgroups
-are boolean masks over the index range, and the heavy loops are vectorized
-with numpy.
+product is a dense Cayley table, a word table (``WordMul``) or a derived
+group's product induced from its parent's on lifts (``InducedMul``: quotients
+and subgroup tables), indexed alike.  Subgroups are boolean masks over the
+index range, and the heavy loops are vectorized with numpy.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ try:
 except ImportError:  # Windows: no resource module, no address-space limit to read
     resource = None
 
-from .errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
+from .errors import CapExceeded, InvalidInput, NotNormal, PrimeDoesNotDivide, SearchTimeout
 
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley or word table a construction allocates
 
 _BLOCK_ELEMS = 1 << 16  # elements per block in O(n^2) scans and read-outs
-_DENSE_WORD_ORDER = 1 << 10  # word_table stores a group up to this order (2 MB) dense
+_DENSE_WORD_ORDER = 1 << 10  # a certified product up to this order (2 MB) is read out dense
 
 
 def _index_dtype(order: int):
@@ -46,8 +46,10 @@ def _blocks(n: int):
 class GroupTable:
     """A finite group as an indexed element set with its product ``mul``.
 
-    ``mul`` is a full Cayley table, a ``WordMul`` or a ``QuotientMul``; the
-    last two are certified when they are built.  The table memoizes exactly
+    ``mul`` is a full Cayley table, which gets Light's test, or a ``WordMul``
+    or ``InducedMul``, certified when built, whose Cayley table is read out
+    and kept up to order ``_DENSE_WORD_ORDER``: there one lookup per product
+    beats the gathers of one evaluation.  The table memoizes exactly
     two derived arrays, both read-only: its conjugacy classes, from which the
     center, ``is_abelian`` and the search root are read
     (``conjugacy_class_labels``), and its element orders
@@ -60,10 +62,12 @@ class GroupTable:
         mul,
         labels: Optional[Sequence[str] | Callable[[], Sequence[str]]] = None,
         name: str = "",
-        _certified: bool = False,
     ):
-        if isinstance(mul, (WordMul, QuotientMul)):
-            order, _certified = mul.order, True
+        certified = isinstance(mul, _Product)
+        if certified:
+            order = mul.order
+            if order <= _DENSE_WORD_ORDER:
+                mul = _read_out(mul)
         else:
             mul = np.asarray(mul)
             if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
@@ -85,7 +89,7 @@ class GroupTable:
         self.identity = self._find_identity()
         self.inv = self._build_inverse_table()
         self.gens = self._find_generators()
-        if not _certified:  # a WordMul or QuotientMul, or a table read out of one, is certified
+        if not certified:
             self._check_associativity()
 
     def _find_identity(self) -> int:
@@ -100,7 +104,7 @@ class GroupTable:
 
     def _build_inverse_table(self) -> np.ndarray:
         n = self.order
-        if isinstance(self.mul, (WordMul, QuotientMul)):
+        if isinstance(self.mul, _Product):
             inv = self.mul.inverses()
         else:
             inv = np.empty(n, dtype=np.int64)
@@ -121,7 +125,7 @@ class GroupTable:
         generate the group, so no member of the result is redundant.  The
         result is not always of minimal size.
         """
-        gens = _greedy_generators(self, np.ones(self.order, dtype=bool))
+        gens, _ = _greedy_generators(self, np.ones(self.order, dtype=bool))
         for x in list(gens):
             rest = [y for y in gens if y != x]
             if closure(self, rest).size == self.order:
@@ -180,9 +184,6 @@ class GroupTable:
     def inv_idx(self, a: int) -> int:
         return int(self.inv[a])
 
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
-
     def is_abelian(self) -> bool:
         return bool((self._classes == np.arange(self.order)).all())
 
@@ -215,7 +216,7 @@ class SubgroupMask:
             raise ValueError("subgroup mask must contain the identity")
         if self.size == g.order:
             return
-        if not np.array_equal(closure(g, _greedy_generators(g, self.bits)).bits, self.bits):
+        if not np.array_equal(_greedy_generators(g, self.bits)[1], self.bits):
             raise ValueError("mask not closed under multiplication")
 
     def indices(self) -> np.ndarray:
@@ -229,7 +230,7 @@ class SubgroupMask:
         H centralizes H, so H is abelian when every member does."""
         g, idx = self.owner, self.indices()
         return all(np.array_equal(g.mul[idx, s], g.mul[s, idx])
-                   for s in _greedy_generators(g, self.bits))
+                   for s in _greedy_generators(g, self.bits)[0])
 
     def __eq__(self, other) -> bool:
         return (
@@ -371,19 +372,39 @@ def code_digits(radices: Sequence[int]) -> list[np.ndarray]:
     return [codes // p % r for p, r in zip(places, radices)]
 
 
-class WordMul:
-    """The product of a word table, indexed like a dense Cayley table.
+class _Product:
+    """A certified product of ``order`` elements, evaluated on demand and
+    indexed like a dense Cayley table: ``mul[a, b]`` on broadcast index
+    arrays, ``mul[x]``, ``mul[:, y]``, boolean masks and slices, negative
+    indices included; out of range raises IndexError.  numpy checks a row
+    index against ``_left`` and a column index against ``_right[0]``, and a
+    slice of columns is a view; ``_product`` evaluates ``_left[i]`` at
+    ``_right[:, j]``."""
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            key = (key, slice(None))
+        if len(key) != 2:
+            raise IndexError(f"a table takes two indices, not {len(key)}")
+        a, b = self._left[key[0]], self._right[:, key[1]]
+        if isinstance(key[0], slice):  # a slice indexes an outer axis, as in numpy
+            a = a.reshape(a.shape + (1,) * (b.ndim - 1))
+        elif isinstance(key[1], slice):
+            a = a[..., None]
+        return self._product(a, b)
+
+
+class WordMul(_Product):
+    """The product of a word table.
 
     The elements are the mixed-radix codes over ``radices``, and the code
     with digits (d_0, ..., d_L), most significant first, is the word
     s_L^d_L ... s_0^d_0 in generators s_j, where ``gen_rows[j]`` is left
     multiplication by s_j.  For each s_j and each power d < r_j the product
     keeps the column x -> x s_j^d, and x y is one gather per digit of y,
-    lowest digit first.  ``mul[a, b]`` on broadcast index arrays, ``mul[x]``,
-    ``mul[:, y]``, boolean masks and slices read as they read a dense table,
-    negative indices included, and an index out of range raises IndexError.
-    ``nbytes`` counts the columns and their digit offsets.  ``digits`` are
-    the codes' digits, as the caller has them from ``code_digits``.
+    lowest digit first.  ``nbytes`` counts the columns and their digit
+    offsets.  ``digits`` are the codes' digits, as the caller has them from
+    ``code_digits``.
 
     Built only certified.  The generator columns R_j, x -> x s_j, are the
     words evaluated at s_j, computed along the codes in O(|S| |G|).  Two
@@ -423,7 +444,7 @@ class WordMul:
             raise ValueError("word table not associative: a generator row and a "
                              "generator column do not commute")
         self._radices = radices
-        self._codes = np.arange(order)
+        self._left = np.arange(order)
         self._cols = np.empty(sum(radices) * order, dtype=rows.dtype)
         # digit j of y as the offset of its column: x s_j^d is _cols[_steps[j, y] + x]
         self._steps = np.empty((len(radices), order), dtype=np.intp)
@@ -435,7 +456,8 @@ class WordMul:
                 cols[p] = right[j][cols[p - 1]]
             self._steps[j] = (col + d) * order
             col += r
-        if not np.array_equal(self[0], self._codes):
+        self._right = self._steps[::-1]  # the digit offsets of y, lowest digit first
+        if not np.array_equal(self[0], self._left):
             raise ValueError("the digits are not those of the codes")
 
     @property
@@ -452,39 +474,35 @@ class WordMul:
                 back[j, self._cols[start:start + self.order]] = np.arange(self.order)
         return _along_words(back, self._radices, [0])[0].astype(np.int64)
 
-    def __getitem__(self, key):
-        if not isinstance(key, tuple):
-            key = (key, slice(None))
-        if len(key) != 2:
-            raise IndexError(f"a table takes two indices, not {len(key)}")
-        # numpy checks each index against the codes and resolves negative
-        # ones; a slice of y reads the digit offsets as a view, not a copy
-        a, steps = self._codes[key[0]], self._steps[::-1, key[1]]
-        if isinstance(key[0], slice):  # a slice indexes an outer axis, as in numpy
-            a = a.reshape(a.shape + (1,) * (steps.ndim - 1))
-        elif isinstance(key[1], slice):
-            a = a[..., None]
+    def _product(self, a, steps):
         for step in steps:
             a = self._cols[step + a]
         return a
 
 
-def word_table(gen_rows: Sequence[np.ndarray], radices: Sequence[int],
-               digits: Sequence[np.ndarray], labels: Optional[Callable[[], list[str]]] = None,
-               name: str = "") -> GroupTable:
-    """The group of the certified ``WordMul`` on these generator rows, over
-    the ``digits`` of the codes that ``code_digits(radices)`` gave.  Up to
-    order _DENSE_WORD_ORDER its Cayley table is read out and kept instead:
-    it is small, and one lookup per product beats one gather per digit."""
-    mul = WordMul(gen_rows, radices, digits)
-    if mul.order <= _DENSE_WORD_ORDER:
-        mul = _read_out(mul)
-    return GroupTable(mul, labels=labels, name=name, _certified=True)
+class InducedMul(_Product):
+    """A product induced from a group G on the elements ``lifts``: entry
+    (a, b) is ``pos[lifts[a] lifts[b]]``, one product in G read back through
+    the position map ``pos``.  A quotient G/N takes the coset minima and the
+    projection, a subgroup table its elements and their positions among them.
+    No |lifts|^2 array is built; each caller certifies what it builds."""
+
+    def __init__(self, g: GroupTable, lifts: np.ndarray, pos: np.ndarray):
+        self.g, self.pos = g, pos
+        self.order = len(lifts)
+        self._left, self._right = lifts, lifts[None]
+
+    def inverses(self) -> np.ndarray:
+        """The position of each lift's inverse; the caller checks x x^-1 = 1."""
+        return self.pos[self.g.inv[self._left]]
+
+    def _product(self, a, b):
+        return self.pos[self.g.mul[a, b[0]]]
 
 
-def _read_out(mul) -> np.ndarray:
-    """The dense Cayley table of a ``WordMul`` or ``QuotientMul``, read in
-    ``_blocks`` of rows, so the transients of one block are alive at a time."""
+def _read_out(mul: _Product) -> np.ndarray:
+    """The dense Cayley table of a certified product, read in ``_blocks``
+    of rows, so the transients of one block are alive at a time."""
     table = np.empty((mul.order, mul.order), dtype=_index_dtype(mul.order))
     for lo, hi in _blocks(mul.order):
         table[lo:hi] = mul[lo:hi]
@@ -561,10 +579,11 @@ def _centralizer_bits(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
     return bits
 
 
-def _greedy_generators(g: GroupTable, bits: np.ndarray) -> list[int]:
-    """Generators of the subgroup ``bits``: each is its smallest element
-    outside the closure H of the ones before it.  The closure grows from H:
-    the old generators map H into itself, so only the new one meets H."""
+def _greedy_generators(g: GroupTable, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Generators of ``bits``, each its smallest element outside the closure
+    H of the ones before it, and their closure, which is ``bits`` exactly
+    when ``bits`` is closed.  The closure grows from H: the old generators
+    map H into itself, so only the new one meets H."""
     gens: list[int] = []
     sub = np.zeros(g.order, dtype=bool)
     sub[g.identity] = True
@@ -573,7 +592,7 @@ def _greedy_generators(g: GroupTable, bits: np.ndarray) -> list[int]:
         gained = g.mul[gens[-1], sub]
         seed = np.array(gens)[:, None]
         _grow(sub, gained[~sub[gained]], lambda f: g.mul[seed, f])
-    return gens
+    return gens, sub
 
 
 def _conjugation_orbits(g: GroupTable, gens: Sequence[int], bits: np.ndarray) -> np.ndarray:
@@ -628,7 +647,7 @@ def centralizer(g: GroupTable, s) -> SubgroupMask:
     """Elements commuting with every element of ``s`` (mask or index set), that
     is with the greedy generators of a mask; ValueError for an index outside G."""
     if isinstance(s, SubgroupMask):
-        xs = _greedy_generators(g, s.bits)
+        xs, _ = _greedy_generators(g, s.bits)
     else:
         xs = _checked_indices(g, s)
     return SubgroupMask(g, _centralizer_bits(g, xs), _validated=True)
@@ -670,37 +689,10 @@ def is_normal(g: GroupTable, s: SubgroupMask) -> bool:
     return bool(s.bits[conj].all())
 
 
-class QuotientMul:
-    """The product of a quotient G/N on its coset indices, evaluated on
-    demand: entry (a, b) is the coset of ``lifts[a] lifts[b]``, one product
-    in G, projected by ``proj``.  Indexed like a dense Cayley table, as
-    ``WordMul`` is; no |G/N|^2 array is built."""
-
-    def __init__(self, g: GroupTable, lifts: np.ndarray, proj: np.ndarray):
-        self.g, self.lifts, self.proj = g, lifts, proj
-        self.order = len(lifts)
-
-    def inverses(self) -> np.ndarray:
-        """The coset of each lift's inverse; the caller checks x x^-1 = 1."""
-        return self.proj[self.g.inv[self.lifts]]
-
-    def __getitem__(self, key):
-        if not isinstance(key, tuple):
-            key = (key, slice(None))
-        if len(key) != 2:
-            raise IndexError(f"a table takes two indices, not {len(key)}")
-        a, b = self.lifts[key[0]], self.lifts[key[1]]
-        if isinstance(key[0], slice):  # a slice indexes an outer axis, as in numpy
-            a = a.reshape(a.shape + (1,) * b.ndim)
-        elif isinstance(key[1], slice):
-            a = a[..., None]
-        return self.proj[self.g.mul[a, b]]
-
-
 def _cosets(g: GroupTable, s: SubgroupMask) -> tuple[np.ndarray, np.ndarray]:
     """The smallest element of each coset x N, the identity's first and then
     ascending, and the map from each element to its coset's position."""
-    labels = _orbit_minima([g.mul[:, x] for x in _greedy_generators(g, s.bits)], g.order)
+    labels = _orbit_minima([g.mul[:, x] for x in _greedy_generators(g, s.bits)[0]], g.order)
     reps = np.flatnonzero(labels == np.arange(g.order))
     e_rep = labels[g.identity]
     reps = np.concatenate([[e_rep], reps[reps != e_rep]])
@@ -717,10 +709,8 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
     The cosets x N are the orbits of right multiplication by generators of
     N, each labelled by its smallest element; Q numbers them in the order of
     those minima, the identity's coset first.  Q's product is G's product on
-    the lifts, projected (``QuotientMul``).  Up to order _DENSE_WORD_ORDER
-    it is read out dense, as ``word_table`` does (``_read_out``); above that
-    order it is evaluated on demand.  The trivial N gives Q = G, with the
-    identity lift.
+    the lifts, projected (``InducedMul``).  The trivial N gives Q = G, with
+    the identity lift.
 
     Certified exactly in O(|S| |G|), trusting neither the labels nor the
     lifts: N is normal (``is_normal``), its elements are exactly those over
@@ -739,15 +729,8 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
         every = np.arange(g.order)
         return g, Homomorphism(g, g, every, every)
     reps, proj = _cosets(g, s)
-    mul = QuotientMul(g, reps, proj)
-    if mul.order <= _DENSE_WORD_ORDER:
-        mul = _read_out(mul)
-
-    def coset_labels() -> list[str]:
-        return [f"[{g.labels[int(r)]}]" for r in reps]
-
-    qt = GroupTable(mul, labels=coset_labels if g._labels is not None else None,
-                    name=f"{g.name}/N" if g.name else "", _certified=True)
+    labels = None if g._labels is None else lambda: [f"[{g.labels[r]}]" for r in reps.tolist()]
+    qt = GroupTable(InducedMul(g, reps, proj), labels=labels, name=f"{g.name}/N" if g.name else "")
     hom = Homomorphism(g, qt, proj, reps)
     if not (np.array_equal(proj == qt.identity, s.bits)
             and np.array_equal(proj[reps], np.arange(qt.order)) and hom.verify()):
@@ -756,16 +739,21 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
 
 
 def subgroup_table(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, np.ndarray]:
-    """Induced table on a subgroup mask, plus the map back to parent indices."""
+    """The group H = ``s`` on its own indices, the identity first and then
+    ascending, plus the map back to parent indices.
+
+    H's product is G's product on H's elements, read back through their
+    positions (``InducedMul``), and needs no test of its own: the validated
+    mask proves H closed, and associativity comes from G.
+    """
     idx = s.indices()
     if idx[0] != g.identity:
         idx = np.concatenate([[g.identity], idx[idx != g.identity]])
-    k = len(idx)
     lookup = np.full(g.order, -1, dtype=np.int64)
-    lookup[idx] = np.arange(k)
-    sub = lookup[g.mul[np.ix_(idx, idx)]].astype(_index_dtype(k))
-    labels = [g.label(int(v)) for v in idx] if g.labels is not None else None
-    return GroupTable(sub, labels=labels, name=f"{g.name}|sub" if g.name else ""), idx
+    lookup[idx] = np.arange(len(idx))
+    labels = None if g._labels is None else lambda: [g.labels[v] for v in idx.tolist()]
+    return GroupTable(InducedMul(g, idx, lookup), labels=labels,
+                      name=f"{g.name}|sub" if g.name else ""), idx
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +862,7 @@ class _AbelianSearch:
         if c_bits.all():
             gens, labels = self.q.gens, self.q._classes
         else:
-            gens = _greedy_generators(self.q, c_bits)
+            gens, _ = _greedy_generators(self.q, c_bits)
             labels = _conjugation_orbits(self.q, gens, c_bits)
         sizes = np.bincount(labels[c_bits], minlength=self.n)[labels]
         return labels, sizes, c_bits & self.commute_bits(gens)
@@ -1053,7 +1041,9 @@ def prime_power_base(k: int) -> int:
 
 
 def sylow(g: GroupTable, p: int) -> SubgroupMask:
-    """A subgroup whose order is the largest power of p dividing |G|.
+    """A subgroup whose order is the largest power of the prime p dividing
+    |G|; InvalidInput when p is not prime, PrimeDoesNotDivide when it does
+    not divide |G|.
 
     One pass over the p-elements, by order: x joins when the closure stays a
     p-group.  A rejected x stays rejected, since its closure with a larger
@@ -1061,7 +1051,9 @@ def sylow(g: GroupTable, p: int) -> SubgroupMask:
     proper in its normalizer in P, and an x there outside H extends it.
     """
     n = g.order
-    if p < 2 or n % p != 0:
+    if p < 2 or prime_power_base(p) != p:
+        raise InvalidInput(f"{p} is not a prime")
+    if n % p != 0:
         raise PrimeDoesNotDivide(f"{p} does not divide the group order {n}")
     target = 1
     m = n

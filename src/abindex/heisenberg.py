@@ -23,12 +23,12 @@ from .group_core import (
     GroupTable,
     Homomorphism,
     SubgroupMask,
+    WordMul,
     closure,
     code_digits,
     cyclic_table,
     is_normal,
     prime_power_base,
-    word_table,
 )
 
 CHI_MATRIX = ((0, -1), (1, 1))  # order-6 torus symmetry (x,y) -> (-y, x+y)
@@ -79,7 +79,7 @@ def gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)):
         rx, ry, rz2 = _heis_law(n, s, (x, y, 2 * z))
         gen_rows.append(gamma_elem_index(n, rx, ry, rz2 // 2))
-    return word_table(gen_rows, (n, n, n), digits=(x, y, z), name=f"Gamma_{n}", labels=lambda: [
+    return GroupTable(WordMul(gen_rows, (n, n, n), (x, y, z)), name=f"Gamma_{n}", labels=lambda: [
         f"A({a},{b},{c})" for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())])
 
 
@@ -157,7 +157,7 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     g = (x, y, z2)
     gen_rows = [_hat_code(n, *_twist(n, g), (k + 1) % 6)] + [
         _hat_code(n, *_heis_law(n, s, g), k) for s in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    table = word_table(gen_rows, radices, digits=(k, x, y, z2), name=f"HatGamma_{n}",
+    table = GroupTable(WordMul(gen_rows, radices, (k, x, y, z2)), name=f"HatGamma_{n}",
                        labels=lambda: [f"A({a},{b},{_format_half(c)})h^{d}" for a, b, c, d
                                        in zip(x.tolist(), y.tolist(), z2.tolist(), k.tolist())])
     if closure(table, [int(r[0]) for r in gen_rows[:3]]).size != ambient:
@@ -211,7 +211,7 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
         _bn_code(n, k, (u + 1) % n, v),
         _bn_code(n, k, u, (v + 1) % n),
     ]
-    table = word_table(gen_rows, (6, n, n), digits=(k, u, v), name=f"B_{n}", labels=lambda: [
+    table = GroupTable(WordMul(gen_rows, (6, n, n), (k, u, v)), name=f"B_{n}", labels=lambda: [
         f"t({p},{q})chi^{r}" for p, q, r in zip(u.tolist(), v.tolist(), k.tolist())])
     chi, ta, tb = (int(r[0]) for r in gen_rows)
     return BnData(n, table, chi, ta, tb)

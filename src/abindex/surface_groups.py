@@ -266,8 +266,9 @@ def affine_torus_group(bn: BnData, step: int) -> AffineTorusAction:
 
     t(u, v) chi^k sends x to chi^k x + (u, v), read off the digits (k, u, v)
     of the B_n table; the action's own check certifies it.  Step 1 is B_n,
-    kept as its word table (a subgroup table is dense); step 3 the
-    translations and the half turn (chi^3 = -I); step 6 the translations.
+    kept as its own table (a subgroup table would add a lookup per product);
+    step 3 the translations and the half turn (chi^3 = -I); step 6 the
+    translations.
     """
     n, g = bn.n, bn.table
     k, u, v = code_digits((6, n, n))

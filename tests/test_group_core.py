@@ -15,7 +15,7 @@ from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
-from abindex.errors import CapExceeded, NotNormal, PrimeDoesNotDivide, SearchTimeout
+from abindex.errors import CapExceeded, InvalidInput, NotNormal, PrimeDoesNotDivide, SearchTimeout
 from helpers import dense, digit_places, digit_tree, traced_peak
 
 
@@ -178,6 +178,9 @@ def test_build_cap_exceeded():
 
 
 def test_table_order_guard(monkeypatch):
+    # with no address-space limit the bound is MAX_TABLE_BYTES, whatever limit the run has
+    monkeypatch.setattr(gc.resource, "getrlimit",
+                        lambda which: (gc.resource.RLIM_INFINITY, gc.resource.RLIM_INFINITY))
     # 2 bytes x 32,767^2 fits in 2 GiB; order 32,768 needs int32 entries and does not
     gc.check_table_order(32_767)
     with pytest.raises(CapExceeded, match="would exceed"):
@@ -538,19 +541,17 @@ def test_quotient_reads_as_the_coset_table(monkeypatch, make):
     for dense_order in (gc._DENSE_WORD_ORDER, 0):
         monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", dense_order)
         q, hom = gc.quotient_by_normal(g, z)
-        assert isinstance(q.mul, gc.QuotientMul) == (dense_order == 0 or q.order > 1024)
+        assert isinstance(q.mul, gc.InducedMul) == (dense_order == 0 or q.order > 1024)
         assert np.array_equal(hom.lifts, reps) and np.array_equal(hom.lifts[hom.map], coset_min)
         lifts = hom.lifts
         assert np.array_equal(dense(q), hom.map[dense(g)[np.ix_(lifts, lifts)]])
         assert hom.verify() and np.array_equal(q.inv, hom.map[g.inv[lifts]])
 
 
-def test_quotient_product_key_forms_match_the_dense_read_out(monkeypatch):
-    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
-    g = hb.hat_gamma_n(4).table
-    q, _ = gc.quotient_by_normal(g, gc.center(g))
-    assert isinstance(q.mul, gc.QuotientMul)
-    m, full = q.order, dense(q)
+def _assert_key_forms_read_as(mul, full):
+    """Each key form reads ``mul`` as it reads the dense table ``full``, and
+    each key out of range raises IndexError."""
+    m = len(full)
     mask = np.arange(m) % 3 == 1
     rows, cols = np.array([[0], [m - 1], [5]]), np.array([2, -3, 7, 0])
     for key in [4, -2, (m - 1, slice(None)), (3, slice(2, None, 5)), (slice(None), 6),
@@ -558,11 +559,74 @@ def test_quotient_product_key_forms_match_the_dense_read_out(monkeypatch):
                 (slice(1, 40, 3), slice(None, 9, 2)), (slice(None), slice(None)),
                 (slice(None, None, -1), slice(5, 2, -1)), mask,
                 (mask, 2), (3, mask), (slice(2, 20), mask), (rows, cols), (rows, slice(1, 4))]:
-        assert np.array_equal(q.mul[key], full[key]), key
+        assert np.array_equal(mul[key], full[key]), key
     for key in [m, -m - 1, (0, m), (np.array([1, m]), 0), (0, np.array([-m - 1])),
                 mask[1:], (0, mask[1:]), (slice(None), m), (1, 2, 3)]:
         with pytest.raises(IndexError):
-            q.mul[key]
+            mul[key]
+
+
+def test_quotient_product_key_forms_match_the_dense_read_out(monkeypatch):
+    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
+    g = hb.hat_gamma_n(4).table
+    q, _ = gc.quotient_by_normal(g, gc.center(g))
+    assert isinstance(q.mul, gc.InducedMul)
+    _assert_key_forms_read_as(q.mul, dense(q))
+
+
+def _half_turn(n):
+    """B_n and its subgroup of the translations and the half turn, chi^3 = -I."""
+    g = hb.b_n_components(n).table
+    return g, gc.SubgroupMask(g, gc.code_digits((6, n, n))[0] % 3 == 0)
+
+
+def _theta_kernel(n):
+    hat = hb.hat_gamma_n(n)
+    return hat.table, hat.theta_kernel
+
+
+def _subgroups():
+    """Subgroups of dense tables and of word tables, and one above the dense order."""
+    return [
+        pytest.param(lambda: _half_turn(4), id="B4-halfturn"),
+        pytest.param(lambda: _half_turn(24), id="B24-halfturn-word"),
+        pytest.param(lambda: _theta_kernel(4), id="HatGamma4-kernel"),
+        pytest.param(lambda: _theta_kernel(6), id="HatGamma6-kernel-word"),
+    ]
+
+
+def _induced_oracle(g, idx):
+    """Oracle: G's dense product on ``idx``, read back through positions in it."""
+    lookup = np.full(g.order, -1, dtype=np.int64)
+    lookup[idx] = np.arange(len(idx))
+    return lookup[dense(g)[np.ix_(idx, idx)]]
+
+
+@pytest.mark.parametrize("make", _subgroups())
+def test_subgroup_table_reads_as_the_induced_table(monkeypatch, make):
+    """H's product is G's product on H's elements, read back through their
+    positions, on all pairs, whether it is read out dense or, with the dense
+    order set to 0, evaluated on demand; the identity comes first, then the
+    other elements ascending."""
+    g, s = make()
+    want = np.concatenate([[g.identity], s.indices()[s.indices() != g.identity]])
+    full = _induced_oracle(g, want)
+    for dense_order in (gc._DENSE_WORD_ORDER, 0):
+        monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", dense_order)
+        sub, idx = gc.subgroup_table(g, s)
+        assert isinstance(sub.mul, gc.InducedMul) == (dense_order == 0 or sub.order > 1024)
+        assert np.array_equal(idx, want) and np.array_equal(dense(sub), full)
+        assert np.array_equal(idx[sub.inv], g.inv[idx]) and sub.labels == [g.labels[i] for i in idx]
+        assert gc.Homomorphism(sub, g, idx).verify()
+
+
+@pytest.mark.parametrize("make", [p for p in _subgroups() if "B24" not in p.id])
+def test_subgroup_table_key_forms_match_the_dense_read_out(monkeypatch, make):
+    monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
+    g, s = make()
+    sub, idx = gc.subgroup_table(g, s)
+    assert isinstance(sub.mul, gc.InducedMul)
+    _assert_key_forms_read_as(sub.mul, _induced_oracle(g, idx))
 
 
 def test_quotient_certificate_rejects_wrong_cosets(monkeypatch):
@@ -859,6 +923,13 @@ def test_sylow_rejects_non_divisor():
         gc.sylow(g, 5)
 
 
+@pytest.mark.parametrize("p", [4, 6, 8, 1, 0, -2])
+def test_sylow_rejects_a_p_that_is_not_prime(p):
+    # 4, 6 and 8 divide 48 but are not prime; they are refused before any growth
+    with pytest.raises(InvalidInput, match="not a prime"):
+        gc.sylow(gc.cyclic_table(48), p)
+
+
 # ---------------------------------------------------------------------------
 # random structural invariants
 
@@ -1126,7 +1197,8 @@ def test_greedy_generators_grow_the_closures_the_identity_gives():
             search.run()
             assert len(centralizers) == search.nodes > 1
             for bits in centralizers:
-                assert gc._greedy_generators(search.q, bits) == from_identity(search.q, bits)
+                gens, grown = gc._greedy_generators(search.q, bits)
+                assert gens == from_identity(search.q, bits) and np.array_equal(grown, bits)
 
 
 def test_search_computes_a_centralizer_per_entered_node_only():
