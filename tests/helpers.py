@@ -1,9 +1,10 @@
-"""Shared test helpers: reading word tables whole, seeded coordinate triples,
+"""Shared test helpers: reading word tables whole, their key forms, seeded coordinate triples,
 and traced memory peaks."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from abindex import group_core as gc
 
@@ -59,3 +60,24 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_key_forms_read_as(mul, full):
+    """Each key form reads the product ``mul`` as it reads the dense table
+    ``full``, and each key that ``full`` refuses with IndexError ``mul``
+    refuses too."""
+    m = len(full)
+    mask = np.arange(m) % 3 == 1
+    rows, cols = np.array([[0], [m - 1], [5]]), np.array([2, -3, 7, 0])
+    for key in [4, -2, (m - 1, slice(None)), (3, slice(2, None, 5)), (slice(None), 6),
+                (slice(None), -m), (slice(m - 1, None, -4), 1),
+                (slice(1, 40, 3), slice(None, 9, 2)), (slice(None), slice(None)),
+                (slice(None, None, -1), slice(5, 2, -1)), mask,
+                (mask, 2), (3, mask), (slice(2, 20), mask), (rows, cols), (rows, slice(1, 4))]:
+        assert np.array_equal(mul[key], full[key]), key
+    for key in [m, -m - 1, (0, m), (np.array([1, m]), 0), (0, np.array([-m - 1])),
+                mask[1:], (0, mask[1:]), (slice(None), m), (1, 2, 3)]:
+        with pytest.raises(IndexError):
+            full[key]
+        with pytest.raises(IndexError):
+            mul[key]

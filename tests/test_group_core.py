@@ -16,7 +16,7 @@ from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
 from abindex.errors import CapExceeded, InvalidInput, NotNormal, PrimeDoesNotDivide, SearchTimeout
-from helpers import dense, digit_places, digit_tree, traced_peak
+from helpers import assert_key_forms_read_as, dense, digit_places, digit_tree, traced_peak
 
 
 def perm_group(points, gens, name="", cap=gc.DEFAULT_ORDER_CAP):
@@ -548,30 +548,12 @@ def test_quotient_reads_as_the_coset_table(monkeypatch, make):
         assert hom.verify() and np.array_equal(q.inv, hom.map[g.inv[lifts]])
 
 
-def _assert_key_forms_read_as(mul, full):
-    """Each key form reads ``mul`` as it reads the dense table ``full``, and
-    each key out of range raises IndexError."""
-    m = len(full)
-    mask = np.arange(m) % 3 == 1
-    rows, cols = np.array([[0], [m - 1], [5]]), np.array([2, -3, 7, 0])
-    for key in [4, -2, (m - 1, slice(None)), (3, slice(2, None, 5)), (slice(None), 6),
-                (slice(None), -m), (slice(m - 1, None, -4), 1),
-                (slice(1, 40, 3), slice(None, 9, 2)), (slice(None), slice(None)),
-                (slice(None, None, -1), slice(5, 2, -1)), mask,
-                (mask, 2), (3, mask), (slice(2, 20), mask), (rows, cols), (rows, slice(1, 4))]:
-        assert np.array_equal(mul[key], full[key]), key
-    for key in [m, -m - 1, (0, m), (np.array([1, m]), 0), (0, np.array([-m - 1])),
-                mask[1:], (0, mask[1:]), (slice(None), m), (1, 2, 3)]:
-        with pytest.raises(IndexError):
-            mul[key]
-
-
 def test_quotient_product_key_forms_match_the_dense_read_out(monkeypatch):
     monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
     g = hb.hat_gamma_n(4).table
     q, _ = gc.quotient_by_normal(g, gc.center(g))
     assert isinstance(q.mul, gc.InducedMul)
-    _assert_key_forms_read_as(q.mul, dense(q))
+    assert_key_forms_read_as(q.mul, dense(q))
 
 
 def _half_turn(n):
@@ -626,7 +608,7 @@ def test_subgroup_table_key_forms_match_the_dense_read_out(monkeypatch, make):
     g, s = make()
     sub, idx = gc.subgroup_table(g, s)
     assert isinstance(sub.mul, gc.InducedMul)
-    _assert_key_forms_read_as(sub.mul, _induced_oracle(g, idx))
+    assert_key_forms_read_as(sub.mul, _induced_oracle(g, idx))
 
 
 def test_quotient_certificate_rejects_wrong_cosets(monkeypatch):

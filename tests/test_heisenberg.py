@@ -11,7 +11,7 @@ from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex import surface_groups as sg
 from abindex.errors import CapExceeded, DetNotOne, OddModulus
-from helpers import dense, digit_tree, same, seeded_triples, traced_peak
+from helpers import assert_key_forms_read_as, dense, digit_tree, same, seeded_triples, traced_peak
 
 FH = np.array(hb.CHI_MATRIX)  # the matrix of the twist
 IDENTITY = (0, 0, 0)
@@ -450,21 +450,7 @@ def test_word_table_key_forms_match_the_dense_read_out(monkeypatch, build):
     monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)
     g = build()
     assert isinstance(g.mul, gc.WordMul)
-    m = g.order
-    full = dense(g)
-    mask = np.arange(m) % 3 == 1
-    rows, cols = np.array([[0], [m - 1], [5]]), np.array([2, -3, 7, 0])
-    for key in [4, -2, (m - 1, slice(None)), (3, slice(2, None, 5)), (slice(None), 6),
-                (slice(None), -m), (slice(m - 1, None, -4), 1), (slice(1, 40, 3), slice(None, 9, 2)),
-                (slice(None), slice(None)), (slice(None, None, -1), slice(5, 2, -1)), mask,
-                (mask, 2), (3, mask), (slice(2, 20), mask), (rows, cols), (rows, slice(1, 4))]:
-        assert np.array_equal(g.mul[key], full[key]), key
-    for key in [m, -m - 1, (0, m), (np.array([1, m]), 0), (0, np.array([-m - 1])),
-                mask[1:], (0, mask[1:]), (slice(None), m)]:
-        with pytest.raises(IndexError):
-            full[key]
-        with pytest.raises(IndexError):
-            g.mul[key]
+    assert_key_forms_read_as(g.mul, dense(g))
 
 
 def test_family_labels_are_made_on_first_read(monkeypatch):
