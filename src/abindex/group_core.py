@@ -195,7 +195,8 @@ class GroupTable:
 
 
 class SubgroupMask:
-    """A subset of element indices closed under the group law."""
+    """A subset of element indices closed under the group law.  It memoizes
+    its greedy generators (``gens``), which validating it computes."""
 
     def __init__(self, owner: GroupTable, bits: np.ndarray, _validated: bool = False):
         bits = np.asarray(bits, dtype=bool)
@@ -216,8 +217,15 @@ class SubgroupMask:
             raise ValueError("subgroup mask must contain the identity")
         if self.size == g.order:
             return
-        if not np.array_equal(_greedy_generators(g, self.bits)[1], self.bits):
+        gens, sub = _greedy_generators(g, self.bits)
+        if not np.array_equal(sub, self.bits):
             raise ValueError("mask not closed under multiplication")
+        self.__dict__["gens"] = tuple(gens)
+
+    @cached_property
+    def gens(self) -> tuple[int, ...]:
+        """Each the smallest member outside the closure of those before it."""
+        return tuple(_greedy_generators(self.owner, self.bits)[0])
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
@@ -229,8 +237,7 @@ class SubgroupMask:
         """Exact in O(|S| |H|): a member commuting with each generator s of
         H centralizes H, so H is abelian when every member does."""
         g, idx = self.owner, self.indices()
-        return all(np.array_equal(g.mul[idx, s], g.mul[s, idx])
-                   for s in _greedy_generators(g, self.bits)[0])
+        return all(np.array_equal(g.mul[idx, s], g.mul[s, idx]) for s in self.gens)
 
     def __eq__(self, other) -> bool:
         return (
@@ -279,9 +286,6 @@ class Homomorphism:
 
     def image_mask(self) -> SubgroupMask:
         return SubgroupMask(self.target, self._image_bits())
-
-    def kernel_mask(self) -> SubgroupMask:
-        return SubgroupMask(self.source, np.asarray(self.map) == self.target.identity)
 
     def is_injective(self) -> bool:
         return int(np.count_nonzero(self._image_bits())) == self.source.order
@@ -520,16 +524,6 @@ def table_to_json(g: GroupTable) -> dict:
     return doc
 
 
-def table_from_json(doc: dict) -> GroupTable:
-    mul = np.asarray(doc["mul"], dtype=np.int64)
-    g = GroupTable(mul, labels=doc.get("labels"))
-    if doc["order"] != g.order:
-        raise ValueError(f"declared order {doc['order']}, table order {g.order}")
-    if g.identity != 0:
-        raise ValueError("interchange format requires the identity at index 0")
-    return g
-
-
 # ---------------------------------------------------------------------------
 # subgroup machinery
 
@@ -567,16 +561,6 @@ def _grow(bits: np.ndarray, frontier: np.ndarray, images: Callable) -> None:
         pos = np.arange(len(prods))
         slot[prods] = pos
         frontier = prods[slot[prods] == pos]
-
-
-def _centralizer_bits(g: GroupTable, xs: Iterable[int]) -> np.ndarray:
-    """Mask of the elements commuting with every x in ``xs``, read from
-    contiguous rows: column x of the table is g x = (x^-1 g^-1)^-1."""
-    inv = g.inv
-    bits = np.ones(g.order, dtype=bool)
-    for x in xs:
-        bits &= g.mul[x] == inv[g.mul[inv[x]][inv]]
-    return bits
 
 
 def _greedy_generators(g: GroupTable, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -643,16 +627,6 @@ def center(g: GroupTable) -> SubgroupMask:
     return SubgroupMask(g, np.bincount(g._classes)[g._classes] == 1, _validated=True)
 
 
-def centralizer(g: GroupTable, s) -> SubgroupMask:
-    """Elements commuting with every element of ``s`` (mask or index set), that
-    is with the greedy generators of a mask; ValueError for an index outside G."""
-    if isinstance(s, SubgroupMask):
-        xs, _ = _greedy_generators(g, s.bits)
-    else:
-        xs = _checked_indices(g, s)
-    return SubgroupMask(g, _centralizer_bits(g, xs), _validated=True)
-
-
 def commutators(g: GroupTable, a, b) -> np.ndarray:
     """a b a^-1 b^-1 on broadcast index arrays, in the table dtype."""
     return g.mul[g.mul[a, b], g.mul[g.inv[a], g.inv[b]]]
@@ -674,12 +648,17 @@ def all_element_orders(g: GroupTable) -> np.ndarray:
     return g._orders
 
 
-def exponent(g: GroupTable) -> int:
-    return int(np.lcm.reduce(all_element_orders(g)))
+def _member_orders(g: GroupTable | SubgroupMask) -> np.ndarray:
+    """The element orders of a table, or of a mask's members, read off its owner's."""
+    if isinstance(g, SubgroupMask):
+        return all_element_orders(g.owner)[g.bits]
+    return all_element_orders(g)
 
 
-def is_cyclic(g: GroupTable) -> bool:
-    return bool(all_element_orders(g).max() == g.order)
+def is_cyclic(g: GroupTable | SubgroupMask) -> bool:
+    """Whether some member's order is the group's, for a table or a mask."""
+    orders = _member_orders(g)
+    return bool(orders.max() == len(orders))
 
 
 def is_normal(g: GroupTable, s: SubgroupMask) -> bool:
@@ -692,7 +671,7 @@ def is_normal(g: GroupTable, s: SubgroupMask) -> bool:
 def _cosets(g: GroupTable, s: SubgroupMask) -> tuple[np.ndarray, np.ndarray]:
     """The smallest element of each coset x N, the identity's first and then
     ascending, and the map from each element to its coset's position."""
-    labels = _orbit_minima([g.mul[:, x] for x in _greedy_generators(g, s.bits)[0]], g.order)
+    labels = _orbit_minima([g.mul[:, x] for x in s.gens], g.order)
     reps = np.flatnonzero(labels == np.arange(g.order))
     e_rep = labels[g.identity]
     reps = np.concatenate([[e_rep], reps[reps != e_rep]])
@@ -963,15 +942,18 @@ def _element_fingerprints(g: GroupTable) -> np.ndarray:
 
 def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]:
     """The full automorphism group, as read-only permutations of the element
-    indices, enumerated by generator images.
+    indices in ascending order, enumerated by generator images.
 
-    Candidate images are filtered by an order/centralizer fingerprint; each
-    candidate tuple is extended to a total map along the Cayley graph and
-    kept only if it verifies as a bijective homomorphism.
+    Candidate images are filtered by an order/centralizer fingerprint.  The
+    candidate tuples are extended to total maps along the Cayley graph a
+    block at a time (at most ``_BLOCK_ELEMS`` entries), one gather per edge
+    for all of the block's maps, and a map is kept when it is a bijective
+    homomorphism, checked on the generator rows as ``Homomorphism.verify``
+    does (each map fixes the identity).
     """
     if g.order > cap:
         raise CapExceeded(f"automorphism enumeration capped at order {cap}")
-    gens = g.gens.tolist()
+    n, gens = g.order, g.gens.tolist()
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
     # every element as a word in the generators: b = gens[v] * p, p found before b
@@ -984,29 +966,27 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]
                 seen.add(b)
                 found.append(b)
                 steps.append((b, p, v))
-    out: list[np.ndarray] = []
-    img = np.full(g.order, -1, dtype=np.int64)
-    img_of_gen = [0] * len(gens)
-
-    def assign(depth: int) -> None:
-        if depth == len(gens):
-            img[g.identity] = g.identity
-            for b, p, v in steps:
-                img[b] = g.mul[img_of_gen[v], img[p]]
-            if (np.bincount(img, minlength=g.order) != 1).any():
-                return
-            if Homomorphism(g, g, img).verify():
-                perm = img.copy()
-                perm.flags.writeable = False
-                out.append(perm)
-            return
-        for y in candidates[depth]:
-            img_of_gen[depth] = int(y)
-            assign(depth + 1)
-
-    assign(0)
-    out.sort(key=lambda perm: perm.tolist())
-    return out
+    shape = [len(c) for c in candidates]
+    total, rows = math.prod(shape), max(1, _BLOCK_ELEMS // n)
+    kept = []
+    for lo in range(0, total, rows):
+        tuples = np.unravel_index(np.arange(lo, min(total, lo + rows)), shape)
+        images = [c[t] for c, t in zip(candidates, tuples)]
+        img = np.empty((n, len(images[0])), dtype=np.int64)  # column j: the j-th map
+        img[g.identity] = g.identity
+        for b, p, v in steps:
+            img[b] = g.mul[images[v], img[p]]
+        hit = np.zeros(img.shape, dtype=bool)
+        hit[img, np.arange(img.shape[1])] = True
+        ok = hit.all(axis=0)
+        for r in gens:
+            ok &= (img[g.mul[r]] == g.mul[img[r], img]).all(axis=0)
+        kept.append(img.T[ok])
+    perms = np.concatenate(kept)
+    del kept  # the blocks go before the sorted copy is made
+    perms = perms[np.lexsort(perms.T[::-1])]
+    perms.flags.writeable = False
+    return list(perms)
 
 
 def sigma_orbit(
@@ -1076,22 +1056,33 @@ def sylow(g: GroupTable, p: int) -> SubgroupMask:
     return cur
 
 
-def abelian_invariant_factors(g: GroupTable) -> list[int]:
-    """Invariant factors n1 >= n2 >= ... of a finite abelian group.
+def abelian_invariant_factors(g: GroupTable | SubgroupMask) -> list[int]:
+    """Invariant factors n1 >= n2 >= ... of a finite abelian group, a table
+    or a mask, read off its element orders.
 
-    Brute force: a maximal-order element spans a direct summand, so peel it
-    off by quotienting and repeat.
+    In the product of the Z/n_i, the x with x^m = 1 number prod gcd(m, n_i).
+    So for a prime p (an element order, by Cauchy) the count at m = p^k is
+    p^(s_k), and s_k - s_(k-1) of the n_i are divisible by p^k: each of the
+    first that many gains a factor p.
     """
     if not g.is_abelian():
         raise ValueError("invariant factors need an abelian group")
+    orders = _member_orders(g)
+    top = int(np.lcm.reduce(orders))
     factors: list[int] = []
-    cur = g
-    while cur.order > 1:
-        orders = all_element_orders(cur)
-        top = int(orders.max())
-        x = int(np.flatnonzero(orders == top)[0])
-        factors.append(top)
-        cur, _ = quotient_by_normal(cur, closure(cur, [x]))
+    for p in np.flatnonzero(np.bincount(orders)).tolist():
+        if prime_power_base(p) != p:
+            continue
+        prev, q = 0, p
+        while top % q == 0:
+            count = int(np.count_nonzero(q % orders == 0))
+            s = round(math.log(count, p))
+            if p ** s != count:
+                raise ValueError("element orders are not those of an abelian group")
+            factors += [1] * (s - prev - len(factors))
+            for i in range(s - prev):
+                factors[i] *= p
+            prev, q = s, q * p
     return factors
 
 
@@ -1102,10 +1093,3 @@ def abelian_invariant_factors(g: GroupTable) -> list[int]:
 def cyclic_table(n: int, name: str = "") -> GroupTable:
     rng = np.arange(n)
     return GroupTable((rng[:, None] + rng[None, :]) % n, name=name or f"C{n}")
-
-
-def direct_product(a: GroupTable, b: GroupTable, name: str = "") -> GroupTable:
-    na, nb = a.order, b.order
-    ia, ib = np.divmod(np.arange(na * nb), nb)
-    mul = a.mul[np.ix_(ia, ia)].astype(np.int64) * nb + b.mul[np.ix_(ib, ib)]
-    return GroupTable(mul, name=name or f"{a.name}x{b.name}")

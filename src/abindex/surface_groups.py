@@ -125,8 +125,7 @@ class EsferaWitness:
     inverting_element: Optional[int]
 
     def __post_init__(self):
-        sub, _ = subgroup_table(self.h_prime.owner, self.h_prime)
-        if sub.order < 2 or not is_cyclic(sub):
+        if self.h_prime.size < 2 or not is_cyclic(self.h_prime):
             raise HypothesisViolation("witness subgroup must be nontrivial cyclic")
 
 
@@ -163,8 +162,9 @@ def esfera_witness(g: GroupTable, kind: RotationGroupKind) -> EsferaWitness:
     return EsferaWitness(mask, count, inverting)
 
 
-def p_group_on_sphere_is_cyclic(p: int, g: GroupTable) -> bool:
-    """Whether a p-group (p > 2) acting on the sphere is cyclic.
+def p_group_on_sphere_is_cyclic(p: int, g: GroupTable | SubgroupMask) -> bool:
+    """Whether a p-group (p > 2) acting on the sphere, a table or a subgroup
+    mask, is cyclic.
 
     The caller asserts that g embeds in a rotation group; this decides
     cyclicity, the property the odd-prime case analysis needs.
@@ -308,8 +308,7 @@ def tor_index_bound_check(action: AffineTorusAction) -> TorIndexResult:
         raise IndexExceedsSix(f"translation subgroup has index {index}")
     if not mask.is_abelian():
         raise HypothesisViolation("translation kernel is not abelian")
-    sub, _ = subgroup_table(g, mask)
-    factors = abelian_invariant_factors(sub)
+    factors = abelian_invariant_factors(mask)
     if len(factors) > 2:
         raise HypothesisViolation("translation kernel needs more than two generators")
     return TorIndexResult(mask, index, factors)

@@ -1,5 +1,7 @@
 """Shared test helpers: reading word tables whole, their key forms, seeded coordinate triples,
-and traced memory peaks."""
+traced memory peaks, and the group fixtures and reference algorithms that only tests use
+(direct products, the JSON read-back, centralizers, exponents, kernels, and the
+quotient-chain invariant factors and recursive automorphism enumeration as oracles)."""
 
 import tracemalloc
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from abindex import group_core as gc
+from abindex.errors import CapExceeded
 
 
 def dense(g):
@@ -81,3 +84,101 @@ def assert_key_forms_read_as(mul, full):
             full[key]
         with pytest.raises(IndexError):
             mul[key]
+
+
+def direct_product(a, b, name=""):
+    """The dense table of a x b, the pair (i, j) at index i |b| + j."""
+    na, nb = a.order, b.order
+    ia, ib = np.divmod(np.arange(na * nb), nb)
+    mul = a.mul[np.ix_(ia, ia)].astype(np.int64) * nb + b.mul[np.ix_(ib, ib)]
+    return gc.GroupTable(mul, name=name or f"{a.name}x{b.name}")
+
+
+def table_from_json(doc):
+    """The table a ``gc.table_to_json`` document describes, checked: the
+    declared order matches and the identity is at index 0."""
+    mul = np.asarray(doc["mul"], dtype=np.int64)
+    g = gc.GroupTable(mul, labels=doc.get("labels"))
+    if doc["order"] != g.order:
+        raise ValueError(f"declared order {doc['order']}, table order {g.order}")
+    if g.identity != 0:
+        raise ValueError("interchange format requires the identity at index 0")
+    return g
+
+
+def centralizer(g, s):
+    """Elements commuting with every element of ``s`` (a mask, through its
+    greedy generators, or an index set); ValueError for an index outside G.
+    Read from contiguous rows: column x of the table is g x = (x^-1 g^-1)^-1."""
+    xs = s.gens if isinstance(s, gc.SubgroupMask) else gc._checked_indices(g, s)
+    bits = np.ones(g.order, dtype=bool)
+    for x in xs:
+        bits &= g.mul[x] == g.inv[g.mul[g.inv[x]][g.inv]]
+    return gc.SubgroupMask(g, bits, _validated=True)
+
+
+def exponent(g):
+    return int(np.lcm.reduce(gc.all_element_orders(g)))
+
+
+def kernel_mask(hom):
+    return gc.SubgroupMask(hom.source, np.asarray(hom.map) == hom.target.identity)
+
+
+def invariant_factors_by_quotients(g):
+    """Oracle for ``gc.abelian_invariant_factors`` on a table: a maximal-order
+    element spans a direct summand, so peel it off by quotienting and repeat."""
+    if not g.is_abelian():
+        raise ValueError("invariant factors need an abelian group")
+    factors = []
+    cur = g
+    while cur.order > 1:
+        orders = gc.all_element_orders(cur)
+        top = int(orders.max())
+        x = int(np.flatnonzero(orders == top)[0])
+        factors.append(top)
+        cur, _ = gc.quotient_by_normal(cur, gc.closure(cur, [x]))
+    return factors
+
+
+def automorphisms_by_recursion(g, cap=gc.DEFAULT_AUT_CAP):
+    """Oracle for ``gc.automorphisms``: recurse over the generator images,
+    extend each full tuple along the Cayley graph one element at a time and
+    keep it when it is a bijective homomorphism; sorted, read-only."""
+    if g.order > cap:
+        raise CapExceeded(f"automorphism enumeration capped at order {cap}")
+    gens = g.gens.tolist()
+    fp = gc._element_fingerprints(g)
+    candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
+    steps, found = [], [g.identity]
+    seen = {g.identity}
+    for p in found:
+        for v, s in enumerate(gens):
+            b = int(g.mul[s, p])
+            if b not in seen:
+                seen.add(b)
+                found.append(b)
+                steps.append((b, p, v))
+    out = []
+    img = np.full(g.order, -1, dtype=np.int64)
+    img_of_gen = [0] * len(gens)
+
+    def assign(depth):
+        if depth == len(gens):
+            img[g.identity] = g.identity
+            for b, p, v in steps:
+                img[b] = g.mul[img_of_gen[v], img[p]]
+            if (np.bincount(img, minlength=g.order) != 1).any():
+                return
+            if gc.Homomorphism(g, g, img).verify():
+                perm = img.copy()
+                perm.flags.writeable = False
+                out.append(perm)
+            return
+        for y in candidates[depth]:
+            img_of_gen[depth] = int(y)
+            assign(depth + 1)
+
+    assign(0)
+    out.sort(key=lambda perm: perm.tolist())
+    return out

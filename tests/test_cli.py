@@ -16,6 +16,7 @@ from abindex import cli
 from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex.cli import main
+from helpers import table_from_json
 
 CLAIM_KEYS = {"name", "law", "expected", "computed", "source", "pass"}
 
@@ -32,6 +33,30 @@ def run_cli(*args, timeout=600):
 
 def claims_by_name(doc):
     return {c["name"]: c for c in doc["claims"]}
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+
+@pytest.mark.parametrize("job,args", [
+    ("gamma-4", ["gamma", "--n", "4"]),
+    ("gamma-20", ["gamma", "--n", "20"]),
+    ("hat-10", ["hat-gamma", "--n", "10"]),
+    ("suite-all", ["verify", "--suite", "all", "--max-n", "8"]),
+])
+def test_reports_match_the_pinned_verdicts(job, args):
+    """The jobs whose verdicts ``bench/golden.json`` pins: the exit code, and
+    each pinned claim's expected, computed and pass; an unpinned claim may
+    only inform."""
+    pinned = json.loads(GOLDEN.read_text())[job]
+    proc = run_cli(*args)
+    assert proc.returncode == pinned["exit"], proc.stderr[-2000:]
+    claims = json.loads(proc.stdout)["claims"]
+    by_name = claims_by_name({"claims": claims})
+    assert len(by_name) == len(claims)
+    for name, want in pinned["claims"].items():
+        assert {key: by_name[name][key] for key in want} == want, name
+    assert all(c["pass"] is None for name, c in by_name.items() if name not in pinned["claims"])
 
 
 def test_gamma_command_passes():
@@ -371,8 +396,6 @@ def test_dump_group_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["order"] == 27
     assert doc["labels"][0] == "A(0,0,0)"
-    from abindex.group_core import table_from_json
-
     assert table_from_json(doc).order == 27
 
 

@@ -3,6 +3,7 @@
 import ast
 import gc as garbage
 import itertools
+import math
 import os
 import weakref
 
@@ -16,7 +17,9 @@ from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
 from abindex.errors import CapExceeded, InvalidInput, NotNormal, PrimeDoesNotDivide, SearchTimeout
-from helpers import assert_key_forms_read_as, dense, digit_places, digit_tree, traced_peak
+from helpers import (assert_key_forms_read_as, automorphisms_by_recursion, centralizer, dense,
+                     digit_places, digit_tree, direct_product, exponent,
+                     invariant_factors_by_quotients, kernel_mask, table_from_json, traced_peak)
 
 
 def perm_group(points, gens, name="", cap=gc.DEFAULT_ORDER_CAP):
@@ -256,7 +259,7 @@ def test_table_rejects_a_corrupted_table_above_order_512():
     doc = gc.table_to_json(hb.gamma_n(9))
     doc["mul"] = _corrupted_gamma_9().tolist()
     with pytest.raises(ValueError, match="not associative"):
-        gc.table_from_json(doc)
+        table_from_json(doc)
 
 
 def _small_tables():
@@ -264,7 +267,7 @@ def _small_tables():
     three entries off the identity's row and column overwritten."""
     bases = [gc.cyclic_table(d) for d in range(1, 9)]
     bases += [s3()[0], dihedral(4), quaternion_group()]
-    bases += [gc.direct_product(gc.cyclic_table(2), gc.cyclic_table(d)) for d in (2, 4)]
+    bases += [direct_product(gc.cyclic_table(2), gc.cyclic_table(d)) for d in (2, 4)]
 
     def edit(base, perm, edits):
         d = base.order
@@ -383,7 +386,7 @@ def test_table_rejects_missing_identity():
 def test_json_round_trip():
     g, _ = s3()
     doc = gc.table_to_json(g)
-    g2 = gc.table_from_json(doc)
+    g2 = table_from_json(doc)
     assert g2.order == g.order
     assert np.array_equal(dense(g2), dense(g))
     assert g2.labels == g.labels
@@ -395,7 +398,7 @@ def test_word_table_json_round_trip(monkeypatch, make):
     monkeypatch.setattr(gc, "_DENSE_WORD_ORDER", 0)  # every family table a word table
     g = make()
     assert isinstance(g.mul, gc.WordMul)
-    g2 = gc.table_from_json(gc.table_to_json(g))
+    g2 = table_from_json(gc.table_to_json(g))
     assert isinstance(g2.mul, np.ndarray)
     assert np.array_equal(g2.mul, dense(g))
     assert g2.labels == g.labels and np.array_equal(g2.inv, g.inv)
@@ -409,14 +412,14 @@ def test_json_rejects_identity_off_zero():
     inv_perm = np.argsort(perm)
     shuffled = perm[np.asarray(doc["mul"])[np.ix_(inv_perm, inv_perm)]]
     with pytest.raises(ValueError):
-        gc.table_from_json({"order": 3, "mul": shuffled.tolist()})
+        table_from_json({"order": 3, "mul": shuffled.tolist()})
 
 
 def test_json_rejects_wrong_order():
     doc = gc.table_to_json(gc.cyclic_table(3))
     doc["order"] = 4
     with pytest.raises(ValueError):
-        gc.table_from_json(doc)
+        table_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +474,15 @@ def test_commutator_s3_is_rotations():
 
 def test_centralizer_identity_and_full():
     g, _ = s3()
-    assert gc.centralizer(g, [g.identity]).size == 6
+    assert centralizer(g, [g.identity]).size == 6
     full = gc.SubgroupMask(g, np.ones(6, dtype=bool))
-    assert gc.centralizer(g, full) == gc.center(g)
+    assert centralizer(g, full) == gc.center(g)
 
 
 def test_closure_and_centralizer_reject_an_index_outside_the_group():
     g = sg.rotation_group(sg.OCTA)
     for bad in (-1, g.order):
-        for op in (gc.closure, gc.centralizer):
+        for op in (gc.closure, centralizer):
             with pytest.raises(ValueError, match="out of range"):
                 op(g, [0, bad])
 
@@ -490,7 +493,7 @@ def test_quotient_s3_by_rotations():
     q, hom = gc.quotient_by_normal(g, comm)
     assert q.order == 2
     assert hom.verify()
-    assert hom.kernel_mask() == comm
+    assert kernel_mask(hom) == comm
     assert hom.is_surjective()
 
 
@@ -685,8 +688,8 @@ def test_element_orders_and_exponent():
     assert orders[g.identity] == 1
     assert orders[idx[(1, 0, 2)]] == 2
     assert orders[idx[(1, 2, 0)]] == 3
-    assert gc.exponent(g) == 6
-    assert gc.exponent(gc.cyclic_table(8)) == 8
+    assert exponent(g) == 6
+    assert exponent(gc.cyclic_table(8)) == 8
 
 
 def test_element_orders_are_computed_once_and_read_only():
@@ -699,12 +702,114 @@ def test_element_orders_are_computed_once_and_read_only():
 
 def test_abelian_invariant_factors():
     assert gc.abelian_invariant_factors(gc.cyclic_table(12)) == [12]
-    z6xz2 = gc.direct_product(gc.cyclic_table(6), gc.cyclic_table(2))
+    z6xz2 = direct_product(gc.cyclic_table(6), gc.cyclic_table(2))
     assert gc.abelian_invariant_factors(z6xz2) == [6, 2]
-    z2cube = gc.direct_product(
-        gc.direct_product(gc.cyclic_table(2), gc.cyclic_table(2)), gc.cyclic_table(2)
+    z2cube = direct_product(
+        direct_product(gc.cyclic_table(2), gc.cyclic_table(2)), gc.cyclic_table(2)
     )
     assert gc.abelian_invariant_factors(z2cube) == [2, 2, 2]
+    for moduli, factors in [([], []), ([12], [12]), ([6, 2], [6, 2]), ([4, 6], [12, 2]),
+                            ([2, 3, 4, 5], [60, 2]), ([8, 4, 2], [8, 4, 2]),
+                            ([9, 3, 3], [9, 3, 3]), ([5, 25], [25, 5]), ([1, 7], [7])]:
+        g = cyclic_product(moduli)
+        assert gc.abelian_invariant_factors(g) == factors, moduli
+        assert invariant_factors_by_quotients(g) == invariant_factors_of_moduli(moduli) == factors
+    with pytest.raises(ValueError):
+        gc.abelian_invariant_factors(s3()[0])
+
+
+def cyclic_product(moduli):
+    """The dense table of Z/m_1 x ... x Z/m_k on the mixed-radix codes."""
+    order = math.prod(moduli)
+    codes = np.arange(order)
+    mul = np.zeros((order, order), dtype=np.int64)
+    place = 1
+    for m in reversed(moduli):
+        d = codes // place % m
+        mul += (d[:, None] + d[None, :]) % m * place
+        place *= m
+    return gc.GroupTable(mul, name="x".join(f"C{m}" for m in moduli))
+
+
+def invariant_factors_of_moduli(moduli):
+    """The invariant factors of Z/m_1 x ... x Z/m_k from the prime powers of the m_i."""
+    factors = []
+    for p in range(2, max(moduli, default=1) + 1):
+        if gc.prime_power_base(p) != p:
+            continue
+        powers = sorted((math.gcd(m, p ** 20) for m in moduli), reverse=True)
+        factors += [1] * (len(powers) - len(factors))
+        factors = [f * q for f, q in zip(factors, powers)]
+    return [f for f in factors if f > 1]
+
+
+@st.composite
+def _moduli(draw):
+    """Cyclic orders whose product is at most 200."""
+    out, room = [], 200
+    while room >= 2 and draw(st.booleans()):
+        out.append(draw(st.integers(2, room)))
+        room //= out[-1]
+    return out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_moduli())
+def test_invariant_factors_property_on_cyclic_products(moduli):
+    g = cyclic_product(moduli)
+    assert (gc.abelian_invariant_factors(g) == invariant_factors_by_quotients(g)
+            == invariant_factors_of_moduli(moduli))
+    everything = gc.SubgroupMask(g, np.ones(g.order, dtype=bool))
+    assert gc.abelian_invariant_factors(everything) == invariant_factors_by_quotients(g)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_invariant_factors_of_the_heisenberg_central_quotients(n):
+    gammaB = qp.gamma_central_data(n).gammaB
+    assert gc.abelian_invariant_factors(gammaB) == invariant_factors_by_quotients(gammaB) == [n, n]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_invariant_factors_of_the_translation_kernels_read_on_the_mask(n):
+    g = hb.b_n_components(n).table
+    k, _, _ = gc.code_digits((6, n, n))
+    kernel = gc.SubgroupMask(g, k == 0)
+    sub, _ = gc.subgroup_table(g, kernel)
+    assert gc.abelian_invariant_factors(kernel) == invariant_factors_by_quotients(sub)
+    assert gc.abelian_invariant_factors(kernel) == ([n, n] if n > 1 else [])
+
+
+@pytest.mark.parametrize("make", [lambda: s3()[0], a4, s4, lambda: dihedral(6), quaternion_group,
+                                  lambda: hb.gamma_n(2), lambda: hb.b_n_components(2).table,
+                                  lambda: sg.rotation_group(sg.dihedral_kind(5))],
+                         ids=["S3", "A4", "S4", "D6", "Q8", "Gamma2", "B2", "D10"])
+def test_mask_cyclicity_and_invariants_equal_the_subgroup_tables(make):
+    g = make()
+    seen = set()
+    for mask in all_subgroup_masks(g):
+        sub, _ = gc.subgroup_table(g, mask)
+        assert gc.is_cyclic(mask) == gc.is_cyclic(sub)
+        seen.add(gc.is_cyclic(mask))
+        if mask.is_abelian():
+            assert gc.abelian_invariant_factors(mask) == invariant_factors_by_quotients(sub)
+    assert seen == {True, False}
+
+
+def test_a_mask_keeps_the_generators_its_validation_grew(monkeypatch):
+    g = hb.gamma_n(6)
+    grown = []
+    greedy = gc._greedy_generators
+    monkeypatch.setattr(gc, "_greedy_generators",
+                        lambda h, bits: grown.append(h) or greedy(h, bits))
+    z = gc.SubgroupMask(g, gc.center(g).bits.copy())
+    assert grown == [g]
+    assert z.gens == tuple(greedy(g, z.bits)[0])
+    assert z.is_abelian() and centralizer(g, z).size == g.order
+    gc.quotient_by_normal(g, z)
+    assert grown.count(g) == 1  # the quotient's own table grows only its generators
+    center = gc.center(g)  # given validated: the generators are grown on first read, once
+    assert center.gens == z.gens and center.is_abelian()
+    assert grown.count(g) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +820,8 @@ def test_min_abelian_index_abelian_groups():
     """The root records Z(G) = G and has nothing to branch on."""
     c2 = gc.cyclic_table(2)
     for g in (gc.cyclic_table(1), gc.cyclic_table(7), gc.cyclic_table(12),
-              gc.direct_product(gc.cyclic_table(4), gc.cyclic_table(6)),
-              gc.direct_product(gc.direct_product(c2, c2), c2)):
+              direct_product(gc.cyclic_table(4), gc.cyclic_table(6)),
+              direct_product(direct_product(c2, c2), c2)):
         res = gc.min_abelian_index(g)
         assert res.index == 1
         assert res.witness.bits.all()
@@ -755,7 +860,7 @@ def test_min_abelian_index_cross_checked_on_diverse_groups():
         hb.b_n_components(2).table,
         hb.b_n_components(3).table,
         hb.hat_gamma_n(2).table,
-        gc.direct_product(s3()[0], gc.cyclic_table(4)),
+        direct_product(s3()[0], gc.cyclic_table(4)),
     ]
     for g in groups:
         res = gc.min_abelian_index(g)
@@ -838,10 +943,49 @@ def test_automorphisms_s3_matches_brute_force():
 
 
 def test_automorphisms_klein_four():
-    v4 = gc.direct_product(gc.cyclic_table(2), gc.cyclic_table(2))
+    v4 = direct_product(gc.cyclic_table(2), gc.cyclic_table(2))
     auts = gc.automorphisms(v4)
     assert len(auts) == 6
     assert len(auts) == brute_force_automorphism_count(v4)
+
+
+def _automorphism_groups():
+    kinds = [sg.cyclic_kind(2), sg.cyclic_kind(3), sg.cyclic_kind(5), sg.cyclic_kind(6),
+             sg.dihedral_kind(3), sg.dihedral_kind(4), sg.dihedral_kind(5), sg.dihedral_kind(6),
+             sg.TETRA, sg.OCTA, sg.ICOSA]
+    out = [pytest.param(lambda k=k: sg.rotation_group(k), id=str(k)) for k in kinds]
+    out += [pytest.param(lambda n=n: hb.b_n_components(n).table, id=f"B{n}") for n in range(1, 5)]
+    out += [pytest.param(lambda n=n: hb.gamma_n(n), id=f"Gamma{n}") for n in range(2, 5)]
+    out.append(pytest.param(lambda: hb.hat_gamma_n(2).table, id="HatGamma2"))
+    # here some candidate tuples extend to bijections that are not homomorphisms
+    out.append(pytest.param(lambda: direct_product(s3()[0], gc.cyclic_table(3)), id="S3xC3"))
+    return out + [pytest.param(lambda: direct_product(a4(), gc.cyclic_table(2)), id="A4xC2")]
+
+
+@pytest.mark.parametrize("make", _automorphism_groups())
+def test_automorphisms_equal_the_recursive_enumeration(make):
+    """Byte for byte, in order: the same maps, sorted, as read-only int64 arrays."""
+    g = make()
+    auts = gc.automorphisms(g)
+    assert [p.tobytes() for p in auts] == [p.tobytes() for p in automorphisms_by_recursion(g)]
+    assert all(p.dtype == np.int64 and not p.flags.writeable for p in auts)
+
+
+def test_automorphisms_of_c2_to_the_fourth_extend_blocks_not_every_candidate():
+    """Aut(C2^4) is GL(4, 2), of order 20,160, found among the 15^4 = 50,625
+    tuples of images of the four generators.  The maps are extended and
+    checked a block of 4,096 at a time, so what the enumeration holds beside
+    its result (the sorted maps and their row views, 5.0 MB) is a fraction of
+    one int64 array of every candidate's images."""
+    c2 = gc.cyclic_table(2)
+    v = direct_product(direct_product(c2, c2), direct_product(c2, c2))
+    assert len(v.gens) == 4
+    auts, peak = traced_peak(lambda: gc.automorphisms(v))
+    assert len(auts) == 20160 and len({p.tobytes() for p in auts}) == 20160
+    assert all(gc.Homomorphism(v, v, p).verify() for p in auts[::997])
+    every_candidate = 50625 * v.order * 8
+    _, held = traced_peak(lambda: list(np.array(auts)))
+    assert peak < every_candidate and peak - held < every_candidate // 4
 
 
 def test_automorphisms_cap():
@@ -960,7 +1104,7 @@ def _differential_groups():
         hat = hb.hat_gamma_n(n)
         out.append(pytest.param(hat.table, [hat.theta], id=f"HatGamma{n}"))
     s3 = sg.rotation_group(sg.dihedral_kind(3))
-    out.append(pytest.param(gc.direct_product(s3, gc.cyclic_table(3)), [], id="D6xC3"))
+    out.append(pytest.param(direct_product(s3, gc.cyclic_table(3)), [], id="D6xC3"))
     return out
 
 
@@ -1000,7 +1144,7 @@ def test_morphism_check_covers_every_generator():
     # (a, b) -> (f(a), b) respects left multiplication by C3 but not by S3,
     # since f swaps a transposition and a 3-cycle of S3
     s3 = sg.rotation_group(sg.dihedral_kind(3))
-    g = gc.direct_product(s3, gc.cyclic_table(3))
+    g = direct_product(s3, gc.cyclic_table(3))
     orders = gc.all_element_orders(s3)
     f = np.arange(6)
     two, three = np.flatnonzero(orders == 2)[0], np.flatnonzero(orders == 3)[0]
@@ -1029,7 +1173,7 @@ _SEARCHED = [
     lambda: hb.hat_gamma_n(2).table,
     lambda: hb.b_n_components(3).table,
     lambda: sg.rotation_group(sg.OCTA),
-    lambda: gc.direct_product(sg.rotation_group(sg.dihedral_kind(3)), gc.cyclic_table(3)),
+    lambda: direct_product(sg.rotation_group(sg.dihedral_kind(3)), gc.cyclic_table(3)),
 ]
 _SEARCHED_IDS = ["Gamma3", "HatGamma2", "B3", "octa", "D6xC3"]
 
@@ -1152,7 +1296,7 @@ def test_min_abelian_index_property_on_permutation_groups(perms):
     assert res.index == g.order // best
     assert res.witness.size == best and res.witness.is_abelian()
     # a largest abelian subgroup is maximal, so it is its own centralizer
-    assert gc.centralizer(g, res.witness) == res.witness
+    assert centralizer(g, res.witness) == res.witness
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -1230,7 +1374,7 @@ def _orders_by_powers(g):
 
 def _check_class_structure(g):
     assert np.array_equal(gc.all_element_orders(g), _orders_by_powers(g))
-    center = gc._centralizer_bits(g, g.gens)
+    center = centralizer(g, g.gens).bits
     assert np.array_equal(gc.center(g).bits, center)
     assert g.is_abelian() == bool(center.all())
 

@@ -8,7 +8,7 @@ from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
 from abindex.errors import HypothesisViolation, NotCentral, QuotientNotAbelian
-from helpers import traced_peak
+from helpers import direct_product, traced_peak
 
 
 def s3():
@@ -164,7 +164,7 @@ def test_biadditivity_on_generators_equals_all_triples(n):
     if n == "S3":
         data = pairing_on_itself(s3())
     elif n == "S3xC2":
-        data = pairing_on_itself(gc.direct_product(s3(), gc.cyclic_table(2)))
+        data = pairing_on_itself(direct_product(s3(), gc.cyclic_table(2)))
     else:
         data = qp.gamma_central_data(n)
     Q, mB, mg = qp.q_table(data), data.gammaB.mul, data.g.mul
@@ -198,8 +198,8 @@ def test_dc_bound_abelian_degenerate():
 
 
 def test_dc_hypotheses_enforced():
-    z2cube = gc.direct_product(
-        gc.direct_product(gc.cyclic_table(2), gc.cyclic_table(2)), gc.cyclic_table(2)
+    z2cube = direct_product(
+        direct_product(gc.cyclic_table(2), gc.cyclic_table(2)), gc.cyclic_table(2)
     )
     data = qp.central_data_from(z2cube, gc.closure(z2cube, [z2cube.identity]))
     with pytest.raises(HypothesisViolation):
