@@ -112,7 +112,7 @@ def cmd_gamma(args) -> int:
         gc.check_table_order(g.order)  # refuse a table too large to write before the search
     center = gc.center(g)
     comm = gc.commutator_subgroup(g)
-    res = gc.min_abelian_index(g, budget_s=args.budget_s)
+    res = gc.min_abelian_index(gc.quotient_by_normal(g, center)[1], budget_s=args.budget_s)
     rep.check("order", "the mod-n group has n^3 elements", n**3, g.order, "closed-form")
     rep.check("center-order", "the center has n elements", n, center.size, "closed-form")
     rep.check("commutator-equals-center", "commutator subgroup and center coincide",
@@ -132,7 +132,8 @@ def cmd_hat_gamma(args) -> int:
     hat = hb.hat_gamma_n(n, cap=args.cap)
     if args.dump_group:
         gc.check_table_order(hat.order)  # refuse a table too large to write before the search
-    res = gc.min_abelian_index(hat.table, budget_s=args.budget_s)
+    res = gc.min_abelian_index(gc.quotient_by_normal(hat.table, gc.center(hat.table))[1],
+                               budget_s=args.budget_s)
     rep.info("order", "computed order of the twisted closure", hat.order, "enumeration")
     rep.check("theta-onto", "projection onto the order-6 quotient is a surjective homomorphism",
               True, hat.theta.verify() and hat.theta_surjective, "enumeration")
@@ -240,7 +241,7 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> 
         pull_index = qp.abelian_pullback(data).index
         rep.check(f"pullback-meets-search-n{n}",
                   "cyclic-pullback index equals the searched minimal abelian index",
-                  gc.min_abelian_index(data.g, budget_s=budget_s).index, pull_index,
+                  gc.min_abelian_index(data.eta, budget_s=budget_s).index, pull_index,
                   "enumeration")
         if n == 6:
             ordB = gc.all_element_orders(data.gammaB)

@@ -23,7 +23,8 @@ try:
 except ImportError:  # Windows: no resource module, no address-space limit to read
     resource = None
 
-from .errors import CapExceeded, InvalidInput, NotNormal, PrimeDoesNotDivide, SearchTimeout
+from .errors import (CapExceeded, InvalidInput, NotCentral, NotNormal, PrimeDoesNotDivide,
+                     SearchTimeout)
 
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_AUT_CAP = 120
@@ -758,7 +759,7 @@ def _divisors(n: int) -> list[int]:
 
 class _AbelianSearch:
     """Branch and bound for the largest abelian subgroup, run on the quotient
-    Q = G/Z by a central subgroup Z: the center, unless ``central`` is given
+    Q = G/Z by a central subgroup Z, given by its projection ``eta`` with lifts
     (the tests' reference runs it on G itself, modulo the trivial subgroup).
 
     Every maximal abelian subgroup of G contains Z(G) and so Z; whether two
@@ -789,13 +790,10 @@ class _AbelianSearch:
     deterministic.
     """
 
-    def __init__(self, g: GroupTable, deadline: Optional[float],
-                 central: Optional[SubgroupMask] = None):
-        z = center(g) if central is None else central
-        self.q, proj = quotient_by_normal(g, z)
-        self.g, self.lifts, self.proj = g, proj.lifts, proj.map
-        self.z_order = z.size
+    def __init__(self, eta: Homomorphism, deadline: Optional[float]):
+        self.g, self.q, self.lifts = eta.source, eta.target, eta.lifts
         self.n = self.q.order
+        self.z_order = self.g.order // self.n
         self.deadline = deadline
         self.orders = all_element_orders(self.q)
         self.best_size = 0
@@ -897,20 +895,26 @@ class _AbelianSearch:
                 self.root_classes += 1
 
 
-def min_abelian_index(g: GroupTable, budget_s: Optional[float] = None) -> AbelianIndexResult:
-    """Exact minimal index of an abelian subgroup, with a maximal witness.
+def min_abelian_index(eta: Homomorphism, budget_s: Optional[float] = None) -> AbelianIndexResult:
+    """Exact minimal index of an abelian subgroup of G, with a maximal witness.
 
-    Deterministic branch and bound over commuting extensions, run on the
-    central quotient G/Z(G) (``_AbelianSearch``).  The witness is the
-    preimage of the best subgroup of the quotient, checked abelian on G.
-    When ``budget_s`` is given and exceeded, SearchTimeout is raised instead
-    of returning a partial answer; it carries the order of the incumbent, at
-    least that of the center.
+    Deterministic branch and bound over commuting extensions, run on G/Z for
+    a central Z (``_AbelianSearch``).  ``eta`` is the projection onto G/Z that
+    ``quotient_by_normal`` built; NotCentral if Z is not central, InvalidInput
+    unless each lift lies over its own element.  The witness is the preimage
+    of the best subgroup of G/Z, checked abelian on G.  When ``budget_s`` is
+    given and exceeded, SearchTimeout is raised instead of returning a
+    partial answer; it carries the order of the incumbent, at least |Z|.
     """
     t0 = time.monotonic()
-    search = _AbelianSearch(g, None if budget_s is None else t0 + float(budget_s))
+    g, proj = eta.source, eta.map
+    if eta.lifts is None or not np.array_equal(proj[eta.lifts], np.arange(eta.target.order)):
+        raise InvalidInput("the search needs a projection with a lift over each element")
+    if not center(g).bits[proj == eta.target.identity].all():
+        raise NotCentral("the projection's kernel is not central")
+    search = _AbelianSearch(eta, None if budget_s is None else t0 + float(budget_s))
     search.run()
-    witness = SubgroupMask(g, search.best_mask[search.proj])
+    witness = SubgroupMask(g, search.best_mask[proj])
     if (not witness.is_abelian() or witness.size != search.z_order * search.best_size
             or g.order % witness.size != 0):
         raise RuntimeError("abelian search produced an invalid witness")

@@ -88,12 +88,6 @@ def gamma_elem_index(n: int, x, y, z):
     return ((x % n) * n + (y % n)) * n + (z % n)
 
 
-def gamma_center_mask(g: GroupTable, n: int) -> SubgroupMask:
-    bits = np.zeros(g.order, dtype=bool)
-    bits[gamma_elem_index(n, 0, 0, np.arange(n))] = True
-    return SubgroupMask(g, bits)
-
-
 # ---------------------------------------------------------------------------
 # the extended group generated by Gamma_n and the twist
 

@@ -30,7 +30,7 @@ from .group_core import (
     prime_power_base,
     quotient_by_normal,
 )
-from .heisenberg import gamma_center_mask, gamma_n
+from .heisenberg import gamma_n
 
 
 @dataclass
@@ -57,7 +57,7 @@ def central_data_from(g: GroupTable, gamma0: SubgroupMask) -> CentralData:
 def gamma_central_data(n: int, cap: int = DEFAULT_ORDER_CAP) -> CentralData:
     """The mod-n Heisenberg group over its center; quotient is (Z_n)^2."""
     g = gamma_n(n, cap=cap)
-    return central_data_from(g, gamma_center_mask(g, n))
+    return central_data_from(g, center(g))
 
 
 def q_pair(data: CentralData, a: int, b: int) -> int:

@@ -1,7 +1,8 @@
 """Shared test helpers: reading word tables whole, their key forms, seeded coordinate triples,
-traced memory peaks, and the group fixtures and reference algorithms that only tests use
-(direct products, the JSON read-back, centralizers, exponents, kernels, and the
-quotient-chain invariant factors and recursive automorphism enumeration as oracles)."""
+traced memory peaks, the central projection the abelian search takes, and the group
+fixtures and reference algorithms that only tests use (direct products, the JSON
+read-back, centralizers, exponents, kernels, and the quotient-chain invariant factors
+and recursive automorphism enumeration as oracles)."""
 
 import tracemalloc
 
@@ -84,6 +85,11 @@ def assert_key_forms_read_as(mul, full):
             full[key]
         with pytest.raises(IndexError):
             mul[key]
+
+
+def center_projection(g):
+    """The projection of ``g`` onto G/Z(G), the input of ``gc.min_abelian_index``."""
+    return gc.quotient_by_normal(g, gc.center(g))[1]
 
 
 def direct_product(a, b, name=""):

@@ -17,7 +17,7 @@ from abindex import jordan_bounds as jb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
 from abindex.errors import OddModulus
-from helpers import same, seeded_triples
+from helpers import center_projection, same, seeded_triples
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -46,7 +46,7 @@ def test_criterion_1_gamma_structure():
         witness = gc.SubgroupMask(g, bits)
         if not (witness.is_abelian() and witness.size == n * n):
             problems.append(f"explicit witness broken at n={n}")
-        res = gc.min_abelian_index(g, budget_s=300)
+        res = gc.min_abelian_index(center_projection(g), budget_s=300)
         if res.index != n:
             problems.append(f"min_index({n})={res.index}")
     elapsed = time.monotonic() - t0
@@ -63,7 +63,7 @@ def test_criterion_2_extended_group_sharpness():
     for n in (8, 10):
         t0 = time.monotonic()
         hat = hb.hat_gamma_n(n)
-        res = gc.min_abelian_index(hat.table, budget_s=300)
+        res = gc.min_abelian_index(center_projection(hat.table), budget_s=300)
         elapsed = time.monotonic() - t0
         details.append(
             f"n={n}: order={hat.order}, theta-kernel={hat.theta_kernel_order}, "

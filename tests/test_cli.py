@@ -229,6 +229,25 @@ def test_verify_q_suite_small():
     assert any(c["name"].startswith("q-biadditive") for c in doc["claims"])
 
 
+def test_the_q_suite_builds_each_quotient_once(monkeypatch, capsys):
+    # the search runs on the pairing's own projection onto G/Z(G); it builds no second copy
+    induced = []
+    init = gc.GroupTable.__init__
+
+    def recording(self, mul, *args, **kwargs):
+        if isinstance(mul, gc.InducedMul):
+            induced.append((mul.g, mul._left.copy()))
+        init(self, mul, *args, **kwargs)
+
+    monkeypatch.setattr(gc.GroupTable, "__init__", recording)
+    assert main(["verify", "--suite", "q", "--max-n", "8"]) == 0
+    capsys.readouterr()
+    assert induced
+    for i, (g, lifts) in enumerate(induced):
+        for h, other in induced[:i]:
+            assert not (g is h and np.array_equal(lifts, other)), g.name
+
+
 def test_verify_esfera_suite():
     proc = run_cli("verify", "--suite", "esfera")
     assert proc.returncode == 0

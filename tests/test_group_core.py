@@ -16,9 +16,10 @@ from abindex import group_core as gc
 from abindex import heisenberg as hb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
-from abindex.errors import CapExceeded, InvalidInput, NotNormal, PrimeDoesNotDivide, SearchTimeout
-from helpers import (assert_key_forms_read_as, automorphisms_by_recursion, centralizer, dense,
-                     digit_places, digit_tree, direct_product, exponent,
+from abindex.errors import (CapExceeded, InvalidInput, NotCentral, NotNormal, PrimeDoesNotDivide,
+                            SearchTimeout)
+from helpers import (assert_key_forms_read_as, automorphisms_by_recursion, center_projection,
+                     centralizer, dense, digit_places, digit_tree, direct_product, exponent,
                      invariant_factors_by_quotients, kernel_mask, table_from_json, traced_peak)
 
 
@@ -822,7 +823,7 @@ def test_min_abelian_index_abelian_groups():
     for g in (gc.cyclic_table(1), gc.cyclic_table(7), gc.cyclic_table(12),
               direct_product(gc.cyclic_table(4), gc.cyclic_table(6)),
               direct_product(direct_product(c2, c2), c2)):
-        res = gc.min_abelian_index(g)
+        res = gc.min_abelian_index(center_projection(g))
         assert res.index == 1
         assert res.witness.bits.all()
         assert res.nodes_explored == 1
@@ -830,7 +831,7 @@ def test_min_abelian_index_abelian_groups():
 
 def test_min_abelian_index_s3():
     g, _ = s3()
-    res = gc.min_abelian_index(g)
+    res = gc.min_abelian_index(center_projection(g))
     assert res.index == 2
     assert res.witness.size == 3
     assert res.witness.is_abelian()
@@ -840,7 +841,7 @@ def test_min_abelian_index_s3():
                                            (lambda: dihedral(7), 2)])
 def test_min_abelian_index_matches_brute_force(make, expected):
     g = make()
-    res = gc.min_abelian_index(g)
+    res = gc.min_abelian_index(center_projection(g))
     oracle = brute_force_max_abelian(g)
     assert res.witness.size == oracle
     assert res.index == g.order // oracle
@@ -863,7 +864,7 @@ def test_min_abelian_index_cross_checked_on_diverse_groups():
         direct_product(s3()[0], gc.cyclic_table(4)),
     ]
     for g in groups:
-        res = gc.min_abelian_index(g)
+        res = gc.min_abelian_index(center_projection(g))
         assert res.witness.size == brute_force_max_abelian(g), g.name
         assert g.order % res.witness.size == 0
 
@@ -880,7 +881,7 @@ def test_min_abelian_index_against_full_subgroup_lattice():
               hb.b_n_components(3).table, *rotations):
         subgroups = all_subgroup_masks(g)
         best = max(m.size for m in subgroups if m.is_abelian())
-        res = gc.min_abelian_index(g)
+        res = gc.min_abelian_index(center_projection(g))
         assert res.witness.size == best, g.name
         assert res.index == g.order // best
         classes = len(np.unique(gc.conjugacy_class_labels(g)))
@@ -890,7 +891,7 @@ def test_min_abelian_index_against_full_subgroup_lattice():
 def test_quaternion_group_structure():
     q8 = quaternion_group()
     assert gc.center(q8).size == 2
-    assert gc.min_abelian_index(q8).index == 2
+    assert gc.min_abelian_index(center_projection(q8)).index == 2
     assert len(gc.automorphisms(q8)) == 24
     orders = gc.all_element_orders(q8)
     profile = {int(o): int(np.count_nonzero(orders == o)) for o in np.unique(orders)}
@@ -899,22 +900,36 @@ def test_quaternion_group_structure():
 
 def test_min_abelian_index_monotone_on_witness():
     g = a5()
-    res = gc.min_abelian_index(g)
+    res = gc.min_abelian_index(center_projection(g))
     sub, _ = gc.subgroup_table(g, res.witness)
-    assert gc.min_abelian_index(sub).index == 1
+    assert gc.min_abelian_index(center_projection(sub)).index == 1
 
 
 def test_min_abelian_index_timeout_is_distinct():
     g = a5()
-    gc.min_abelian_index(g)  # a second search runs afresh under its own budget
+    eta = center_projection(g)
+    gc.min_abelian_index(eta)  # a second search runs afresh under its own budget
     with pytest.raises(SearchTimeout):
-        gc.min_abelian_index(g, budget_s=-1.0)
+        gc.min_abelian_index(eta, budget_s=-1.0)
+
+
+def test_min_abelian_index_refuses_what_it_cannot_trust():
+    g, _ = s3()
+    a3 = gc.closure(g, [int(np.flatnonzero(gc.all_element_orders(g) == 3)[0])])
+    eta = gc.quotient_by_normal(g, a3)[1]  # A3 is normal, not central
+    with pytest.raises(NotCentral):
+        gc.min_abelian_index(eta)
+    eta = center_projection(g)  # onto S3 itself: the center is trivial
+    with pytest.raises(InvalidInput):
+        gc.min_abelian_index(gc.Homomorphism(g, eta.target, eta.map))  # no lifts
+    with pytest.raises(InvalidInput):  # each lift over another element
+        gc.min_abelian_index(gc.Homomorphism(g, eta.target, eta.map, eta.lifts[::-1]))
 
 
 def test_searched_table_is_freed_without_cyclic_gc():
     # the search leaves nothing on the table that refers back to it
     g = hb.b_n_components(3).table
-    res = gc.min_abelian_index(g)
+    res = gc.min_abelian_index(center_projection(g))
     ref = weakref.ref(g)
     garbage.disable()
     try:
@@ -1158,7 +1173,8 @@ def test_morphism_check_covers_every_generator():
 def _searches(g):
     """The search on G/Z(G) and the same search forced onto G itself."""
     trivial = gc.closure(g, [g.identity])
-    return [gc._AbelianSearch(g, None), gc._AbelianSearch(g, None, trivial)]
+    return [gc._AbelianSearch(center_projection(g), None),
+            gc._AbelianSearch(gc.quotient_by_normal(g, trivial)[1], None)]
 
 
 def _lifted_commuting(search):
@@ -1242,8 +1258,8 @@ def _check_quotient_search(g):
     equal indices, and a witness that contains Z(G), is abelian on G and is
     the preimage of its image in G/Z(G)."""
     z = gc.center(g)
-    res = gc.min_abelian_index(g)
-    on_g = gc._AbelianSearch(g, None, gc.closure(g, [g.identity]))
+    res = gc.min_abelian_index(center_projection(g))
+    on_g = gc._AbelianSearch(gc.quotient_by_normal(g, gc.closure(g, [g.identity]))[1], None)
     on_g.run()
     assert res.index == g.order // on_g.best_size
     assert (res.quotient_order * z.size, on_g.n) == (g.order, g.order)
@@ -1275,7 +1291,7 @@ def test_a_search_above_the_dense_order_builds_no_quotient_table():
     # |Q|^2 table (2.77 MB)
     g = hb.hat_gamma_n(14, cap=40_000).table
     gc.center(g)  # the table's memoized classes, built before the trace
-    res, peak = traced_peak(lambda: gc.min_abelian_index(g))
+    res, peak = traced_peak(lambda: gc.min_abelian_index(center_projection(g)))
     assert (res.index, res.quotient_order) == (84, 1_176)
     assert peak < res.quotient_order**2 * 2, peak
 
@@ -1292,7 +1308,7 @@ def _perm_groups():
 def test_min_abelian_index_property_on_permutation_groups(perms):
     g = perm_group(len(perms[0]), perms)
     best = max(m.size for m in abelian_subgroups(g))
-    res = gc.min_abelian_index(g)
+    res = gc.min_abelian_index(center_projection(g))
     assert res.index == g.order // best
     assert res.witness.size == best and res.witness.is_abelian()
     # a largest abelian subgroup is maximal, so it is its own centralizer
@@ -1416,6 +1432,6 @@ def test_divisors_match_brute_force():
 def test_search_work_is_pinned(make, expected):
     """Index, nodes, root classes, commutation rows and quotient order of two
     searches (on G itself they were (20, 36, 591, 35) and (60, 7, 158, 6))."""
-    res = gc.min_abelian_index(make())
+    res = gc.min_abelian_index(center_projection(make()))
     assert (res.index, res.nodes_explored, res.root_classes, res.centralizers,
             res.quotient_order) == expected
