@@ -131,19 +131,19 @@ def cmd_hat_gamma(args) -> int:
     _check_dump_target(args.dump_group)
     hat = hb.hat_gamma_n(n, cap=args.cap)
     if args.dump_group:
-        gc.check_table_order(hat.order)  # refuse a table too large to write before the search
+        gc.check_table_order(hat.table.order)  # refuse a table too large to write before the search
     res = gc.min_abelian_index(gc.quotient_by_normal(hat.table, gc.center(hat.table))[1],
                                budget_s=args.budget_s)
-    rep.info("order", "computed order of the twisted closure", hat.order, "enumeration")
+    rep.info("order", "computed order of the twisted closure", hat.table.order, "enumeration")
     rep.check("theta-onto", "projection onto the order-6 quotient is a surjective homomorphism",
-              True, hat.theta.verify() and hat.theta_surjective, "enumeration")
+              True, hat.theta.verify() and hat.theta.is_surjective(), "enumeration")
     rep.info("theta-kernel-order", "computed kernel order of the order-6 projection",
-             hat.theta_kernel_order, "enumeration")
+             hat.theta_kernel.size, "enumeration")
+    image_index = hat.table.order // hat.gamma_image.size
     rep.add("gamma-image-index", "index of the translation image divides 12",
-            "divisor of 12", hat.gamma_image_index, "enumeration",
-            12 % hat.gamma_image_index == 0)
+            "divisor of 12", image_index, "enumeration", 12 % image_index == 0)
     rep.info("gamma-image-normal", "whether the translation image is normal",
-             hat.gamma_image_normal, "enumeration")
+             gc.is_normal(hat.table, hat.gamma_image), "enumeration")
     floor = 6 * n
     if n >= 8:
         rep.add("min-abelian-index-floor",
@@ -197,12 +197,13 @@ def cmd_bound(args) -> int:
              lam, "closed-form")
     rep.info("jordan-bound", "uniform abelian-index bound max(144, 6 lambda)",
              jb.jordan_bound(s), "closed-form")
+    degrees = jb.admissible_fixed_surface_degrees(s)
     rep.info("admissible-degrees", "even degrees strictly inside the ratio window",
-             jb.admissible_fixed_surface_degrees(s), "closed-form")
+             degrees, "closed-form")
     if args.p is not None:
         adm = jb.nonabelian_p_admissible(s, args.p)
         # cross-check against the independently computed degree window
-        in_window = 2 * args.p in set(jb.admissible_fixed_surface_degrees(s))
+        in_window = 2 * args.p in degrees
         rep.check("p-admissible",
                   "a nonabelian p-group occurs exactly when 2p fits the degree window",
                   in_window, adm.admissible, "closed-form")

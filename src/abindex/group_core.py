@@ -54,8 +54,9 @@ class GroupTable:
     two derived arrays, both read-only: its conjugacy classes, from which the
     center, ``is_abelian`` and the search root are read
     (``conjugacy_class_labels``), and its element orders
-    (``all_element_orders``).  ``labels`` is a list, or a
-    function of no arguments that makes it on first read.
+    (``all_element_orders``).  ``gens`` are its greedy generators, as a
+    ``SubgroupMask`` of every element has them, read-only.  ``labels`` is a
+    list, or a function of no arguments that makes it on first read.
     """
 
     def __init__(
@@ -89,7 +90,9 @@ class GroupTable:
         self._labels = labels
         self.identity = self._find_identity()
         self.inv = self._build_inverse_table()
-        self.gens = self._find_generators()
+        self.gens = np.array(_greedy_generators(self, np.ones(order, dtype=bool))[0],
+                             dtype=np.intp)
+        self.gens.flags.writeable = False
         if not certified:
             self._check_associativity()
 
@@ -118,22 +121,6 @@ class GroupTable:
         ):
             raise ValueError("inverse law fails; table is not a group")
         return inv
-
-    def _find_generators(self) -> np.ndarray:
-        """Generators picked greedily in index order, then pruned.
-
-        A generator of ``_greedy_generators`` is dropped when the others still
-        generate the group, so no member of the result is redundant.  The
-        result is not always of minimal size.
-        """
-        gens, _ = _greedy_generators(self, np.ones(self.order, dtype=bool))
-        for x in list(gens):
-            rest = [y for y in gens if y != x]
-            if closure(self, rest).size == self.order:
-                gens = rest
-        out = np.array(gens, dtype=np.intp)
-        out.flags.writeable = False
-        return out
 
     @property
     def labels(self) -> Optional[list[str]]:
@@ -589,10 +576,11 @@ def _conjugation_orbits(g: GroupTable, gens: Sequence[int], bits: np.ndarray) ->
     the whole group); the orbits are ``_orbit_minima`` of the conjugation maps.
     """
     idx = np.flatnonzero(bits)
-    gens = np.asarray(gens, dtype=np.intp)
     pos = np.zeros(g.order, dtype=np.intp)
     pos[idx] = np.arange(len(idx))
-    labels = _orbit_minima(pos[g.mul[g.mul[np.ix_(gens, idx)], g.inv[gens][:, None]]], len(idx))
+    # one map per generator: one |gens| x |bits| block of products peaks higher
+    maps = [pos[g.mul[g.mul[s, idx], g.inv[s]]] for s in gens]
+    labels = _orbit_minima(maps, len(idx))
     out = np.arange(g.order)
     out[idx] = idx[labels]  # idx is ascending, so the smallest position is the smallest index
     return out
@@ -953,11 +941,20 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]
     block at a time (at most ``_BLOCK_ELEMS`` entries), one gather per edge
     for all of the block's maps, and a map is kept when it is a bijective
     homomorphism, checked on the generator rows as ``Homomorphism.verify``
-    does (each map fixes the identity).
+    does (each map fixes the identity).  The candidates are a product over
+    the generators, so a generator the others generate is dropped first.
     """
     if g.order > cap:
         raise CapExceeded(f"automorphism enumeration capped at order {cap}")
     n, gens = g.order, g.gens.tolist()
+    if n == 1:
+        perm = np.zeros(1, dtype=np.int64)
+        perm.flags.writeable = False
+        return [perm]
+    for x in list(gens):
+        rest = [y for y in gens if y != x]
+        if closure(g, rest).size == n:
+            gens = rest
     fp = _element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
     # every element as a word in the generators: b = gens[v] * p, p found before b

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,10 +23,8 @@ from .group_core import (
     Homomorphism,
     SubgroupMask,
     WordMul,
-    closure,
     code_digits,
     cyclic_table,
-    is_normal,
     prime_power_base,
 )
 
@@ -102,26 +99,6 @@ class HatGroup:
     gamma_image: SubgroupMask    # image of the integral translation group
     theta_kernel: SubgroupMask
 
-    @property
-    def order(self) -> int:
-        return self.table.order
-
-    @cached_property
-    def gamma_image_normal(self) -> bool:
-        return is_normal(self.table, self.gamma_image)
-
-    @property
-    def gamma_image_index(self) -> int:
-        return self.table.order // self.gamma_image.size
-
-    @property
-    def theta_kernel_order(self) -> int:
-        return self.theta_kernel.size
-
-    @property
-    def theta_surjective(self) -> bool:
-        return self.theta.is_surjective()
-
 
 def _hat_code(n: int, x, y, z2, k):
     """Code of (x, y, z2, k) in [0, 12 n^3), with digits (k, x, y, z2) of
@@ -135,10 +112,12 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
 
     Pairs (g, k) with g half-integral mod n and k mod 6 compose as
     (g, k)(g', k') = (g * h^k(g'), k + k').  The table is composed on all
-    12 n^3 pairs, and the order is computed, not assumed: the closure of h,
-    a and b alone must be the whole set, so the half-integral central
-    elements appear (they do, for every even n, which makes the kernel of
-    the order-6 projection twice the size of the translation image).
+    12 n^3 pairs, and that h, a and b alone generate them is checked, not
+    assumed, so the half-integral central elements appear (they do, for
+    every even n, which makes the kernel of the order-6 projection twice
+    the size of the translation image).  The word table proves every pair
+    a word in h, a, b and c = (0, 0, 1/2), so one identity in the table,
+    a (h b h^-1) b^-1 = c, puts c in <h, a, b> and makes it the whole set.
     """
     if n < 2 or n % 2 != 0:
         raise OddModulus("the extended group needs an even modulus >= 2")
@@ -154,7 +133,9 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     table = GroupTable(WordMul(gen_rows, radices, (k, x, y, z2)), name=f"HatGamma_{n}",
                        labels=lambda: [f"A({a},{b},{_format_half(c)})h^{d}" for a, b, c, d
                                        in zip(x.tolist(), y.tolist(), z2.tolist(), k.tolist())])
-    if closure(table, [int(r[0]) for r in gen_rows[:3]]).size != ambient:
+    h, a, b, c = (int(r[0]) for r in gen_rows)
+    mul, inv = table.mul, table.inv
+    if mul[mul[a, mul[mul[h, b], inv[h]]], inv[b]] != c:
         raise RuntimeError(f"h, a and b do not generate all {ambient} pairs")
     theta = Homomorphism(table, cyclic_table(6, name="C6"), k)
     gamma_image = SubgroupMask(table, (k == 0) & (z2 % 2 == 0))

@@ -6,8 +6,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInput, PrimeTooSmall, ZeroArea
+from .errors import CapExceeded, InvalidInput, PrimeTooSmall, ZeroArea
 from .group_core import prime_power_base
+
+MAX_DEGREE_WINDOW = 1 << 20  # most degrees the fixed-surface window may list
+MAX_PRIME = 1 << 40  # the primality test trial-divides up to sqrt(p): about 2^20 steps here
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,10 @@ def nonabelian_p_admissible(s: SymplecticShape, p: int) -> PAdmissibility:
 
     Admissible exactly when 2p <= lambda; the witness is the mod-2p
     Heisenberg group, whose Sylow-p subgroup has the extraspecial
-    exponent-p presentation.
+    exponent-p presentation.  CapExceeded for p >= ``MAX_PRIME``.
     """
+    if p >= MAX_PRIME:
+        raise CapExceeded(f"primes are tested below {MAX_PRIME}, not {p}")
     if p < 2 or prime_power_base(p) != p:
         raise InvalidInput(f"{p} is not prime")
     if p <= 3:
@@ -85,7 +90,12 @@ def nonabelian_p_admissible(s: SymplecticShape, p: int) -> PAdmissibility:
 
 
 def admissible_fixed_surface_degrees(s: SymplecticShape) -> list[int]:
-    """Even degrees d with |d| strictly below |2 alpha / beta|, ascending."""
+    """Even degrees d with |d| strictly below |2 alpha / beta|, ascending;
+    CapExceeded, before the list is built, when they number more than
+    ``MAX_DEGREE_WINDOW``."""
     lam = lambda_of(s)
     top = lam if lam % 2 == 0 else 0
+    if top + 1 > MAX_DEGREE_WINDOW:
+        raise CapExceeded(f"the degree window holds {top + 1} degrees, "
+                          f"above the {MAX_DEGREE_WINDOW} listed at most")
     return list(range(-top, top + 1, 2))

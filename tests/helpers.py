@@ -150,10 +150,16 @@ def invariant_factors_by_quotients(g):
 def automorphisms_by_recursion(g, cap=gc.DEFAULT_AUT_CAP):
     """Oracle for ``gc.automorphisms``: recurse over the generator images,
     extend each full tuple along the Cayley graph one element at a time and
-    keep it when it is a bijective homomorphism; sorted, read-only."""
+    keep it when it is a bijective homomorphism; sorted, read-only.  The
+    table's greedy generators are pruned first, largest first, to a set
+    that no proper subset of generates."""
     if g.order > cap:
         raise CapExceeded(f"automorphism enumeration capped at order {cap}")
     gens = g.gens.tolist()
+    for x in reversed(g.gens.tolist()):
+        rest = [y for y in gens if y != x]
+        if gc.closure(g, rest).size == g.order:
+            gens = rest
     fp = gc._element_fingerprints(g)
     candidates = [np.flatnonzero(fp == fp[x]) for x in gens]
     steps, found = [], [g.identity]

@@ -66,7 +66,7 @@ def test_criterion_2_extended_group_sharpness():
         res = gc.min_abelian_index(center_projection(hat.table), budget_s=300)
         elapsed = time.monotonic() - t0
         details.append(
-            f"n={n}: order={hat.order}, theta-kernel={hat.theta_kernel_order}, "
+            f"n={n}: order={hat.table.order}, theta-kernel={hat.theta_kernel.size}, "
             f"min_index={res.index} (floor {6 * n}), {elapsed:.1f}s"
         )
         if res.index < 6 * n:

@@ -125,6 +125,34 @@ def test_bound_command_table():
     assert claims["p-admissible"]["computed"] is True
 
 
+def test_bound_lists_a_degree_window_up_to_its_cap():
+    """lambda = 2^20 - 2 gives a window of 2^20 - 1 degrees, listed; lambda =
+    2^20 gives 2^20 + 1, refused with one error document before any list is
+    built, as is the 2 * 10^6 + 1 of alpha = 10^6."""
+    proc = run_cli("bound", "--alpha", str(1 << 19), "--beta", "1", "--p", "5")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    claims = claims_by_name(json.loads(proc.stdout))
+    assert claims["lambda"]["computed"] == (1 << 20) - 2
+    assert claims["admissible-degrees"]["computed"] == list(range(2 - (1 << 20), 1 << 20, 2))
+    assert claims["p-admissible"]["pass"] is True
+    for alpha in (str((1 << 19) + 1), "1000000"):
+        proc = run_cli("bound", "--alpha", alpha, "--beta", "1", timeout=60)
+        assert proc.returncode == 3, alpha
+        assert set(json.loads(proc.stdout)) == {"command", "error"}
+        assert "Traceback" not in proc.stderr
+
+
+def test_bound_refuses_a_prime_too_large_to_test():
+    """2^61 - 1 is prime, but trial division to its square root would not
+    end: it is refused at 2^40 before the test.  A prime below runs."""
+    proc = run_cli("bound", "--alpha", "5", "--beta", "1", "--p", str((1 << 61) - 1), timeout=20)
+    assert proc.returncode == 3
+    assert set(json.loads(proc.stdout)) == {"command", "error"}
+    proc = run_cli("bound", "--alpha", "5", "--beta", "1", "--p", "1000000007", timeout=20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert claims_by_name(json.loads(proc.stdout))["p-admissible"]["computed"] is False
+
+
 def test_bound_rejects_zero_area():
     proc = run_cli("bound", "--alpha", "0", "--beta", "1")
     assert proc.returncode == 2

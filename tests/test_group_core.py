@@ -667,7 +667,7 @@ def test_subgroup_mask_accepts_exactly_the_subgroups(make):
 def test_subgroup_mask_rejects_a_kernel_missing_one_element():
     hat = hb.hat_gamma_n(4)
     kernel = hat.theta_kernel.bits
-    assert gc.SubgroupMask(hat.table, kernel).size == hat.theta_kernel_order
+    assert gc.SubgroupMask(hat.table, kernel).size == hat.theta_kernel.size
     for x in np.flatnonzero(kernel)[1::37]:
         bits = kernel.copy()
         bits[x] = False
@@ -969,6 +969,7 @@ def _automorphism_groups():
              sg.dihedral_kind(3), sg.dihedral_kind(4), sg.dihedral_kind(5), sg.dihedral_kind(6),
              sg.TETRA, sg.OCTA, sg.ICOSA]
     out = [pytest.param(lambda k=k: sg.rotation_group(k), id=str(k)) for k in kinds]
+    out.append(pytest.param(lambda: gc.cyclic_table(1), id="C1"))
     out += [pytest.param(lambda n=n: hb.b_n_components(n).table, id=f"B{n}") for n in range(1, 5)]
     out += [pytest.param(lambda n=n: hb.gamma_n(n), id=f"Gamma{n}") for n in range(2, 5)]
     out.append(pytest.param(lambda: hb.hat_gamma_n(2).table, id="HatGamma2"))

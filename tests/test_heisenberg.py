@@ -237,16 +237,42 @@ def test_hat_rejects_odd_modulus():
 @pytest.mark.parametrize("n", [2, 4])
 def test_hat_structure(n):
     hat = hb.hat_gamma_n(n)
-    assert hat.order == 12 * n**3  # closure picks up half-integral rotations
-    assert hat.theta_surjective
+    assert hat.table.order == 12 * n**3  # closure picks up half-integral rotations
+    assert hat.theta.is_surjective()
     assert hat.theta.verify()
     assert hat.gamma_image.size == n**3
-    assert hat.gamma_image_index == 12
-    assert hat.theta_kernel_order == 2 * n**3
+    assert hat.table.order // hat.gamma_image.size == 12
+    assert hat.theta_kernel.size == 2 * n**3
     assert gc.is_normal(hat.table, hat.theta_kernel)
     # conjugating by the twist generator moves integral translations to
     # half-integral ones, so the translation image itself is not normal
-    assert hat.gamma_image_normal is False
+    assert gc.is_normal(hat.table, hat.gamma_image) is False
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_h_a_and_b_generate_the_twisted_closure(n):
+    """The enumeration twin of the word identity ``hat_gamma_n`` checks."""
+    hat = hb.hat_gamma_n(n)
+    h, a, b = hb._hat_code(n, 0, 0, 0, 1), hb._hat_code(n, 1, 0, 0, 0), hb._hat_code(n, 0, 1, 0, 0)
+    assert gc.closure(hat.table, [h, a, b]).size == 12 * n**3
+
+
+def test_building_a_table_runs_no_closure(monkeypatch):
+    """Tables, derived ones included, take their greedy generators as they
+    are: no closure prunes them, and the twisted closure is checked by one
+    word identity."""
+    calls = []
+    for mod in (gc, hb, sg):
+        if hasattr(mod, "closure"):
+            monkeypatch.setattr(mod, "closure", lambda *a, f=mod.closure: calls.append(a) or f(*a))
+    g = hb.gamma_n(6)
+    gc.quotient_by_normal(g, gc.center(g))
+    gc.subgroup_table(g, gc.center(g))
+    hb.hat_gamma_n(10)
+    hb.b_n_components(5)
+    sg.rotation_group(sg.ICOSA)
+    gc.cyclic_table(12)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -256,18 +282,19 @@ def test_hat_table_equals_the_law_on_all_pairs(n):
     powers = [(X, Y, Z2)]
     for _ in range(5):
         powers.append(hb._twist(n, powers[-1]))
-    for i in range(hat.order):
+    for i in range(hat.table.order):
         k = K[i]
         rx, ry, rz2 = hb._heis_law(n, (X[i], Y[i], Z2[i]), powers[k])
         row = hb._hat_code(n, rx, ry, rz2, (k + K) % 6)
         assert np.array_equal(hat.table.mul[i], row), i
 
 
-def test_greedy_generating_set_drops_redundant_generators():
-    for g in (hb.gamma_n(3), hb.gamma_n(4), hb.hat_gamma_n(2).table):
-        gens = g.gens
-        assert len(gens) == 2, g
-        assert gc.closure(g, gens).size == g.order
+def test_table_generators_are_the_greedy_generators():
+    for g in (hb.gamma_n(3), hb.gamma_n(4), hb.hat_gamma_n(2).table, hb.b_n_components(4).table):
+        every = np.ones(g.order, dtype=bool)
+        assert g.gens.tolist() == gc._greedy_generators(g, every)[0], g
+        assert g.gens.dtype == np.intp and not g.gens.flags.writeable
+        assert gc.closure(g, g.gens).size == g.order
 
 
 def test_hat_conjugation_by_twist_realizes_it():
