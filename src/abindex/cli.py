@@ -2,7 +2,7 @@
 
 Each command writes one JSON document to stdout and a human-readable claim
 summary to stderr.  Exit codes: 0 all claims pass, 1 some claim fails,
-2 usage error, 3 cap, time budget or memory exceeded.
+2 usage error, 3 a size guard, time budget or memory exceeded.
 """
 
 from __future__ import annotations
@@ -105,11 +105,9 @@ def _emit(report: VerificationReport, t0: float) -> int:
 def cmd_gamma(args) -> int:
     t0 = time.monotonic()
     n = args.n
-    rep = VerificationReport("gamma", {"n": n, "cap": args.cap})
-    _check_dump_target(args.dump_group)
-    g = hb.gamma_n(n, cap=args.cap)
-    if args.dump_group:
-        gc.check_table_order(g.order)  # refuse a table too large to write before the search
+    rep = VerificationReport("gamma", {"n": n})
+    _check_dump_target(args.dump_group, n**3)
+    g = hb.gamma_n(n)
     center = gc.center(g)
     comm = gc.commutator_subgroup(g)
     res = gc.min_abelian_index(gc.quotient_by_normal(g, center)[1], budget_s=args.budget_s)
@@ -127,11 +125,9 @@ def cmd_gamma(args) -> int:
 def cmd_hat_gamma(args) -> int:
     t0 = time.monotonic()
     n = args.n
-    rep = VerificationReport("hat-gamma", {"n": n, "cap": args.cap})
-    _check_dump_target(args.dump_group)
-    hat = hb.hat_gamma_n(n, cap=args.cap)
-    if args.dump_group:
-        gc.check_table_order(hat.table.order)  # refuse a table too large to write before the search
+    rep = VerificationReport("hat-gamma", {"n": n})
+    _check_dump_target(args.dump_group, 12 * n**3)
+    hat = hb.hat_gamma_n(n)
     res = gc.min_abelian_index(gc.quotient_by_normal(hat.table, gc.center(hat.table))[1],
                                budget_s=args.budget_s)
     rep.info("order", "computed order of the twisted closure", hat.table.order, "enumeration")
@@ -164,13 +160,15 @@ def _search_stats(res: gc.AbelianIndexResult) -> dict:
             "runtime_s": round(res.runtime_s, 4)}
 
 
-def _check_dump_target(path: Optional[str]) -> None:
-    """Reject an unwritable --dump-group path before any group is built."""
+def _check_dump_target(path: Optional[str], order: int) -> None:
+    """Reject an unwritable --dump-group path, or a table of this order too
+    large to write, before any group is built."""
     if not path:
         return
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
         raise InvalidInput(f"cannot write {path}: not a file in a writable directory")
+    gc.check_table_order(order)
 
 
 def _dump_group(path: Optional[str], table: gc.GroupTable) -> None:
@@ -217,11 +215,11 @@ def cmd_bound(args) -> int:
 # verification suites
 
 
-def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> None:
+def _suite_q(rep: VerificationReport, max_n: int, budget_s: float) -> None:
     from . import qpairing as qp
     mixed = None  # the n = 6 pairing of a 2-element with a 3-element, reported last
     for n in range(2, max_n + 1):
-        data = qp.gamma_central_data(n, cap=cap)
+        data = qp.gamma_central_data(n)
         for prop in qp.verify_q_properties(data):
             rep.check(f"q-{prop.name}-n{n}", prop.law, "pass",
                       "pass" if prop.passed else f"fail at {prop.counterexample}",
@@ -255,21 +253,17 @@ def _suite_q(rep: VerificationReport, max_n: int, budget_s: float, cap: int) -> 
                   *mixed, "enumeration")
 
 
-def _suite_esfera(rep: VerificationReport, cap: int) -> None:
+def _suite_esfera(rep: VerificationReport) -> None:
     from . import surface_groups as sg
     kinds = [
         sg.cyclic_kind(2), sg.cyclic_kind(3), sg.cyclic_kind(5), sg.cyclic_kind(6),
         sg.dihedral_kind(3), sg.dihedral_kind(4), sg.dihedral_kind(5), sg.dihedral_kind(6),
         sg.TETRA, sg.OCTA, sg.ICOSA,
     ]
-    expected_orders = {"cyclic": lambda n: n, "dihedral": lambda n: 2 * n,
-                       "tetra": lambda n: 12, "octa": lambda n: 24,
-                       "icosa": lambda n: 60}
     for kind in kinds:
-        g = sg.rotation_group(kind, cap=cap)
-        want = expected_orders[kind.tag](kind.n)
+        g = sg.rotation_group(kind)
         rep.check(f"order-{kind}", "group order of the rotation family member",
-                  want, g.order, "closed-form")
+                  kind.order, g.order, "closed-form")
         wit = sg.esfera_witness(g, kind)
         if kind.tag in ("cyclic", "dihedral"):
             rep.check(f"sigma-{kind}", "the distinguished subgroup is characteristic",
@@ -292,7 +286,7 @@ def _suite_esfera(rep: VerificationReport, cap: int) -> None:
                           "enumeration")
 
 
-def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
+def _suite_tor(rep: VerificationReport, max_n: int) -> None:
     from . import surface_groups as sg
     for bound in range(2, 11):
         rep.check(f"point-orders-bound{bound}",
@@ -300,7 +294,7 @@ def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
                   [1, 2, 3, 4, 6], sorted(sg.torus_point_orders(bound)), "enumeration")
     tor_index = {}  # reported after the fixed-point claims, from the same table
     for n in range(2, max_n + 1):
-        data = hb.b_n_components(n, cap=cap)
+        data = hb.b_n_components(n)
         t = data.table
         rep.check(f"bn-order-n{n}", "the torus extension has order 6 n^2",
                   6 * n * n, t.order, "closed-form")
@@ -323,7 +317,7 @@ def _suite_tor(rep: VerificationReport, max_n: int, cap: int) -> None:
     for n, index in tor_index.items():
         rep.check(f"tor-index-bn-n{n}", "translation subgroup of the full extension has index 6",
                   6, index, "enumeration")
-    b5 = hb.b_n_components(5, cap=cap)
+    b5 = hb.b_n_components(5)
     for name, law, want, step in (
             ("translations", "pure translations have index 1", 1, 6),
             ("halfturn", "translations plus the half turn have index 2", 2, 3)):
@@ -384,9 +378,9 @@ def _mismatches(g: tuple, h: tuple) -> int:
     return int(np.count_nonzero(np.any([u != v for u, v in zip(g, h)], axis=0)))
 
 
-def _suite_doubling(rep: VerificationReport, cap: int) -> None:
+def _suite_doubling(rep: VerificationReport) -> None:
     for p in (3, 5, 7):
-        d = hb.doubling_embed(p, cap=cap)
+        d = hb.doubling_embed(p)
         rep.check(f"doubling-hom-p{p}", "doubling is a homomorphism on all pairs",
                   True, d.verify(), "enumeration")
         rep.check(f"doubling-injective-p{p}", "doubling is injective",
@@ -405,21 +399,18 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     if args.seed < 0:
         raise InvalidInput("seed must be non-negative")
-    rep = VerificationReport(
-        "verify",
-        {"suite": args.suite, "max_n": args.max_n, "seed": args.seed,
-         "cap": args.cap, "budget_s": args.budget_s},
-    )
+    rep = VerificationReport("verify", {"suite": args.suite, "max_n": args.max_n,
+                                        "seed": args.seed, "budget_s": args.budget_s})
     if args.suite in ("q", "all"):
-        _suite_q(rep, args.max_n, args.budget_s, args.cap)
+        _suite_q(rep, args.max_n, args.budget_s)
     if args.suite in ("esfera", "all"):
-        _suite_esfera(rep, args.cap)
+        _suite_esfera(rep)
     if args.suite in ("tor", "all"):
-        _suite_tor(rep, args.max_n, args.cap)
+        _suite_tor(rep, args.max_n)
     if args.suite in ("sl2", "all"):
         _suite_sl2(rep)
     if args.suite in ("doubling", "all"):
-        _suite_doubling(rep, args.cap)
+        _suite_doubling(rep)
     return _emit(rep, t0)
 
 
@@ -435,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cap", type=int, default=gc.DEFAULT_ORDER_CAP,
-                       help="largest group order any construction may reach")
         p.add_argument("--budget-s", type=float, default=300.0,
                        help="time budget in seconds for subgroup searches")
 
@@ -479,8 +468,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if not getattr(args, "budget_s", 0) >= 0:  # also false for NaN
             raise InvalidInput("budget must be a non-negative number of seconds")
-        if getattr(args, "cap", 1) < 1:
-            raise InvalidInput("cap must be a positive group order")
         return args.func(args)
     except (CapExceeded, SearchTimeout, MemoryError) as exc:
         doc = {"command": args.command, "error": str(exc) or "out of memory"}

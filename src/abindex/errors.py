@@ -10,7 +10,7 @@ class InvalidInput(EngineError, ValueError):
 
 
 class CapExceeded(EngineError):
-    """A construction or search grew past its configured cap."""
+    """A size guard refused something too large, such as a table over the memory bound."""
 
 
 class SearchTimeout(EngineError):

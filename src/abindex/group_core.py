@@ -26,8 +26,7 @@ except ImportError:  # Windows: no resource module, no address-space limit to re
 from .errors import (CapExceeded, InvalidInput, NotCentral, NotNormal, PrimeDoesNotDivide,
                      SearchTimeout)
 
-DEFAULT_ORDER_CAP = 20_000
-DEFAULT_AUT_CAP = 120
+MAX_AUT_ORDER = 120  # largest group whose automorphisms are enumerated
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley or word table a construction allocates
 
 _BLOCK_ELEMS = 1 << 16  # elements per block in O(n^2) scans and read-outs
@@ -310,12 +309,17 @@ def _table_bytes_bound() -> tuple[int, str]:
     return MAX_TABLE_BYTES, f"{MAX_TABLE_BYTES} bytes"
 
 
-def check_table_order(m: int) -> None:
-    """The table-size guard: refuse order m, before anything of that size is
-    allocated, when its Cayley table would not fit in ``_table_bytes_bound``."""
+def check_fits(nbytes: int, thing: str) -> None:
+    """The memory guard: refuse ``thing`` with CapExceeded, before it is
+    allocated, when its ``nbytes`` would not fit in ``_table_bytes_bound``."""
     bound, what = _table_bytes_bound()
-    if m * m * np.dtype(_index_dtype(m)).itemsize > bound:
-        raise CapExceeded(f"a table of order {m} would exceed {what}")
+    if nbytes > bound:
+        raise CapExceeded(f"{thing} would exceed {what}")
+
+
+def check_table_order(m: int) -> None:
+    """The table-size guard: refuse order m when its Cayley table would not fit."""
+    check_fits(m * m * np.dtype(_index_dtype(m)).itemsize, f"a table of order {m}")
 
 
 def _along_words(maps: np.ndarray, radices: Sequence[int], starts) -> np.ndarray:
@@ -334,20 +338,25 @@ def _along_words(maps: np.ndarray, radices: Sequence[int], starts) -> np.ndarray
 
 
 def _word_build_bytes(radices: Sequence[int]) -> int:
-    """Bytes a word-table build over ``radices`` holds at its peak: the
-    caller's digits and generator rows (int64) and the ``WordMul`` (columns,
-    intp digit offsets, int64 codes) throughout, and on top the larger
-    transient: the rows' index-dtype copy and the words (one row more than
-    the generators) while the ``WordMul`` is built, or, while its table
-    checks its inverses, five int64 rows (inverses, indices, identity, codes,
-    sums), one gather's digit offsets and the gathered row.  This matches
-    tracemalloc on hat_gamma_n at n = 20 and 30."""
+    """Bytes a word table over ``radices`` holds at its peak, through its
+    build and the largest O(|G|) pass the CLI runs on it: the caller's
+    digits and generator rows (int64) and the ``WordMul`` (columns, intp
+    digit offsets, int64 codes) throughout, and on top the largest
+    transient.  Building the ``WordMul``: the rows' index-dtype copy and the
+    words (one row more).  Checking the inverses: five int64 rows (inverses,
+    indices, identity, codes, sums), one gather's digit offsets and two
+    gathered rows.  ``commutator_subgroup`` (one greedy generator per digit
+    in the coordinate families): an int64 range and a mask, and per
+    generator two products and the third's int64 lifts, digit offsets, sums
+    and two gathered rows.  This bounds tracemalloc's peak of ``gamma`` at
+    n = 40 and 60 and of ``hat-gamma`` at n = 20 and 30."""
     order, places = math.prod(radices), len(radices)
     itemsize = np.dtype(_index_dtype(order)).itemsize
     held = 8 * places + 8 * places + itemsize * sum(radices) + 8 * places + 8
     building = itemsize * places + itemsize * (places + 1)
-    checking = 8 * 5 + 8 * places + itemsize
-    return order * (held + max(building, checking))
+    checking = 8 * 5 + 8 * places + 2 * itemsize
+    commutators = 9 + places * (4 * itemsize + 16 + 8 * places)
+    return order * (held + max(building, checking, commutators))
 
 
 def code_digits(radices: Sequence[int]) -> list[np.ndarray]:
@@ -356,9 +365,7 @@ def code_digits(radices: Sequence[int]) -> list[np.ndarray]:
     (``_word_build_bytes``) would exceed ``_table_bytes_bound`` are refused
     first, before any array is built."""
     order = math.prod(radices)
-    bound, what = _table_bytes_bound()
-    if _word_build_bytes(radices) > bound:
-        raise CapExceeded(f"a word table of order {order} would exceed {what}")
+    check_fits(_word_build_bytes(radices), f"a word table of order {order}")
     places = np.cumprod([1, *radices[:0:-1]])[::-1]
     codes = np.arange(order)
     return [codes // p % r for p, r in zip(places, radices)]
@@ -932,7 +939,7 @@ def _element_fingerprints(g: GroupTable) -> np.ndarray:
     return orders * (g.order + 1) + cent_sizes
 
 
-def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]:
+def automorphisms(g: GroupTable) -> list[np.ndarray]:
     """The full automorphism group, as read-only permutations of the element
     indices in ascending order, enumerated by generator images.
 
@@ -944,8 +951,8 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]
     does (each map fixes the identity).  The candidates are a product over
     the generators, so a generator the others generate is dropped first.
     """
-    if g.order > cap:
-        raise CapExceeded(f"automorphism enumeration capped at order {cap}")
+    if g.order > MAX_AUT_ORDER:
+        raise CapExceeded(f"automorphism enumeration capped at order {MAX_AUT_ORDER}")
     n, gens = g.order, g.gens.tolist()
     if n == 1:
         perm = np.zeros(1, dtype=np.int64)
@@ -990,13 +997,11 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]
     return list(perms)
 
 
-def sigma_orbit(
-    g: GroupTable, h_prime: SubgroupMask, cap: int = DEFAULT_AUT_CAP
-) -> list[SubgroupMask]:
+def sigma_orbit(g: GroupTable, h_prime: SubgroupMask) -> list[SubgroupMask]:
     """Distinct images of a subgroup under the full automorphism group."""
     idx = h_prime.indices()
     seen: dict[bytes, np.ndarray] = {}
-    for perm in automorphisms(g, cap=cap):
+    for perm in automorphisms(g):
         bits = np.zeros(g.order, dtype=bool)
         bits[perm[idx]] = True
         seen.setdefault(bits.tobytes(), bits)

@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded, DetNotOne, InvalidInput, OddModulus
+from .errors import DetNotOne, InvalidInput, OddModulus
 from .group_core import (
-    DEFAULT_ORDER_CAP,
     GroupTable,
     Homomorphism,
     SubgroupMask,
@@ -64,18 +63,14 @@ def _format_half(z2: int) -> str:
 # the group Gamma_n
 
 
-def gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def gamma_n(n: int) -> GroupTable:
     """Heisenberg group mod n: order n^3, integral z; any n >= 2."""
     if n < 2:
         raise InvalidInput("modulus must be at least 2")
-    if n**3 > cap:
-        raise CapExceeded(f"order {n**3} exceeds cap {cap}")
     # digits (x, y, z): A(x,y,z) is the word c^z b^y a^x
     x, y, z = code_digits((n, n, n))
-    gen_rows = []
-    for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)):
-        rx, ry, rz2 = _heis_law(n, s, (x, y, 2 * z))
-        gen_rows.append(gamma_elem_index(n, rx, ry, rz2 // 2))
+    gen_rows = [gamma_elem_index(n, rx, ry, rz2 // 2) for rx, ry, rz2 in
+                (_heis_law(n, s, (x, y, 2 * z)) for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)))]
     return GroupTable(WordMul(gen_rows, (n, n, n), (x, y, z)), name=f"Gamma_{n}", labels=lambda: [
         f"A({a},{b},{c})" for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())])
 
@@ -107,7 +102,7 @@ def _hat_code(n: int, x, y, z2, k):
     return ((k * n + x) * n + y) * (2 * n) + z2
 
 
-def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
+def hat_gamma_n(n: int) -> HatGroup:
     """Closure of {(gamma, 0)} and (identity, 1) in the twisted pair group.
 
     Pairs (g, k) with g half-integral mod n and k mod 6 compose as
@@ -121,9 +116,6 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     """
     if n < 2 or n % 2 != 0:
         raise OddModulus("the extended group needs an even modulus >= 2")
-    ambient = 12 * n**3
-    if ambient > cap:
-        raise CapExceeded(f"ambient order {ambient} exceeds cap {cap}")
     # generators h, a, b and the half-integral central element (0, 0, 1/2)
     radices = (6, n, n, 2 * n)
     k, x, y, z2 = code_digits(radices)
@@ -136,7 +128,7 @@ def hat_gamma_n(n: int, cap: int = DEFAULT_ORDER_CAP) -> HatGroup:
     h, a, b, c = (int(r[0]) for r in gen_rows)
     mul, inv = table.mul, table.inv
     if mul[mul[a, mul[mul[h, b], inv[h]]], inv[b]] != c:
-        raise RuntimeError(f"h, a and b do not generate all {ambient} pairs")
+        raise RuntimeError(f"h, a and b do not generate all {table.order} pairs")
     theta = Homomorphism(table, cyclic_table(6, name="C6"), k)
     gamma_image = SubgroupMask(table, (k == 0) & (z2 % 2 == 0))
     theta_kernel = SubgroupMask(table, k == 0)
@@ -167,7 +159,7 @@ def _bn_code(n: int, k, u, v):
     return (k * n + u) * n + v
 
 
-def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
+def b_n_components(n: int) -> BnData:
     """Pair group (Z_n)^2 x Z_6 with (v,k)(v',k') = (v + chi^k v', k+k').
 
     The translation part acts on the torus by addition, the order-6 part by
@@ -177,8 +169,6 @@ def b_n_components(n: int, cap: int = DEFAULT_ORDER_CAP) -> BnData:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if 6 * n * n > cap:
-        raise CapExceeded(f"order {6 * n * n} exceeds cap {cap}")
     # digits (k, u, v) of t(u,v) chi^k; generators chi, t_a and t_b
     k, u, v = code_digits((6, n, n))
     gen_rows = [
@@ -211,12 +201,12 @@ def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:
 # doubling and SL(2,Z) lifts
 
 
-def doubling_embed(p: int, cap: int = DEFAULT_ORDER_CAP) -> Homomorphism:
+def doubling_embed(p: int) -> Homomorphism:
     """A(x,y,z) -> A(2x,2y,4z) from the mod-p group into the mod-2p group."""
     if p < 3 or prime_power_base(p) != p:
         raise ValueError("doubling needs an odd prime")
-    src = gamma_n(p, cap=cap)
-    tgt = gamma_n(2 * p, cap=cap)
+    src = gamma_n(p)
+    tgt = gamma_n(2 * p)
     x, y, z = code_digits((p, p, p))
     return Homomorphism(src, tgt, gamma_elem_index(2 * p, 2 * x, 2 * y, 4 * z))
 

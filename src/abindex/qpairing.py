@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import HypothesisViolation, NotCentral, QuotientNotAbelian
 from .group_core import (
-    DEFAULT_ORDER_CAP,
     GroupTable,
     Homomorphism,
     SubgroupMask,
@@ -23,6 +22,7 @@ from .group_core import (
     abelian_invariant_factors,
     all_element_orders,
     center,
+    check_fits,
     closure,
     commutator_subgroup,
     commutators,
@@ -31,6 +31,10 @@ from .group_core import (
     quotient_by_normal,
 )
 from .heisenberg import gamma_n
+
+# bytes per |B|^2 entry verify_q_properties holds at its peak; tracemalloc reads 82-83
+# on Gamma_n over its center at n = 12 to 31, 90.3 at n = 32 and 40 (int32 indices)
+PAIRING_BYTES_PER_ENTRY = 91
 
 
 @dataclass
@@ -54,9 +58,9 @@ def central_data_from(g: GroupTable, gamma0: SubgroupMask) -> CentralData:
     return CentralData(g, gamma0, eta, gammaB)
 
 
-def gamma_central_data(n: int, cap: int = DEFAULT_ORDER_CAP) -> CentralData:
+def gamma_central_data(n: int) -> CentralData:
     """The mod-n Heisenberg group over its center; quotient is (Z_n)^2."""
-    g = gamma_n(n, cap=cap)
+    g = gamma_n(n)
     return central_data_from(g, center(g))
 
 
@@ -142,7 +146,11 @@ def _biadditivity(data: CentralData, Q: np.ndarray) -> QProperty:
 
 def verify_q_properties(data: CentralData) -> list[QProperty]:
     """Exact check of the four pairing laws: biadditivity on generators of
-    the quotient, the other three on all pairs."""
+    the quotient, the other three on all pairs.  A quotient whose pairing
+    arrays would not fit is refused first, before any is built."""
+    nb = data.gammaB.order
+    check_fits(nb * nb * PAIRING_BYTES_PER_ENTRY,
+               f"the pairing arrays of a quotient of order {nb}")
     Q = q_table(data)
     e = data.g.identity
     ordB = all_element_orders(data.gammaB)

@@ -7,9 +7,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import CapExceeded, HypothesisViolation, IndexExceedsSix
+from .errors import HypothesisViolation, IndexExceedsSix
 from .group_core import (
-    DEFAULT_ORDER_CAP,
     GroupTable,
     SubgroupMask,
     _index_dtype,
@@ -46,6 +45,15 @@ class RotationGroupKind:
     def __str__(self) -> str:
         return f"{self.tag}:{self.n}" if self.n is not None else self.tag
 
+    @property
+    def order(self) -> int:
+        """The group's order: n, 2n, 12, 24 or 60."""
+        if self.tag == "cyclic":
+            return self.n
+        if self.tag == "dihedral":
+            return 2 * self.n
+        return {"tetra": 12, "octa": 24, "icosa": 60}[self.tag]
+
 
 TETRA = RotationGroupKind("tetra")
 OCTA = RotationGroupKind("octa")
@@ -60,11 +68,11 @@ def dihedral_kind(n: int) -> RotationGroupKind:
     return RotationGroupKind("dihedral", n)
 
 
-def _perm_group(points: int, gens: Iterable[tuple], name: str, cap: int) -> GroupTable:
+def _perm_group(points: int, gens: Iterable[tuple], name: str) -> GroupTable:
     """The group generated by permutations of ``range(points)``, its elements
     labelled and listed in breadth-first order under left multiplication
-    (identity first), its table proved by ``GroupTable``.  Raises CapExceeded
-    when the closure grows past ``cap``."""
+    (identity first), its table proved by ``GroupTable``, and refused by
+    ``check_table_order`` before it is filled."""
     gens = list(gens)
     elements = [tuple(range(points))]
     index = {elements[0]: 0}
@@ -75,8 +83,6 @@ def _perm_group(points: int, gens: Iterable[tuple], name: str, cap: int) -> Grou
             b = tuple(s[x] for x in a)  # right-to-left: (s a)(x) = s[a[x]]
             k = index.get(b)
             if k is None:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"closure exceeded cap {cap}; generator set may be wrong")
                 k = index[b] = len(elements)
                 elements.append(b)
                 parent.append(i)
@@ -93,27 +99,27 @@ def _perm_group(points: int, gens: Iterable[tuple], name: str, cap: int) -> Grou
     return GroupTable(mul, labels=[str(e) for e in elements], name=name)
 
 
-def rotation_group(kind: RotationGroupKind, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def rotation_group(kind: RotationGroupKind) -> GroupTable:
     """Concrete model of a finite rotation group, exact permutation arithmetic.
 
     The three exceptional groups are permutation-realized (even permutations
     of 4 points, all permutations of 4 points, even permutations of 5
-    points) so no irrational rotation coordinates are needed.
+    points) so no irrational rotation coordinates are needed.  A kind whose
+    table would not fit is refused by its order before any closure runs.
     """
+    check_table_order(kind.order)
     if kind.tag == "cyclic":
-        if kind.n > cap:
-            raise CapExceeded(f"order {kind.n} exceeds cap {cap}")
         return cyclic_table(kind.n, name=f"C{kind.n}")
     if kind.tag == "dihedral":
         n = kind.n
         rot = tuple((i + 1) % n for i in range(n))
         refl = tuple((-i) % n for i in range(n))
-        return _perm_group(n, [rot, refl], f"D{2 * n}", cap)
+        return _perm_group(n, [rot, refl], f"D{2 * n}")
     if kind.tag == "tetra":
-        return _perm_group(4, [(1, 0, 3, 2), (1, 2, 0, 3)], "G12", cap)
+        return _perm_group(4, [(1, 0, 3, 2), (1, 2, 0, 3)], "G12")
     if kind.tag == "octa":
-        return _perm_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)], "G24", cap)
-    return _perm_group(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], "G60", cap)
+        return _perm_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)], "G24")
+    return _perm_group(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], "G60")
 
 
 @dataclass

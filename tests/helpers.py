@@ -147,14 +147,14 @@ def invariant_factors_by_quotients(g):
     return factors
 
 
-def automorphisms_by_recursion(g, cap=gc.DEFAULT_AUT_CAP):
+def automorphisms_by_recursion(g):
     """Oracle for ``gc.automorphisms``: recurse over the generator images,
     extend each full tuple along the Cayley graph one element at a time and
     keep it when it is a bijective homomorphism; sorted, read-only.  The
     table's greedy generators are pruned first, largest first, to a set
     that no proper subset of generates."""
-    if g.order > cap:
-        raise CapExceeded(f"automorphism enumeration capped at order {cap}")
+    if g.order > gc.MAX_AUT_ORDER:
+        raise CapExceeded(f"automorphism enumeration capped at order {gc.MAX_AUT_ORDER}")
     gens = g.gens.tolist()
     for x in reversed(g.gens.tolist()):
         rest = [y for y in gens if y != x]

@@ -15,6 +15,7 @@ import pytest
 from abindex import cli
 from abindex import group_core as gc
 from abindex import heisenberg as hb
+from abindex import qpairing as qp
 from abindex.cli import main
 from helpers import table_from_json
 
@@ -163,6 +164,11 @@ def test_bound_takes_no_cap_or_budget():
         proc = run_cli("bound", "--alpha", "5", "--beta", "1", flag, value)
         assert proc.returncode == 2, flag
         assert "unrecognized arguments" in proc.stderr
+    # no command takes an order cap: the memory guards are the one size limit
+    for args in (("gamma", "--n", "4"), ("hat-gamma", "--n", "2"), ("verify", "--suite", "sl2")):
+        proc = run_cli(*args, "--cap", "100000")
+        assert proc.returncode == 2, args
+        assert "unrecognized arguments: --cap 100000" in proc.stderr
 
 
 def test_bad_input_is_a_usage_error():
@@ -174,8 +180,6 @@ def test_bad_input_is_a_usage_error():
         ("gamma", "--n", "2", "--dump-group", "/nonexistent/x.json"),
         ("gamma", "--n", "4", "--budget-s", "nan"),
         ("gamma", "--n", "4", "--budget-s", "-1"),
-        ("gamma", "--n", "4", "--cap", "-5"),
-        ("gamma", "--n", "4", "--cap", "0"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
@@ -326,22 +330,28 @@ def test_usage_error_exit_code():
 
 
 def test_cap_exit_code():
-    # the last three orders fit their caps, but their word tables are over the
-    # memory guard, and they are refused before their digit arrays are built
-    # (for gamma --n 1000 those alone would take 7.45 GiB)
-    for args in (("gamma", "--n", "30", "--cap", "1000"),
-                 ("gamma", "--n", "1000", "--cap", "10000000000"),
-                 ("hat-gamma", "--n", "200", "--cap", "10000000000"),
-                 ("hat-gamma", "--n", "100", "--cap", "100000000")):
+    # their word tables are over the memory guard, and they are refused before
+    # their digit arrays are built (for gamma --n 1000 those alone would take 7.45 GiB)
+    for args in (("gamma", "--n", "1000"), ("hat-gamma", "--n", "200"),
+                 ("hat-gamma", "--n", "100")):
         proc = run_cli(*args, timeout=60)
         assert proc.returncode == 3, args
         assert "error" in json.loads(proc.stdout)
         assert "Traceback" not in proc.stderr
 
 
+def test_hat_gamma_12_runs_with_default_flags():
+    # order 20,736: no flag is needed to build what the memory guards let through
+    proc = run_cli("hat-gamma", "--n", "12")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    claims = claims_by_name(json.loads(proc.stdout))
+    assert claims["order"]["computed"] == 20_736
+    assert claims["min-abelian-index-floor"]["pass"] is True
+
+
 def test_hat_gamma_14_reaches_the_floor():
     # order 32,928: its dense int32 table would take 4.3 GB, its word table 9.2 MB
-    proc = run_cli("hat-gamma", "--n", "14", "--cap", "40000")
+    proc = run_cli("hat-gamma", "--n", "14")
     assert proc.returncode == 0
     claims = claims_by_name(json.loads(proc.stdout))
     assert claims["order"]["computed"] == 32_928
@@ -370,31 +380,26 @@ def test_running_out_of_memory_exits_3(monkeypatch, capsys):
 
 
 def test_a_word_table_over_the_address_space_limit_is_refused_at_the_guard():
-    # hat-gamma at n = 44, 46 and 48 needs 928,164,864, 1,097,950,080 and
-    # 1,289,945,088 bytes for its word-table build (``_word_build_bytes``): in a
-    # 1 GB address space, of which the interpreter and numpy already map about
-    # 107 MB, n = 46 and 48 stop at the guard, not in a MemoryError mid-build.
-    # n = 44 is refused at the guard with only about 12 MB to spare, so where
-    # the interpreter maps less at start-up it passes the guard and runs out of
-    # memory in the first pass after the build: exit 3 either way
+    # hat-gamma at n = 44, 46 and 48 needs 1,121,362,176, 1,318,708,128 and
+    # 1,540,767,744 bytes for its word table's build and the largest pass after
+    # it (``_word_build_bytes``): in a 1 GB address space, of which the
+    # interpreter and numpy already map about 107 MB, each stops at the guard,
+    # not in a MemoryError mid-build (n = 40 needs 793,344,000 and runs)
     limit, hard = 1_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]
     if hard != resource.RLIM_INFINITY and hard < limit:
         pytest.skip("the hard address-space limit is below 1 GB")
     for n, order in ((44, 1_022_208), (46, 1_168_032), (48, 1_327_104)):
         proc = subprocess.run(
-            [sys.executable, "-m", "abindex.cli", "hat-gamma", "--n", str(n),
-             "--cap", "1400000"], capture_output=True, text=True, timeout=600,
+            [sys.executable, "-m", "abindex.cli", "hat-gamma", "--n", str(n)],
+            capture_output=True, text=True, timeout=600,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
         assert proc.returncode == 3, proc.stderr
         doc = json.loads(proc.stdout)
         assert set(doc) == {"command", "error"} and doc["command"] == "hat-gamma"
-        at_guard = re.fullmatch(
+        assert re.fullmatch(
             f"a word table of order {order} would exceed the address-space limit "
             rf"\(RLIMIT_AS\) of {limit} bytes, less \d+ bytes already mapped",
-            doc["error"])
-        out_of_memory = doc["error"] == "out of memory" or doc["error"].startswith(
-            "Unable to allocate")
-        assert at_guard or (n == 44 and out_of_memory), doc
+            doc["error"]), doc
 
 
 def test_the_cli_runs_one_blas_thread():
@@ -418,11 +423,20 @@ def test_the_cli_runs_one_blas_thread():
     assert threads_and_setting()[1] == "2"
 
 
-def test_verify_obeys_cap_in_every_suite():
-    for args in (("--suite", "esfera"), ("--suite", "q", "--max-n", "3")):
-        proc = run_cli("verify", *args, "--cap", "10")
-        assert proc.returncode == 3, args
-        assert "error" in json.loads(proc.stdout)
+def test_the_q_suite_refuses_pairing_arrays_that_do_not_fit(monkeypatch, capsys):
+    # at 91 bytes per |B|^2 entry the pairing arrays take 910,000 bytes at n = 10
+    # (|B| = 100) and 1,332,331 at n = 11, so under a 1,000,000-byte bound the suite
+    # stops at n = 11 before its pairing table is built
+    built = []
+    q_table = qp.q_table
+    monkeypatch.setattr(gc, "_table_bytes_bound", lambda: (1_000_000, "1000000 bytes"))
+    monkeypatch.setattr(qp, "q_table", lambda data: built.append(data.gammaB.order) or q_table(data))
+    assert main(["verify", "--suite", "q", "--max-n", "40"]) == 3
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"command": "verify", "error": "the pairing arrays of a "
+                               "quotient of order 121 would exceed 1000000 bytes"}
+    assert out.count("\n") == 1  # one JSON document
+    assert max(built) == 100
 
 
 def test_budget_exit_code():
@@ -449,20 +463,20 @@ def test_dump_group_round_trip(tmp_path):
 def test_dump_group_refuses_a_table_too_large_to_write(tmp_path, monkeypatch, capsys):
     # the word table of order 32,928 fits, but its dense int32 table (4.3 GB) does not
     path = tmp_path / "hat14.json"
-    proc = run_cli("hat-gamma", "--n", "14", "--cap", "40000", "--dump-group", str(path))
+    proc = run_cli("hat-gamma", "--n", "14", "--dump-group", str(path))
     assert proc.returncode == 3
     assert "would exceed" in json.loads(proc.stdout)["error"]
     assert "Traceback" not in proc.stderr
     assert not path.exists()
 
-    # the size is refused as soon as the table is built, before any structure or search
+    # the size is refused from n, before the group is built
     def unreachable(*args, **kwargs):
-        raise AssertionError("the table was searched before its size was checked")
+        raise AssertionError("the group was built before its size was checked")
 
-    monkeypatch.setattr(gc, "commutator_subgroup", unreachable)
-    monkeypatch.setattr(gc, "min_abelian_index", unreachable)
-    for command, n in (("gamma", "33"), ("hat-gamma", "14")):
-        assert main([command, "--n", n, "--cap", "40000", "--dump-group", str(path)]) == 3
+    monkeypatch.setattr(hb, "gamma_n", unreachable)
+    monkeypatch.setattr(hb, "hat_gamma_n", unreachable)
+    for command, n in (("gamma", "33"), ("hat-gamma", "14"), ("gamma", "100")):
+        assert main([command, "--n", n, "--dump-group", str(path)]) == 3
         assert "would exceed" in json.loads(capsys.readouterr().out)["error"]
     assert not path.exists()
 

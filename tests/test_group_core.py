@@ -23,8 +23,8 @@ from helpers import (assert_key_forms_read_as, automorphisms_by_recursion, cente
                      invariant_factors_by_quotients, kernel_mask, table_from_json, traced_peak)
 
 
-def perm_group(points, gens, name="", cap=gc.DEFAULT_ORDER_CAP):
-    return sg._perm_group(points, [tuple(p) for p in gens], name, cap)
+def perm_group(points, gens, name=""):
+    return sg._perm_group(points, [tuple(p) for p in gens], name)
 
 
 def perm_index(g):
@@ -175,12 +175,6 @@ def test_build_cyclic_closure():
         assert g.order == n
 
 
-def test_build_cap_exceeded():
-    assert perm_group(3, [(1, 2, 0), (1, 0, 2)], cap=6).order == 6
-    with pytest.raises(CapExceeded, match="closure exceeded cap 5"):
-        perm_group(3, [(1, 2, 0), (1, 0, 2)], cap=5)
-
-
 def test_table_order_guard(monkeypatch):
     # with no address-space limit the bound is MAX_TABLE_BYTES, whatever limit the run has
     monkeypatch.setattr(gc.resource, "getrlimit",
@@ -194,12 +188,23 @@ def test_table_order_guard(monkeypatch):
     with pytest.raises(CapExceeded, match="would exceed"):
         perm_group(8, [(1, 2, 3, 4, 5, 6, 7, 0)])
 
+    # a rotation group is refused by its known order before any closure runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the closure ran before the order was checked")
+
+    monkeypatch.setattr(sg, "_perm_group", unreachable)
+    monkeypatch.setattr(gc, "MAX_TABLE_BYTES", 60 * 60 * 2 - 1)
+    for kind in (sg.ICOSA, sg.dihedral_kind(30), sg.cyclic_kind(60)):
+        with pytest.raises(CapExceeded, match="a table of order 60 would exceed"):
+            sg.rotation_group(kind)
+
 
 def test_table_guards_respect_the_address_space_limit(monkeypatch):
-    # order 96 takes 96^2 x 2 = 18,432 bytes dense, and its word-table build over radices
+    # order 96 takes 96^2 x 2 = 18,432 bytes dense, and its word table over radices
     # (6, 2, 2, 4) holds (4 x 8 digits + 4 x 8 rows + 14 x 2 columns + 4 x 8 offsets
-    # + 8 codes + the inverse check's 5 x 8 + 4 x 8 + 2) x 96 = 19,776; a soft
-    # RLIMIT_AS that leaves less than that beside the 1,000 bytes already mapped is refused
+    # + 8 codes + the commutator pass's 9 + 4 x (4 x 2 + 16 + 4 x 8)) x 96 = 35,040 at
+    # its peak; a soft RLIMIT_AS that leaves less than that beside the 1,000 bytes
+    # already mapped is refused
     monkeypatch.setattr(gc, "_mapped_bytes", lambda: 1_000)
 
     def limit(soft):
@@ -212,11 +217,11 @@ def test_table_guards_respect_the_address_space_limit(monkeypatch):
     with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 19431 bytes, "
                                           r"less 1000 bytes already mapped"):
         gc.check_table_order(96)
-    assert gc._word_build_bytes((6, 2, 2, 4)) == 19_776
-    limit(20_776)
+    assert gc._word_build_bytes((6, 2, 2, 4)) == 35_040
+    limit(36_040)
     gc.code_digits((6, 2, 2, 4))
-    limit(20_775)
-    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 20775 bytes"):
+    limit(36_039)
+    with pytest.raises(CapExceeded, match=r"limit \(RLIMIT_AS\) of 36039 bytes"):
         gc.code_digits((6, 2, 2, 4))
     limit(4 << 30)  # with MAX_TABLE_BYTES left beside the mapped bytes, the guard is as it was
     with pytest.raises(CapExceeded, match=f"would exceed {gc.MAX_TABLE_BYTES} bytes"):
@@ -1272,7 +1277,7 @@ def _check_quotient_search(g):
 
 def _quotient_differential_groups():
     out = [pytest.param(lambda n=n: hb.gamma_n(n), id=f"Gamma{n}") for n in range(2, 21)]
-    out += [pytest.param(lambda n=n: hb.hat_gamma_n(n, cap=12 * n**3).table, id=f"HatGamma{n}")
+    out += [pytest.param(lambda n=n: hb.hat_gamma_n(n).table, id=f"HatGamma{n}")
             for n in range(2, 17, 2)]
     out += [pytest.param(lambda n=n: hb.b_n_components(n).table, id=f"B{n}") for n in range(1, 9)]
     kinds = [sg.cyclic_kind(k) for k in (2, 3, 5, 6)]
@@ -1290,7 +1295,7 @@ def test_a_search_above_the_dense_order_builds_no_quotient_table():
     # |Q| = 6 * 14^2 = 1,176 is above the dense order: the quotient's product is
     # evaluated on the lifts, and the whole search traces less than one int16
     # |Q|^2 table (2.77 MB)
-    g = hb.hat_gamma_n(14, cap=40_000).table
+    g = hb.hat_gamma_n(14).table
     gc.center(g)  # the table's memoized classes, built before the trace
     res, peak = traced_peak(lambda: gc.min_abelian_index(center_projection(g)))
     assert (res.index, res.quotient_order) == (84, 1_176)

@@ -145,11 +145,6 @@ def test_gamma_centralizer_of_first_translation():
     assert set(cent.indices().tolist()) == expect
 
 
-def test_gamma_cap():
-    with pytest.raises(CapExceeded):
-        hb.gamma_n(30, cap=1000)
-
-
 # ---------------------------------------------------------------------------
 # the twist
 
@@ -230,8 +225,6 @@ def test_twists_differ_by_half_y():
 def test_hat_rejects_odd_modulus():
     with pytest.raises(OddModulus):
         hb.hat_gamma_n(3)
-    with pytest.raises(CapExceeded):
-        hb.hat_gamma_n(10, cap=100)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -405,7 +398,7 @@ def _word_table_and_tree(monkeypatch, build):
 
 @pytest.mark.parametrize("build,n", [
     *[pytest.param(hb.gamma_n, n, id=f"Gamma{n}") for n in range(2, 13)],
-    *[pytest.param(lambda n: hb.hat_gamma_n(n, cap=12 * n**3).table, n, id=f"HatGamma{n}")
+    *[pytest.param(lambda n: hb.hat_gamma_n(n).table, n, id=f"HatGamma{n}")
       for n in range(2, 13, 2)],
     *[pytest.param(lambda n: hb.b_n_components(n).table, n, id=f"B{n}") for n in range(1, 11)],
 ])
@@ -565,7 +558,9 @@ def test_word_tables_are_refused_before_their_digits_are_built():
     with pytest.raises(CapExceeded, match="word table"):
         gc.code_digits((1000, 1000, 1000))
     with pytest.raises(CapExceeded, match="word table"):
-        hb.hat_gamma_n(200, cap=10**10)
+        hb.hat_gamma_n(200)
+    with pytest.raises(CapExceeded, match="word table"):
+        hb.gamma_n(1000)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

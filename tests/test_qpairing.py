@@ -12,7 +12,7 @@ from helpers import center_projection, direct_product, traced_peak
 
 
 def s3():
-    return sg._perm_group(3, [(1, 0, 2), (1, 2, 0)], "S3", gc.DEFAULT_ORDER_CAP)
+    return sg._perm_group(3, [(1, 0, 2), (1, 2, 0)], "S3")
 
 
 def abelian_data(n=12, k=4):
