@@ -25,7 +25,7 @@ import numpy as np
 
 from . import group_core as gc
 from . import heisenberg as hb
-from .errors import CapExceeded, EngineError, InvalidInput, SearchTimeout
+from .errors import CapExceeded, InvalidInput, SearchTimeout
 
 
 @dataclass
@@ -397,8 +397,6 @@ def _suite_doubling(rep: VerificationReport) -> None:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
-    if args.seed < 0:
-        raise InvalidInput("seed must be non-negative")
     rep = VerificationReport("verify", {"suite": args.suite, "max_n": args.max_n,
                                         "seed": args.seed, "budget_s": args.budget_s})
     if args.suite in ("q", "all"):
@@ -461,13 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n", 1) < 1 or getattr(args, "max_n", 1) < 1:
-        parser.error("n must be positive")
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 1) < 1 or getattr(args, "max_n", 1) < 1:
+            raise InvalidInput("n must be positive")
         if not getattr(args, "budget_s", 0) >= 0:  # also false for NaN
             raise InvalidInput("budget must be a non-negative number of seconds")
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidInput("seed must be non-negative")
         return args.func(args)
     except (CapExceeded, SearchTimeout, MemoryError) as exc:
         doc = {"command": args.command, "error": str(exc) or "out of memory"}
@@ -478,7 +477,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write("\n")
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
-    except EngineError as exc:
+    except InvalidInput as exc:
         json.dump({"command": args.command, "error": str(exc)}, sys.stdout)
         sys.stdout.write("\n")
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,7 @@ try:
 except ImportError:  # Windows: no resource module, no address-space limit to read
     resource = None
 
-from .errors import (CapExceeded, InvalidInput, NotCentral, NotNormal, PrimeDoesNotDivide,
-                     SearchTimeout)
+from .errors import CapExceeded, InvalidInput, SearchTimeout
 
 MAX_AUT_ORDER = 120  # largest group whose automorphisms are enumerated
 MAX_TABLE_BYTES = 2 << 30  # largest Cayley or word table a construction allocates
@@ -174,9 +173,6 @@ class GroupTable:
     def is_abelian(self) -> bool:
         return bool((self._classes == np.arange(self.order)).all())
 
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         return f"GroupTable({self.name or 'group'}, order={self.order})"
 
@@ -232,9 +228,6 @@ class SubgroupMask:
             and other.owner is self.owner
             and np.array_equal(other.bits, self.bits)
         )
-
-    def __hash__(self) -> int:
-        return hash((id(self.owner), self.bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"SubgroupMask(size={self.size} of {self.owner.order})"
@@ -679,7 +672,7 @@ def _cosets(g: GroupTable, s: SubgroupMask) -> tuple[np.ndarray, np.ndarray]:
 def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homomorphism]:
     """The quotient Q = G/N by a normal subgroup N = ``s``, and the
     projection, whose ``lifts`` are the cosets' smallest elements; raises
-    NotNormal.
+    InvalidInput unless N is normal.
 
     The cosets x N are the orbits of right multiplication by generators of
     N, each labelled by its smallest element; Q numbers them in the order of
@@ -699,7 +692,7 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
     proven one.
     """
     if not is_normal(g, s):
-        raise NotNormal("subgroup is not normal, cannot form the quotient")
+        raise InvalidInput("subgroup is not normal, cannot form the quotient")
     if s.size == 1:
         every = np.arange(g.order)
         return g, Homomorphism(g, g, every, every)
@@ -895,8 +888,8 @@ def min_abelian_index(eta: Homomorphism, budget_s: Optional[float] = None) -> Ab
 
     Deterministic branch and bound over commuting extensions, run on G/Z for
     a central Z (``_AbelianSearch``).  ``eta`` is the projection onto G/Z that
-    ``quotient_by_normal`` built; NotCentral if Z is not central, InvalidInput
-    unless each lift lies over its own element.  The witness is the preimage
+    ``quotient_by_normal`` built; InvalidInput unless Z is central and each
+    lift lies over its own element.  The witness is the preimage
     of the best subgroup of G/Z, checked abelian on G.  When ``budget_s`` is
     given and exceeded, SearchTimeout is raised instead of returning a
     partial answer; it carries the order of the incumbent, at least |Z|.
@@ -906,7 +899,7 @@ def min_abelian_index(eta: Homomorphism, budget_s: Optional[float] = None) -> Ab
     if eta.lifts is None or not np.array_equal(proj[eta.lifts], np.arange(eta.target.order)):
         raise InvalidInput("the search needs a projection with a lift over each element")
     if not center(g).bits[proj == eta.target.identity].all():
-        raise NotCentral("the projection's kernel is not central")
+        raise InvalidInput("the projection's kernel is not central")
     search = _AbelianSearch(eta, None if budget_s is None else t0 + float(budget_s))
     search.run()
     witness = SubgroupMask(g, search.best_mask[proj])
@@ -1028,8 +1021,7 @@ def prime_power_base(k: int) -> int:
 
 def sylow(g: GroupTable, p: int) -> SubgroupMask:
     """A subgroup whose order is the largest power of the prime p dividing
-    |G|; InvalidInput when p is not prime, PrimeDoesNotDivide when it does
-    not divide |G|.
+    |G|; InvalidInput unless p is a prime dividing |G|.
 
     One pass over the p-elements, by order: x joins when the closure stays a
     p-group.  A rejected x stays rejected, since its closure with a larger
@@ -1040,7 +1032,7 @@ def sylow(g: GroupTable, p: int) -> SubgroupMask:
     if p < 2 or prime_power_base(p) != p:
         raise InvalidInput(f"{p} is not a prime")
     if n % p != 0:
-        raise PrimeDoesNotDivide(f"{p} does not divide the group order {n}")
+        raise InvalidInput(f"{p} does not divide the group order {n}")
     target = 1
     m = n
     while m % p == 0:

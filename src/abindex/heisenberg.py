@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DetNotOne, InvalidInput, OddModulus
+from .errors import InvalidInput
 from .group_core import (
     GroupTable,
     Homomorphism,
@@ -115,7 +115,7 @@ def hat_gamma_n(n: int) -> HatGroup:
     a (h b h^-1) b^-1 = c, puts c in <h, a, b> and makes it the whole set.
     """
     if n < 2 or n % 2 != 0:
-        raise OddModulus("the extended group needs an even modulus >= 2")
+        raise InvalidInput("the extended group needs an even modulus >= 2")
     # generators h, a, b and the half-integral central element (0, 0, 1/2)
     radices = (6, n, n, 2 * n)
     k, x, y, z2 = code_digits(radices)
@@ -248,7 +248,7 @@ def sl2_lift(F, lin=(0, 0)) -> SL2Lift:
     (a, b), (c, d) = np.moveaxis(F, (-2, -1), (0, 1))
     det = np.ravel(a * d - b * c)
     if (det != 1).any():
-        raise DetNotOne(f"det is {det[det != 1][0]}, not 1")
+        raise InvalidInput(f"det is {det[det != 1][0]}, not 1")
     lx, ly = Fraction(lin[0]), Fraction(lin[1])
     if lx.denominator not in (1, 2) or ly.denominator not in (1, 2):
         raise ValueError("linear corrections must have denominator 1 or 2")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CapExceeded, InvalidInput, PrimeTooSmall, ZeroArea
+from .errors import CapExceeded, InvalidInput
 from .group_core import prime_power_base
 
 MAX_DEGREE_WINDOW = 1 << 20  # most degrees the fixed-surface window may list
@@ -23,7 +23,7 @@ class SymplecticShape:
     def __post_init__(self):
         a, b = Fraction(self.alpha), Fraction(self.beta)
         if a == 0 or b == 0:
-            raise ZeroArea("both areas must be nonzero")
+            raise InvalidInput("both areas must be nonzero")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
@@ -78,7 +78,7 @@ def nonabelian_p_admissible(s: SymplecticShape, p: int) -> PAdmissibility:
     if p < 2 or prime_power_base(p) != p:
         raise InvalidInput(f"{p} is not prime")
     if p <= 3:
-        raise PrimeTooSmall("the criterion concerns primes above 3")
+        raise InvalidInput("the criterion concerns primes above 3")
     lam = lambda_of(s)
     ok = 2 * p <= lam
     if not ok:

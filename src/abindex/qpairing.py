@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisViolation, NotCentral, QuotientNotAbelian
+from .errors import InvalidInput
 from .group_core import (
     GroupTable,
     Homomorphism,
@@ -51,10 +51,10 @@ class CentralData:
 def central_data_from(g: GroupTable, gamma0: SubgroupMask) -> CentralData:
     """Assemble the pairing habitat; rejects non-central or non-abelian data."""
     if not np.all(center(g).bits[gamma0.indices()]):
-        raise NotCentral("the chosen subgroup is not central")
+        raise InvalidInput("the chosen subgroup is not central")
     gammaB, eta = quotient_by_normal(g, gamma0)
     if not gammaB.is_abelian():
-        raise QuotientNotAbelian("quotient by the chosen subgroup is not abelian")
+        raise InvalidInput("quotient by the chosen subgroup is not abelian")
     return CentralData(g, gamma0, eta, gammaB)
 
 
@@ -172,12 +172,12 @@ def verify_q_properties(data: CentralData) -> list[QProperty]:
 
 def _require_dc_hypotheses(data: CentralData) -> SubgroupMask:
     if len(abelian_invariant_factors(data.gammaB)) > 2:
-        raise HypothesisViolation("quotient is not generated by two elements")
+        raise InvalidInput("quotient is not generated by two elements")
     comm = commutator_subgroup(data.g)
     if not np.all(center(data.g).bits[comm.indices()]):
-        raise HypothesisViolation("commutator subgroup is not central")
+        raise InvalidInput("commutator subgroup is not central")
     if not is_cyclic(comm):
-        raise HypothesisViolation("commutator subgroup is not cyclic")
+        raise InvalidInput("commutator subgroup is not cyclic")
     return comm
 
 
@@ -222,7 +222,7 @@ def abelian_pullback(data: CentralData) -> PullbackResult:
     gb = data.gammaB
     factors = abelian_invariant_factors(gb)
     if len(factors) > 2:
-        raise HypothesisViolation("quotient is not generated by two elements")
+        raise InvalidInput("quotient is not generated by two elements")
     expected_index = factors[1] if len(factors) == 2 else 1
     orders = all_element_orders(gb)
     x1 = int(np.flatnonzero(orders == orders.max())[0])

@@ -7,7 +7,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolation, IndexExceedsSix
+from .errors import InvalidInput
 from .group_core import (
     GroupTable,
     SubgroupMask,
@@ -132,7 +132,7 @@ class EsferaWitness:
 
     def __post_init__(self):
         if self.h_prime.size < 2 or not is_cyclic(self.h_prime):
-            raise HypothesisViolation("witness subgroup must be nontrivial cyclic")
+            raise InvalidInput("witness subgroup must be nontrivial cyclic")
 
 
 def _find_inverting_element(g: GroupTable, mask: SubgroupMask) -> Optional[int]:
@@ -153,7 +153,7 @@ def esfera_witness(g: GroupTable, kind: RotationGroupKind) -> EsferaWitness:
     rotation exchanging the two poles of the subgroup's axis).
     """
     if g.order < 2:
-        raise HypothesisViolation("the trivial group has no nontrivial subgroup")
+        raise InvalidInput("the trivial group has no nontrivial subgroup")
     orders = all_element_orders(g)
     if kind.tag == "cyclic":
         mask = SubgroupMask(g, np.ones(g.order, dtype=bool), _validated=True)
@@ -250,7 +250,7 @@ class AffineTorusAction:
         eye = np.eye(2, dtype=np.int64) % n
         trivial = (self.mats % n == eye).all(axis=(1, 2)) & (self.offs % n == 0).all(axis=1)
         if not trivial[g.identity]:
-            raise HypothesisViolation("identity must act trivially")
+            raise InvalidInput("identity must act trivially")
         # exact over the generators: the elements acting compatibly with
         # every x form a set closed under the product
         am, ao = self.mats[g.gens], self.offs[g.gens]
@@ -261,10 +261,10 @@ class AffineTorusAction:
             np.array_equal(prod_m, self.mats[k] % n)
             and np.array_equal(prod_o, self.offs[k] % n)
         ):
-            raise HypothesisViolation("action is not a homomorphism")
+            raise InvalidInput("action is not a homomorphism")
         # only the identity may act trivially; exact, given the homomorphism
         if np.count_nonzero(trivial) > 1:
-            raise HypothesisViolation("action is not effective")
+            raise InvalidInput("action is not effective")
 
 
 def affine_torus_group(bn: BnData, step: int) -> AffineTorusAction:
@@ -287,7 +287,7 @@ def affine_torus_group(bn: BnData, step: int) -> AffineTorusAction:
 
 def b_n_affine(bn: BnData) -> AffineTorusAction:
     """B_n acting on the n x n torus by its affine maps, effective for n >= 3
-    as the action's check certifies; below that it raises HypothesisViolation,
+    as the action's check certifies; below that it raises InvalidInput,
     since chi^3 = -I is I mod 2."""
     return affine_torus_group(bn, 1)
 
@@ -311,10 +311,10 @@ def tor_index_bound_check(action: AffineTorusAction) -> TorIndexResult:
     mask = SubgroupMask(g, bits)
     index = g.order // mask.size
     if index > 6:
-        raise IndexExceedsSix(f"translation subgroup has index {index}")
+        raise InvalidInput(f"translation subgroup has index {index}")
     if not mask.is_abelian():
-        raise HypothesisViolation("translation kernel is not abelian")
+        raise InvalidInput("translation kernel is not abelian")
     factors = abelian_invariant_factors(mask)
     if len(factors) > 2:
-        raise HypothesisViolation("translation kernel needs more than two generators")
+        raise InvalidInput("translation kernel needs more than two generators")
     return TorIndexResult(mask, index, factors)

@@ -16,7 +16,7 @@ from abindex import heisenberg as hb
 from abindex import jordan_bounds as jb
 from abindex import qpairing as qp
 from abindex import surface_groups as sg
-from abindex.errors import OddModulus
+from abindex.errors import InvalidInput
 from helpers import center_projection, same, seeded_triples
 
 
@@ -81,7 +81,7 @@ def test_criterion_3_twists_exact():
     problems = []
     for n in range(2, 13):
         if n % 2 == 1:
-            with pytest.raises(OddModulus):
+            with pytest.raises(InvalidInput, match="even modulus"):
                 hb.hat_gamma_n(n)
             continue
         e = tuple(np.indices((n, n, 2 * n)).reshape(3, -1))

@@ -180,6 +180,11 @@ def test_bad_input_is_a_usage_error():
         ("gamma", "--n", "2", "--dump-group", "/nonexistent/x.json"),
         ("gamma", "--n", "4", "--budget-s", "nan"),
         ("gamma", "--n", "4", "--budget-s", "-1"),
+        ("gamma", "--n", "0"),
+        ("hat-gamma", "--n", "0"),
+        ("verify", "--suite", "tor", "--max-n", "0"),
+        ("hat-gamma", "--n", "3"),  # odd modulus
+        ("bound", "--alpha", "5", "--beta", "1", "--p", "3"),  # prime too small
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
