@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 # Every product here is an integer gather and the few matrix calls work on
@@ -28,37 +27,18 @@ from . import heisenberg as hb
 from .errors import CapExceeded, InvalidInput, SearchTimeout
 
 
-@dataclass
-class Claim:
-    name: str
-    law: str                  # the statement under test, in plain words
-    expected: object
-    computed: object
-    source: str               # where the expected value comes from
-    passed: Optional[bool]    # None = informational, no pass/fail attached
+class VerificationReport(dict):
+    """The JSON document a command writes: its inputs and its claims, each
+    passing (True), failing (False) or informational (None); a search
+    command also sets ``search``."""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "law": self.law,
-            "expected": self.expected,
-            "computed": self.computed,
-            "source": self.source,
-            "pass": self.passed,
-        }
-
-
-@dataclass
-class VerificationReport:
-    command: str
-    inputs: dict
-    claims: list[Claim] = field(default_factory=list)
-    runtime_ms: int = 0
-    search: Optional[dict] = None  # how hard the abelian-subgroup search worked
+    def __init__(self, command: str, inputs: dict):
+        super().__init__(command=command, inputs=inputs, claims=[])
 
     def add(self, name, law, expected, computed, source, passed) -> None:
         """A claim with its verdict given; only bounds ("<= 12") need this."""
-        self.claims.append(Claim(name, law, expected, computed, source, passed))
+        self["claims"].append({"name": name, "law": law, "expected": expected,
+                               "computed": computed, "source": source, "pass": passed})
 
     def check(self, name, law, expected, computed, source) -> None:
         """A claim that passes exactly when the computed value equals the expected one."""
@@ -68,34 +48,20 @@ class VerificationReport:
         """An informational claim: nothing is expected, so it neither passes nor fails."""
         self.add(name, law, None, computed, source, None)
 
-    def all_pass(self) -> bool:
-        return all(c.passed is not False for c in self.claims)
-
-    def as_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "claims": [c.as_dict() for c in self.claims],
-        }
-        if self.search is not None:
-            doc["search"] = self.search
-        doc["runtime_ms"] = self.runtime_ms
-        return doc
-
 
 def _emit(report: VerificationReport, t0: float) -> int:
-    report.runtime_ms = int((time.monotonic() - t0) * 1000)
-    json.dump(report.as_dict(), sys.stdout, indent=2, default=str)
+    report["runtime_ms"] = int((time.monotonic() - t0) * 1000)
+    json.dump(report, sys.stdout, indent=2, default=str, allow_nan=False)
     sys.stdout.write("\n")
-    for c in report.claims:
-        tag = "INFO" if c.passed is None else ("PASS" if c.passed else "FAIL")
-        print(f"[{tag}] {c.name}: {c.law} (expected {c.expected}, computed {c.computed})",
-              file=sys.stderr)
-    n_fail = sum(1 for c in report.claims if c.passed is False)
-    n_pass = sum(1 for c in report.claims if c.passed is True)
+    for c in report["claims"]:
+        tag = "INFO" if c["pass"] is None else ("PASS" if c["pass"] else "FAIL")
+        print(f"[{tag}] {c['name']}: {c['law']} (expected {c['expected']}, "
+              f"computed {c['computed']})", file=sys.stderr)
+    verdicts = [c["pass"] for c in report["claims"]]
+    n_pass, n_fail = verdicts.count(True), verdicts.count(False)
     print(f"-- {n_pass} passed, {n_fail} failed, "
-          f"{len(report.claims) - n_pass - n_fail} informational --", file=sys.stderr)
-    return 0 if report.all_pass() else 1
+          f"{len(verdicts) - n_pass - n_fail} informational --", file=sys.stderr)
+    return 1 if n_fail else 0
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +83,7 @@ def cmd_gamma(args) -> int:
               True, comm == center, "enumeration")
     rep.check("min-abelian-index", "minimal abelian-subgroup index equals n",
               n, res.index, "enumeration")
-    rep.search = _search_stats(res)
+    rep["search"] = _search_stats(res)
     _dump_group(args.dump_group, g)
     return _emit(rep, t0)
 
@@ -149,7 +115,7 @@ def cmd_hat_gamma(args) -> int:
         rep.info("min-abelian-index",
                  "computed minimal abelian index (floor asserted only for n >= 8)",
                  res.index, "enumeration")
-    rep.search = _search_stats(res)
+    rep["search"] = _search_stats(res)
     _dump_group(args.dump_group, hat.table)
     return _emit(rep, t0)
 
@@ -299,9 +265,9 @@ def _suite_tor(rep: VerificationReport, max_n: int) -> None:
         rep.check(f"bn-order-n{n}", "the torus extension has order 6 n^2",
                   6 * n * n, t.order, "closed-form")
         chi, ta, tb = data.chi_idx, data.ta_idx, data.tb_idx
-        chi_inv = t.inv_idx(chi)
-        rel1 = t.mul_idx(t.mul_idx(chi_inv, ta), chi) == t.mul_idx(ta, t.inv_idx(tb))
-        rel2 = t.mul_idx(t.mul_idx(chi_inv, tb), chi) == ta
+        chi_inv = t.inv[chi]
+        rel1 = bool(t.mul[t.mul[chi_inv, ta], chi] == t.mul[ta, t.inv[tb]])
+        rel2 = bool(t.mul[t.mul[chi_inv, tb], chi] == ta)
         rep.check(f"bn-relation-a-n{n}", "conjugating the first translation gives t_a t_b^-1",
                   True, rel1, "enumeration")
         rep.check(f"bn-relation-b-n{n}", "conjugating the second translation gives t_a",
@@ -463,25 +429,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if getattr(args, "n", 1) < 1 or getattr(args, "max_n", 1) < 1:
             raise InvalidInput("n must be positive")
-        if not getattr(args, "budget_s", 0) >= 0:  # also false for NaN
-            raise InvalidInput("budget must be a non-negative number of seconds")
+        if not 0 <= getattr(args, "budget_s", 0) < float("inf"):  # also false for NaN
+            raise InvalidInput("budget must be a finite non-negative number of seconds")
         if getattr(args, "seed", 0) < 0:
             raise InvalidInput("seed must be non-negative")
         return args.func(args)
-    except (CapExceeded, SearchTimeout, MemoryError) as exc:
+    except (InvalidInput, CapExceeded, SearchTimeout, MemoryError) as exc:
+        usage = isinstance(exc, InvalidInput)  # exit 2; the size and time refusals exit 3
         doc = {"command": args.command, "error": str(exc) or "out of memory"}
         if isinstance(exc, SearchTimeout):
             # the incumbent: an abelian subgroup of this order exists
             doc["best_order_found"] = exc.best_order_found
         json.dump(doc, sys.stdout)
         sys.stdout.write("\n")
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
-    except InvalidInput as exc:
-        json.dump({"command": args.command, "error": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{'error' if usage else 'aborted'}: {exc}", file=sys.stderr)
+        return 2 if usage else 3
 
 
 if __name__ == "__main__":

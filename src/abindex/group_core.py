@@ -1,11 +1,11 @@
 """Generic finite-group engine on multiplication tables.
 
 Elements of a group of order ``n`` are the integers ``0..n-1``; index 0 is
-always the identity in every construction of this package.  A table's
-product is a dense Cayley table, a word table (``WordMul``) or a derived
-group's product induced from its parent's on lifts (``InducedMul``: quotients
-and subgroup tables), indexed alike.  Subgroups are boolean masks over the
-index range, and the heavy loops are vectorized with numpy.
+always the identity, and ``GroupTable`` refuses a table where it is not.
+A table's product is a dense Cayley table, a word table (``WordMul``) or a
+derived group's product induced from its parent's on lifts (``InducedMul``:
+quotients and subgroup tables), indexed alike.  Subgroups are boolean masks
+over the index range, and the heavy loops are vectorized with numpy.
 """
 
 from __future__ import annotations
@@ -86,23 +86,16 @@ class GroupTable:
             if len(labels) != order:
                 raise ValueError("labels length does not match order")
         self._labels = labels
-        self.identity = self._find_identity()
+        rng = np.arange(order)
+        if not (np.array_equal(mul[0], rng) and np.array_equal(mul[:, 0], rng)):
+            raise ValueError("index 0 is not the identity of the table")
+        self.identity = 0
         self.inv = self._build_inverse_table()
         self.gens = np.array(_greedy_generators(self, np.ones(order, dtype=bool))[0],
                              dtype=np.intp)
         self.gens.flags.writeable = False
         if not certified:
             self._check_associativity()
-
-    def _find_identity(self) -> int:
-        rng = np.arange(self.order)
-        # constructions in this package put the identity at index 0
-        if np.array_equal(self.mul[0], rng) and np.array_equal(self.mul[:, 0], rng):
-            return 0
-        for e in range(1, self.order):
-            if np.array_equal(self.mul[e], rng) and np.array_equal(self.mul[:, e], rng):
-                return int(e)
-        raise ValueError("table has no identity element")
 
     def _build_inverse_table(self) -> np.ndarray:
         n = self.order
@@ -163,12 +156,6 @@ class GroupTable:
             for lo, hi in _blocks(self.order):
                 if not np.array_equal(mul[col[lo:hi]], mul[lo:hi, row]):
                     raise ValueError(f"table not associative at generator {s}")
-
-    def mul_idx(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inv_idx(self, a: int) -> int:
-        return int(self.inv[a])
 
     def is_abelian(self) -> bool:
         return bool((self._classes == np.arange(self.order)).all())
@@ -658,12 +645,10 @@ def is_normal(g: GroupTable, s: SubgroupMask) -> bool:
 
 
 def _cosets(g: GroupTable, s: SubgroupMask) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest element of each coset x N, the identity's first and then
-    ascending, and the map from each element to its coset's position."""
+    """The smallest element of each coset x N, ascending (so the identity's,
+    0, first), and the map from each element to its coset's position."""
     labels = _orbit_minima([g.mul[:, x] for x in s.gens], g.order)
     reps = np.flatnonzero(labels == np.arange(g.order))
-    e_rep = labels[g.identity]
-    reps = np.concatenate([[e_rep], reps[reps != e_rep]])
     pos = np.empty(g.order, dtype=np.int64)
     pos[reps] = np.arange(len(reps))
     return reps, pos[labels]
@@ -707,16 +692,14 @@ def quotient_by_normal(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, Homo
 
 
 def subgroup_table(g: GroupTable, s: SubgroupMask) -> tuple[GroupTable, np.ndarray]:
-    """The group H = ``s`` on its own indices, the identity first and then
-    ascending, plus the map back to parent indices.
+    """The group H = ``s`` on its own indices, ascending (so the identity, 0,
+    first), plus the map back to parent indices.
 
     H's product is G's product on H's elements, read back through their
     positions (``InducedMul``), and needs no test of its own: the validated
     mask proves H closed, and associativity comes from G.
     """
     idx = s.indices()
-    if idx[0] != g.identity:
-        idx = np.concatenate([[g.identity], idx[idx != g.identity]])
     lookup = np.full(g.order, -1, dtype=np.int64)
     lookup[idx] = np.arange(len(idx))
     labels = None if g._labels is None else lambda: [g.labels[v] for v in idx.tolist()]

@@ -199,10 +199,10 @@ def test_criterion_7_torus_point_groups():
         if t.order != 6 * n * n:
             problems.append(f"order(B_{n})={t.order}")
         chi, ta, tb = data.chi_idx, data.ta_idx, data.tb_idx
-        chi_inv = t.inv_idx(chi)
-        if t.mul_idx(t.mul_idx(chi_inv, ta), chi) != t.mul_idx(ta, t.inv_idx(tb)):
+        chi_inv = t.inv[chi]
+        if t.mul[t.mul[chi_inv, ta], chi] != t.mul[ta, t.inv[tb]]:
             problems.append(f"first relation fails in B_{n}")
-        if t.mul_idx(t.mul_idx(chi_inv, tb), chi) != ta:
+        if t.mul[t.mul[chi_inv, tb], chi] != ta:
             problems.append(f"second relation fails in B_{n}")
     # fixed-point sets of the twist powers chi^k, chi(u,v) = (u+v, -u).
     # chi^2 - I = [[-1,1],[-1,-2]] (determinant 3, Smith form diag(1,3)): the

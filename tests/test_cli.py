@@ -36,6 +36,13 @@ def claims_by_name(doc):
     return {c["name"]: c for c in doc["claims"]}
 
 
+def strict_json(text):
+    """A JSON document, refusing NaN and Infinity, which RFC 8259 does not allow."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
@@ -48,11 +55,12 @@ GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 def test_reports_match_the_pinned_verdicts(job, args):
     """The jobs whose verdicts ``bench/golden.json`` pins: the exit code, and
     each pinned claim's expected, computed and pass; an unpinned claim may
-    only inform."""
+    only inform.  Every verdict is a JSON true, false or null, never a string."""
     pinned = json.loads(GOLDEN.read_text())[job]
     proc = run_cli(*args)
     assert proc.returncode == pinned["exit"], proc.stderr[-2000:]
-    claims = json.loads(proc.stdout)["claims"]
+    claims = strict_json(proc.stdout)["claims"]
+    assert {type(c["pass"]) for c in claims} <= {bool, type(None)}
     by_name = claims_by_name({"claims": claims})
     assert len(by_name) == len(claims)
     for name, want in pinned["claims"].items():
@@ -180,6 +188,8 @@ def test_bad_input_is_a_usage_error():
         ("gamma", "--n", "2", "--dump-group", "/nonexistent/x.json"),
         ("gamma", "--n", "4", "--budget-s", "nan"),
         ("gamma", "--n", "4", "--budget-s", "-1"),
+        ("verify", "--suite", "sl2", "--budget-s", "inf"),
+        ("gamma", "--n", "4", "--budget-s", "1e400"),
         ("gamma", "--n", "0"),
         ("hat-gamma", "--n", "0"),
         ("verify", "--suite", "tor", "--max-n", "0"),
@@ -217,6 +227,70 @@ def test_search_report_round_trip():
         assert all(set(c) == CLAIM_KEYS for c in doc["claims"])
 
 
+def _claim(name, law, expected, computed, source, verdict):
+    return {"name": name, "law": law, "expected": expected, "computed": computed,
+            "source": source, "pass": verdict}
+
+
+WHOLE_DOCUMENTS = [
+    (("gamma", "--n", "4"), 0, json.dumps({
+        "command": "gamma", "inputs": {"n": 4},
+        "claims": [
+            _claim("order", "the mod-n group has n^3 elements", 64, 64, "closed-form", True),
+            _claim("center-order", "the center has n elements", 4, 4, "closed-form", True),
+            _claim("commutator-equals-center", "commutator subgroup and center coincide",
+                   True, True, "enumeration", True),
+            _claim("min-abelian-index", "minimal abelian-subgroup index equals n",
+                   4, 4, "enumeration", True)],
+        "search": {"quotient_order": 16, "nodes_explored": 5, "root_classes": 9,
+                   "centralizers": 4, "runtime_s": 0},
+        "runtime_ms": 0}, indent=2),
+     "[PASS] order: the mod-n group has n^3 elements (expected 64, computed 64)\n"
+     "[PASS] center-order: the center has n elements (expected 4, computed 4)\n"
+     "[PASS] commutator-equals-center: commutator subgroup and center coincide "
+     "(expected True, computed True)\n"
+     "[PASS] min-abelian-index: minimal abelian-subgroup index equals n "
+     "(expected 4, computed 4)\n"
+     "-- 4 passed, 0 failed, 0 informational --\n"),
+    (("bound", "--alpha", "5", "--beta", "1", "--p", "5"), 0, json.dumps({
+        "command": "bound", "inputs": {"alpha": "5", "beta": "1", "p": 5},
+        "claims": [
+            _claim("lambda", "largest even integer strictly below |2 alpha / beta|, else 1",
+                   None, 8, "closed-form", None),
+            _claim("jordan-bound", "uniform abelian-index bound max(144, 6 lambda)",
+                   None, 144, "closed-form", None),
+            _claim("admissible-degrees", "even degrees strictly inside the ratio window",
+                   None, list(range(-8, 9, 2)), "closed-form", None),
+            _claim("p-admissible",
+                   "a nonabelian p-group occurs exactly when 2p fits the degree window",
+                   False, False, "closed-form", True)],
+        "runtime_ms": 0}, indent=2),
+     "[INFO] lambda: largest even integer strictly below |2 alpha / beta|, else 1 "
+     "(expected None, computed 8)\n"
+     "[INFO] jordan-bound: uniform abelian-index bound max(144, 6 lambda) "
+     "(expected None, computed 144)\n"
+     "[INFO] admissible-degrees: even degrees strictly inside the ratio window "
+     "(expected None, computed [-8, -6, -4, -2, 0, 2, 4, 6, 8])\n"
+     "[PASS] p-admissible: a nonabelian p-group occurs exactly when 2p fits the degree "
+     "window (expected False, computed False)\n"
+     "-- 1 passed, 0 failed, 3 informational --\n"),
+    (("hat-gamma", "--n", "3"), 2,
+     json.dumps({"command": "hat-gamma", "error": "the extended group needs an even modulus >= 2"}),
+     "error: the extended group needs an even modulus >= 2\n"),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout,stderr", WHOLE_DOCUMENTS,
+                         ids=[" ".join(a) for a, *_ in WHOLE_DOCUMENTS])
+def test_the_whole_document_is_pinned(args, code, stdout, stderr):
+    """Key order, every string and the stderr summary, not only the verdicts;
+    the runtime fields are zeroed before the comparison."""
+    proc = run_cli(*args)
+    strict_json(proc.stdout)
+    masked = re.sub(r'"(runtime_ms|runtime_s)": [0-9.e-]+', r'"\1": 0', proc.stdout)
+    assert (proc.returncode, masked, proc.stderr) == (code, stdout + "\n", stderr)
+
+
 def test_verify_sl2_suite():
     proc = run_cli("verify", "--suite", "sl2")
     assert proc.returncode == 0
@@ -250,8 +324,8 @@ def test_lift_homomorphism_fails_when_the_xy_coefficient_is_shifted(monkeypatch)
     monkeypatch.setattr(hb, "q_form_coeffs", shifted)
     rep = cli.VerificationReport("verify", {})
     cli._suite_sl2(rep)
-    claim = {c.name: c for c in rep.claims}["lift-homomorphism"]
-    assert claim.passed is False and claim.computed > 0
+    claim = claims_by_name(rep)["lift-homomorphism"]
+    assert claim["pass"] is False and claim["computed"] > 0
 
 
 def test_verify_doubling_suite():

@@ -376,10 +376,10 @@ def test_rotation_tables_compose_their_labelled_permutations():
         assert np.array_equal(perms[dense(g)], composed), kind
 
 
-def test_table_accepts_identity_off_zero():
+def test_table_refuses_identity_off_zero():
     # Z2 with the identity stored at index 1
-    g = gc.GroupTable(np.array([[1, 0], [0, 1]]))
-    assert g.identity == 1
+    with pytest.raises(ValueError, match="index 0 is not the identity"):
+        gc.GroupTable(np.array([[1, 0], [0, 1]]))
 
 
 def test_table_rejects_missing_identity():

@@ -298,7 +298,7 @@ def test_hat_conjugation_by_twist_realizes_it():
     hgen = lab["A(0,0,0)h^1"]
     for x, y, z in [(1, 0, 0), (0, 1, 0), (2, 3, 1), (1, 1, 2)]:
         g_idx = lab[f"A({x},{y},{z})h^0"]
-        conj = t.mul_idx(t.mul_idx(hgen, g_idx), t.inv_idx(hgen))
+        conj = t.mul[t.mul[hgen, g_idx], t.inv[hgen]]
         ix, iy, iz2 = hb._twist(n, (x, y, 2 * z))
         assert t.labels[conj] == f"A({ix},{iy},{hb._format_half(iz2)})h^0"
 
@@ -334,9 +334,9 @@ def test_bn_order_and_relations(n):
     t = data.table
     assert t.order == 6 * n * n
     chi, ta, tb = data.chi_idx, data.ta_idx, data.tb_idx
-    chi_inv = t.inv_idx(chi)
-    assert t.mul_idx(t.mul_idx(chi_inv, ta), chi) == t.mul_idx(ta, t.inv_idx(tb))
-    assert t.mul_idx(t.mul_idx(chi_inv, tb), chi) == ta
+    chi_inv = t.inv[chi]
+    assert t.mul[t.mul[chi_inv, ta], chi] == t.mul[ta, t.inv[tb]]
+    assert t.mul[t.mul[chi_inv, tb], chi] == ta
     assert gc.all_element_orders(t)[chi] == 6
 
 

@@ -126,7 +126,7 @@ def test_inverting_element_actually_inverts():
     wit = sg.esfera_witness(g, sg.OCTA)
     h = wit.inverting_element
     for x in wit.h_prime.indices():
-        assert g.mul_idx(g.mul_idx(h, int(x)), g.inv_idx(h)) == g.inv_idx(int(x))
+        assert g.mul[g.mul[h, x], g.inv[h]] == g.inv[x]
 
 
 def test_witness_rejects_trivial_group():
