@@ -2,7 +2,8 @@
 
 Each command writes one JSON document to stdout and a human-readable claim
 summary to stderr.  Exit codes: 0 all claims pass, 1 some claim fails,
-2 usage error, 3 a size guard, time budget or memory exceeded.
+2 usage error, 3 a size guard, time budget or memory exceeded, 141 stdout
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -427,23 +428,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "n", 1) < 1 or getattr(args, "max_n", 1) < 1:
-            raise InvalidInput("n must be positive")
-        if not 0 <= getattr(args, "budget_s", 0) < float("inf"):  # also false for NaN
-            raise InvalidInput("budget must be a finite non-negative number of seconds")
-        if getattr(args, "seed", 0) < 0:
-            raise InvalidInput("seed must be non-negative")
-        return args.func(args)
-    except (InvalidInput, CapExceeded, SearchTimeout, MemoryError) as exc:
-        usage = isinstance(exc, InvalidInput)  # exit 2; the size and time refusals exit 3
-        doc = {"command": args.command, "error": str(exc) or "out of memory"}
-        if isinstance(exc, SearchTimeout):
-            # the incumbent: an abelian subgroup of this order exists
-            doc["best_order_found"] = exc.best_order_found
-        json.dump(doc, sys.stdout)
-        sys.stdout.write("\n")
-        print(f"{'error' if usage else 'aborted'}: {exc}", file=sys.stderr)
-        return 2 if usage else 3
+        try:
+            if getattr(args, "n", 1) < 1 or getattr(args, "max_n", 1) < 1:
+                raise InvalidInput("n must be positive")
+            if not 0 <= getattr(args, "budget_s", 0) < float("inf"):  # also false for NaN
+                raise InvalidInput("budget must be a finite non-negative number of seconds")
+            if getattr(args, "seed", 0) < 0:
+                raise InvalidInput("seed must be non-negative")
+            return args.func(args)
+        except (InvalidInput, CapExceeded, SearchTimeout, MemoryError) as exc:
+            usage = isinstance(exc, InvalidInput)  # exit 2; the size and time refusals exit 3
+            doc = {"command": args.command, "error": str(exc) or "out of memory"}
+            if isinstance(exc, SearchTimeout):
+                # the incumbent: an abelian subgroup of this order exists
+                doc["best_order_found"] = exc.best_order_found
+            print(json.dumps(doc))
+            print(f"{'error' if usage else 'aborted'}: {exc}", file=sys.stderr)
+            return 2 if usage else 3
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; the exit flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
 
 
 if __name__ == "__main__":

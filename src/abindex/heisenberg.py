@@ -5,7 +5,8 @@ coordinate ``z2 = 2z`` so that half-integral z stays exact: the twist h sends
 integral elements to half-integral ones whenever y is odd, and the extended
 group below is closed only in the half-integral ambient.  One law
 (``_heis_law``) and one twist (``_twist``) serve the group over Z (modulus
-None) and its reductions mod (n, n, 2n).
+None) and its reductions mod (n, n, 2n); one pair law (``_pair_law``) built
+from them gives the generator rows of Gamma_n, its twisted closure and B_n.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .group_core import (
 )
 
 CHI_MATRIX = ((0, -1), (1, 1))  # order-6 torus symmetry (x,y) -> (-y, x+y)
+_H, _A, _B = (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)  # the pairs h, a and b
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,16 @@ def _twist(n: Optional[int], g: tuple) -> tuple:
     return _reduce(n, (-y, x + y, z2 - 2 * x * y - y * y))
 
 
+def _pair_law(n: Optional[int], a: tuple, b: tuple) -> tuple:
+    """Product of pairs (x, y, z2, k), (g, k)(g', k') = (g h^k(g'), k + k')
+    with k mod 6; the left k is an int, other entries are ints or int arrays."""
+    *g, k = a
+    *g2, k2 = b
+    for _ in range(k % 6):
+        g2 = _twist(n, g2)
+    return (*_heis_law(n, g, g2), (k + k2) % 6)
+
+
 def _format_half(z2: int) -> str:
     return str(z2 // 2) if z2 % 2 == 0 else f"{z2}/2"
 
@@ -67,17 +79,18 @@ def gamma_n(n: int) -> GroupTable:
     """Heisenberg group mod n: order n^3, integral z; any n >= 2."""
     if n < 2:
         raise InvalidInput("modulus must be at least 2")
-    # digits (x, y, z): A(x,y,z) is the word c^z b^y a^x
+    # digits (x, y, z): A(x,y,z) is the word c^z b^y a^x; the k = 0 slice of the pair law
     x, y, z = code_digits((n, n, n))
-    gen_rows = [gamma_elem_index(n, rx, ry, rz2 // 2) for rx, ry, rz2 in
-                (_heis_law(n, s, (x, y, 2 * z)) for s in ((1, 0, 0), (0, 1, 0), (0, 0, 2)))]
+    gen_rows = [np.ravel_multi_index((rx, ry, rz2 // 2), (n, n, n)) for rx, ry, rz2, _ in
+                (_pair_law(n, s, (x, y, 2 * z, 0)) for s in (_A, _B, (0, 0, 2, 0)))]
     return GroupTable(WordMul(gen_rows, (n, n, n), (x, y, z)), name=f"Gamma_{n}", labels=lambda: [
         f"A({a},{b},{c})" for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())])
 
 
 def gamma_elem_index(n: int, x, y, z):
-    """Index of A(x, y, z) in ``gamma_n(n)``; entries are ints or int arrays."""
-    return ((x % n) * n + (y % n)) * n + (z % n)
+    """Index of A(x, y, z) in ``gamma_n(n)``, each coordinate reduced mod n;
+    entries are ints or int arrays, and so is the index, as numpy integers."""
+    return np.ravel_multi_index((x, y, z), (n, n, n), mode="wrap")
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +106,6 @@ class HatGroup:
     theta: Homomorphism          # projection onto the order-6 quotient
     gamma_image: SubgroupMask    # image of the integral translation group
     theta_kernel: SubgroupMask
-
-
-def _hat_code(n: int, x, y, z2, k):
-    """Code of (x, y, z2, k) in [0, 12 n^3), with digits (k, x, y, z2) of
-    radices (6, n, n, 2n); entries are ints or int arrays.  It is the
-    element's index in ``hat_gamma_n(n)``."""
-    return ((k * n + x) * n + y) * (2 * n) + z2
 
 
 def hat_gamma_n(n: int) -> HatGroup:
@@ -119,9 +125,8 @@ def hat_gamma_n(n: int) -> HatGroup:
     # generators h, a, b and the half-integral central element (0, 0, 1/2)
     radices = (6, n, n, 2 * n)
     k, x, y, z2 = code_digits(radices)
-    g = (x, y, z2)
-    gen_rows = [_hat_code(n, *_twist(n, g), (k + 1) % 6)] + [
-        _hat_code(n, *_heis_law(n, s, g), k) for s in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    gen_rows = [np.ravel_multi_index((rk, rx, ry, rz2), radices) for rx, ry, rz2, rk in
+                (_pair_law(n, s, (x, y, z2, k)) for s in (_H, _A, _B, (0, 0, 1, 0)))]
     table = GroupTable(WordMul(gen_rows, radices, (k, x, y, z2)), name=f"HatGamma_{n}",
                        labels=lambda: [f"A({a},{b},{_format_half(c)})h^{d}" for a, b, c, d
                                        in zip(x.tolist(), y.tolist(), z2.tolist(), k.tolist())])
@@ -146,17 +151,12 @@ class BnData:
     chi_idx: int
     ta_idx: int
     tb_idx: int
+    coords: list  # the digits (k, u, v) of t(u,v) chi^k, one int array each
 
 
 def chi_power(n: int, k: int) -> np.ndarray:
     """chi^k reduced mod n, a 2 x 2 int64 array."""
     return np.linalg.matrix_power(np.array(CHI_MATRIX), k % 6) % n
-
-
-def _bn_code(n: int, k, u, v):
-    """Index of t(u, v) chi^k in ``b_n_components(n).table``, digits (k, u, v)
-    of radices (6, n, n); entries are ints or int arrays."""
-    return (k * n + u) * n + v
 
 
 def b_n_components(n: int) -> BnData:
@@ -165,21 +165,19 @@ def b_n_components(n: int) -> BnData:
     The translation part acts on the torus by addition, the order-6 part by
     the matrix chi; k is kept as data mod 6, so the extension has order
     6 n^2 for every n (for n <= 2 the matrix action alone would collapse to
-    a smaller bijection group).
+    a smaller bijection group).  It is the pair law's image with z2 dropped,
+    which is well defined since the (x, y, k) part never reads z2.
     """
     if n < 1:
         raise ValueError("n must be positive")
     # digits (k, u, v) of t(u,v) chi^k; generators chi, t_a and t_b
-    k, u, v = code_digits((6, n, n))
-    gen_rows = [
-        _bn_code(n, (k + 1) % 6, *(chi_power(n, 1) @ [u, v] % n)),
-        _bn_code(n, k, (u + 1) % n, v),
-        _bn_code(n, k, u, (v + 1) % n),
-    ]
-    table = GroupTable(WordMul(gen_rows, (6, n, n), (k, u, v)), name=f"B_{n}", labels=lambda: [
+    k, u, v = coords = code_digits((6, n, n))
+    gen_rows = [np.ravel_multi_index((rk, ru, rv), (6, n, n)) for ru, rv, _, rk in
+                (_pair_law(n, s, (u, v, 0, k)) for s in (_H, _A, _B))]
+    table = GroupTable(WordMul(gen_rows, (6, n, n), coords), name=f"B_{n}", labels=lambda: [
         f"t({p},{q})chi^{r}" for p, q, r in zip(u.tolist(), v.tolist(), k.tolist())])
     chi, ta, tb = (int(r[0]) for r in gen_rows)
-    return BnData(n, table, chi, ta, tb)
+    return BnData(n, table, chi, ta, tb, coords)
 
 
 def fixed_points_chi_power(n: int, k: int) -> set[tuple[int, int]]:

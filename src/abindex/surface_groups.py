@@ -16,7 +16,6 @@ from .group_core import (
     all_element_orders,
     check_table_order,
     closure,
-    code_digits,
     cyclic_table,
     is_cyclic,
     sigma_orbit,
@@ -277,7 +276,7 @@ def affine_torus_group(bn: BnData, step: int) -> AffineTorusAction:
     translations.
     """
     n, g = bn.n, bn.table
-    k, u, v = code_digits((6, n, n))
+    k, u, v = bn.coords
     keep = k % step == 0
     if step > 1:
         g, _ = subgroup_table(g, SubgroupMask(g, keep))

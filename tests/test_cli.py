@@ -481,6 +481,18 @@ def test_a_word_table_over_the_address_space_limit_is_refused_at_the_guard():
             doc["error"]), doc
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the reader is gone before the report is written: exit 1 would read as
+    # "a claim fails", so the CLI exits as a shell reports a writer killed by SIGPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "abindex.cli", "gamma", "--n", "20"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == 141, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_the_cli_runs_one_blas_thread():
     # no path calls BLAS, so the CLI starts no OpenBLAS worker per CPU; a
     # caller's own OPENBLAS_NUM_THREADS is kept

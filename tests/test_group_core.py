@@ -566,8 +566,8 @@ def test_quotient_product_key_forms_match_the_dense_read_out(monkeypatch):
 
 def _half_turn(n):
     """B_n and its subgroup of the translations and the half turn, chi^3 = -I."""
-    g = hb.b_n_components(n).table
-    return g, gc.SubgroupMask(g, gc.code_digits((6, n, n))[0] % 3 == 0)
+    bn = hb.b_n_components(n)
+    return bn.table, gc.SubgroupMask(bn.table, bn.coords[0] % 3 == 0)
 
 
 def _theta_kernel(n):
@@ -776,8 +776,8 @@ def test_invariant_factors_of_the_heisenberg_central_quotients(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_invariant_factors_of_the_translation_kernels_read_on_the_mask(n):
-    g = hb.b_n_components(n).table
-    k, _, _ = gc.code_digits((6, n, n))
+    bn = hb.b_n_components(n)
+    g, k = bn.table, bn.coords[0]
     kernel = gc.SubgroupMask(g, k == 0)
     sub, _ = gc.subgroup_table(g, kernel)
     assert gc.abelian_invariant_factors(kernel) == invariant_factors_by_quotients(sub)

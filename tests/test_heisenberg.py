@@ -1,6 +1,7 @@
 """Tests for the Heisenberg constructions and the order-6 twist."""
 
 import gc as garbage
+import itertools
 import weakref
 from fractions import Fraction
 
@@ -63,6 +64,31 @@ def test_heis_mul_associative_small_moduli():
             a, b, c = ((int(xs[2 * i]), int(xs[2 * i + 1]), int(zs[i])) for i in range(3))
             assert (hb._heis_law(n, hb._heis_law(n, a, b), c)
                     == hb._heis_law(n, a, hb._heis_law(n, b, c)))
+
+
+def _pair_associativity_mismatches():
+    """The points where (a b) c and a (b c) differ under the pair law over Z,
+    for every (k1, k2, k3) in (Z/6)^3, on the grid {0,1,2}^6 x {0,1}^3 of
+    (x, y) and z2 values.  The defect has degree at most 2 in each x and y
+    and at most 1 in each z2, so zero on this grid means zero everywhere
+    (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1)."""
+    x1, y1, x2, y2, x3, y3, z1, z2, z3 = np.indices((3,) * 6 + (2,) * 3).reshape(9, -1)
+    mismatches = 0
+    for k1, k2, k3 in itertools.product(range(6), repeat=3):
+        a, b, c = (x1, y1, z1, k1), (x2, y2, z2, k2), (x3, y3, z3, k3)
+        lhs = hb._pair_law(None, hb._pair_law(None, a, b), c)
+        rhs = hb._pair_law(None, a, hb._pair_law(None, b, c))
+        mismatches += np.count_nonzero(sum(np.not_equal(p, q) for p, q in zip(lhs, rhs)))
+    return mismatches
+
+
+def test_pair_law_is_associative_over_z():
+    assert _pair_associativity_mismatches() == 0
+
+
+def test_pair_law_associativity_check_finds_a_twist_without_its_y_squared_term(monkeypatch):
+    monkeypatch.setattr(hb, "_twist", lambda n, g: (-g[1], g[0] + g[1], g[2] - 2 * g[0] * g[1]))
+    assert _pair_associativity_mismatches() > 0
 
 
 def test_heis_inverse():
@@ -246,7 +272,8 @@ def test_hat_structure(n):
 def test_h_a_and_b_generate_the_twisted_closure(n):
     """The enumeration twin of the word identity ``hat_gamma_n`` checks."""
     hat = hb.hat_gamma_n(n)
-    h, a, b = hb._hat_code(n, 0, 0, 0, 1), hb._hat_code(n, 1, 0, 0, 0), hb._hat_code(n, 0, 1, 0, 0)
+    radices = (6, n, n, 2 * n)
+    h, a, b = (np.ravel_multi_index(d, radices) for d in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     assert gc.closure(hat.table, [h, a, b]).size == 12 * n**3
 
 
@@ -278,7 +305,7 @@ def test_hat_table_equals_the_law_on_all_pairs(n):
     for i in range(hat.table.order):
         k = K[i]
         rx, ry, rz2 = hb._heis_law(n, (X[i], Y[i], Z2[i]), powers[k])
-        row = hb._hat_code(n, rx, ry, rz2, (k + K) % 6)
+        row = np.ravel_multi_index(((k + K) % 6, rx, ry, rz2), (6, n, n, 2 * n))
         assert np.array_equal(hat.table.mul[i], row), i
 
 
@@ -351,7 +378,7 @@ def test_chi_power_matches_the_written_powers(n):
         assert np.array_equal(hb.chi_power(n, k), np.array(_CHI_POWERS[k % 6]) % n), k
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 24])
 def test_bn_table_equals_the_law_on_all_pairs(n):
     # (v, k)(v', k') = (v + chi^k v', k + k'), element t(u,v)chi^k at (k n + u) n + v
     data = hb.b_n_components(n)
@@ -566,7 +593,7 @@ def test_word_tables_are_refused_before_their_digits_are_built():
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_bn_translation_subgroup(n):
     data = hb.b_n_components(n)
-    k = gc.code_digits((6, n, n))[0]
+    k = data.coords[0]
     translations = gc.SubgroupMask(data.table, k == 0)
     zeta = gc.Homomorphism(data.table, gc.cyclic_table(6), k)  # onto the point part
     assert translations.size == n * n
